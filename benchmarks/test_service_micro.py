@@ -50,15 +50,16 @@ SPEC = {
 DUPLICATES = 4
 
 
-def test_duplicate_submissions_amortize_cold_compute(tmp_path):
-    """Gate: coalesced/cached duplicate submissions >= 5x faster than the
-    cold compute of the same slice (skips the assertion below 2 CPUs --
-    on a single CPU the server thread and the measuring client fight for
-    the interpreter and the cold baseline is itself degraded)."""
+def _cold_then_duplicates(store_path):
+    """Cold compute of ``SPEC``, then ``DUPLICATES`` concurrent resubmissions.
+
+    Returns ``(cold_s, warm_s, recomputed)``: the cold wall-clock, the
+    duplicate batch's wall-clock and the cells the duplicates recomputed.
+    """
     from repro.service.client import ServiceClient
     from repro.service.server import ThreadedService
 
-    with ThreadedService(tmp_path / "bench.jsonl", max_workers=0) as svc:
+    with ThreadedService(store_path, max_workers=0) as svc:
         client = ServiceClient(svc.url, timeout=600)
 
         t0 = time.perf_counter()
@@ -86,9 +87,26 @@ def test_duplicate_submissions_amortize_cold_compute(tmp_path):
         assert not any(t.is_alive() for t in threads)
 
     recomputed = 0
+    assert len(results) == DUPLICATES
     for result in results.values():
         assert result["state"] == "done"
         recomputed += result["sources"]["computed"]
+    return cold_s, warm_s, recomputed
+
+
+def test_duplicate_submissions_never_recompute(tmp_path):
+    """Coalesced/cached duplicate submissions recompute no cell."""
+    _, _, recomputed = _cold_then_duplicates(tmp_path / "bench.jsonl")
+    assert recomputed == 0, "a duplicate submission recomputed cells"
+
+
+@pytest.mark.perf
+def test_duplicate_submissions_amortize_cold_compute(tmp_path):
+    """Gate: coalesced/cached duplicate submissions >= 5x faster than the
+    cold compute of the same slice (skips the assertion below 2 CPUs --
+    on a single CPU the server thread and the measuring client fight for
+    the interpreter and the cold baseline is itself degraded)."""
+    cold_s, warm_s, recomputed = _cold_then_duplicates(tmp_path / "bench.jsonl")
     assert recomputed == 0, "a duplicate submission recomputed cells"
 
     ratio = cold_s / warm_s if warm_s > 0 else float("inf")

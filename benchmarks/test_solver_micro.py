@@ -19,6 +19,7 @@ import platform
 import time
 
 import numpy as np
+import pytest
 
 from repro.conditions import EC1
 from repro.expr.derivative import derivative
@@ -379,10 +380,12 @@ def test_pow_func_batch_kernel_speedup_over_seed_backend():
     )
 
 
-def test_pow_func_frontier_speedup_over_seed_backend():
-    """Regression bench: the same seed-vs-kernels comparison on a full
-    frontier solve (contract + probe + split), where splitting and point
-    probes dilute the kernel win; gated looser, recorded for trend."""
+def _pow_func_frontier(repeats):
+    """Best-of-``repeats`` seed-mode vs kernel frontier solves of PBE/EC1.
+
+    Returns ``(t_seed, t_kernel, r_seed, r_kernel)``; ``repeats=0`` solves
+    once per mode and times nothing.
+    """
     from repro.solver.tape import (
         clear_tape_cache, set_batch_kernel_mode, set_tape_fusion,
     )
@@ -390,7 +393,7 @@ def test_pow_func_frontier_speedup_over_seed_backend():
     problem = encode(get_functional("PBE"), EC1)
     budget = Budget(max_steps=1200)
 
-    def best_of(seed_mode, repeats=3):
+    def best_of(seed_mode):
         clear_tape_cache()
         if seed_mode:
             set_tape_fusion(False)
@@ -414,11 +417,27 @@ def test_pow_func_frontier_speedup_over_seed_backend():
 
     t_kernel, r_kernel = best_of(seed_mode=False)
     t_seed, r_seed = best_of(seed_mode=True)
-    # one more alternation evens out one-sided scheduling jitter
-    t_kernel = min(t_kernel, best_of(seed_mode=False)[0])
-    t_seed = min(t_seed, best_of(seed_mode=True)[0])
+    if repeats:
+        # one more alternation evens out one-sided scheduling jitter
+        t_kernel = min(t_kernel, best_of(seed_mode=False)[0])
+        t_seed = min(t_seed, best_of(seed_mode=True)[0])
+    return t_seed, t_kernel, r_seed, r_kernel
+
+
+def test_pow_func_frontier_matches_seed_backend():
+    """The seed batch backend and the kernels solve PBE/EC1 identically."""
+    _, _, r_seed, r_kernel = _pow_func_frontier(repeats=0)
     assert r_kernel.status == r_seed.status
     assert r_kernel.model == r_seed.model
+    assert r_kernel.stats.boxes_processed == r_seed.stats.boxes_processed
+
+
+@pytest.mark.perf
+def test_pow_func_frontier_speedup_over_seed_backend():
+    """Regression bench: the same seed-vs-kernels comparison on a full
+    frontier solve (contract + probe + split), where splitting and point
+    probes dilute the kernel win; gated looser, recorded for trend."""
+    t_seed, t_kernel, r_seed, r_kernel = _pow_func_frontier(repeats=3)
     assert r_kernel.stats.boxes_processed == r_seed.stats.boxes_processed
 
     ratio = t_seed / t_kernel
@@ -603,6 +622,7 @@ def test_tape_fusion_and_multitape_timings():
     assert t_multi <= t_fused * 1.05
 
 
+@pytest.mark.perf
 def test_disabled_tracer_overhead_on_solver_calls():
     """Observability gate: with tracing off, the campaign's per-call
     tracer pattern (ambient ``current_tracer()`` lookup + ``enabled``

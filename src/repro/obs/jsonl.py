@@ -89,13 +89,15 @@ class JsonlWriter:
         self._lock = threading.Lock()
         self._handle = open_append_sealed(self.path)
 
-    def write(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True)
+    def write(self, record: dict) -> int:
+        """Append ``record`` as one line; returns the bytes written."""
+        line = json.dumps(record, sort_keys=True)  # ASCII: chars == bytes
         with self._lock:
             self._handle.write(line + "\n")
             self._handle.flush()
             if self._fsync:
                 os.fsync(self._handle.fileno())
+        return len(line) + 1
 
     def close(self) -> None:
         with self._lock:

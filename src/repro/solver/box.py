@@ -8,6 +8,7 @@ the paper) and the leaves of the region maps in Figures 1 and 2.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, Mapping
 
 from ..expr.nodes import Var
@@ -31,6 +32,24 @@ class Box:
                 merged[key] = make(*value)
         self.names: tuple[str, ...] = tuple(sorted(merged))
         self.intervals: tuple[Interval, ...] = tuple(merged[n] for n in self.names)
+
+    @classmethod
+    def _of(cls, names: tuple[str, ...], intervals: tuple[Interval, ...]) -> "Box":
+        """Trusted constructor: store ``names`` and ``intervals`` as given.
+
+        Skips the merging, sorting and tuple coercion of ``__init__``, so
+        the caller owns its invariant: ``names`` is a sorted tuple of
+        distinct strings and ``intervals`` the matching tuple of
+        :class:`Interval` objects built by :func:`make` (empty input
+        already normalised to ``EMPTY``, endpoints already floats).  Under
+        that invariant the result equals -- and hashes like -- the Box
+        ``__init__`` would build.  For trusted callers only: splitting,
+        which reuses its parent's names, and the store decoder.
+        """
+        box = object.__new__(cls)
+        box.names = names
+        box.intervals = intervals
+        return box
 
     @classmethod
     def from_bounds(cls, bounds: Mapping[str, tuple[float, float]]) -> "Box":
@@ -58,9 +77,17 @@ class Box:
         return zip(self.names, self.intervals)
 
     def replace(self, name: str, interval: Interval) -> "Box":
+        if name in self.names and isinstance(interval, Interval):
+            return self._with(self.names.index(name), interval)
+        # a new dimension or a (lo, hi) tuple: the general constructor
         mapping = dict(self.items())
         mapping[name] = interval
         return Box(mapping)
+
+    def _with(self, slot: int, interval: Interval) -> "Box":
+        """This box with ``intervals[slot]`` swapped for ``interval``."""
+        ivs = self.intervals
+        return Box._of(self.names, ivs[:slot] + (interval,) + ivs[slot + 1 :])
 
     # -- geometry ---------------------------------------------------------------
     def is_empty(self) -> bool:
@@ -102,29 +129,40 @@ class Box:
         """Bisect along ``name`` (default: widest dimension)."""
         if name is None:
             name = self.widest_dim()
-        iv = self[name]
-        mid = iv.mid()
-        left = self.replace(name, make(iv.lo, mid))
-        right = self.replace(name, make(mid, iv.hi))
-        return left, right
+        elif isinstance(name, Var):
+            name = name.name
+        try:
+            slot = self.names.index(name)
+        except ValueError:
+            raise KeyError(name) from None
+        left, right = _halves(self.intervals[slot])
+        return self._with(slot, left), self._with(slot, right)
 
-    def split_all(self) -> list["Box"]:
+    def split_all(self, min_width: float | None = None) -> list["Box"]:
         """Bisect along *every* dimension (2^n children).
 
         This is the ``split(D)`` of Algorithm 1 in the paper, which
         "partitions each input dimension of D into two equal parts".
+        Children come in the order of bisecting the dimensions one after
+        another in name order: the first name varies slowest.  With
+        ``min_width``, children whose ``max_width()`` is below it are left
+        out and the rest keep their order; when every half is that narrow
+        no child is built at all.
         """
-        out = [self]
-        for name in self.names:
-            nxt: list[Box] = []
-            for box in out:
-                nxt.extend(box.split(name))
-            out = nxt
-        return out
+        halves = [_halves(iv) for iv in self.intervals]
+        if min_width is not None and all(
+            half.width() < min_width for pair in halves for half in pair
+        ):
+            return []
+        names = self.names
+        children = [Box._of(names, combo) for combo in itertools.product(*halves)]
+        if min_width is not None:
+            # ``not <`` keeps a NaN width, as the threshold test at pop does
+            children = [c for c in children if not c.max_width() < min_width]
+        return children
 
     def sample_grid(self, per_dim: int) -> list[dict[str, float]]:
         """Uniform grid of sample points (used by probing heuristics)."""
-        import itertools
         axes = []
         for iv in self.intervals:
             if per_dim == 1:
@@ -143,8 +181,23 @@ class Box:
     def __hash__(self) -> int:
         return hash((self.names, self.intervals))
 
+    def __reduce__(self):
+        # pickled as its two tuples (the shared names tuple is memoised
+        # once per pickle), rebuilt without re-sorting
+        return _box_of, (self.names, self.intervals)
+
     def __repr__(self) -> str:  # pragma: no cover
         parts = ", ".join(
             f"{n}=[{iv.lo:.6g}, {iv.hi:.6g}]" for n, iv in self.items()
         )
         return f"Box({parts})"
+
+
+def _halves(iv: Interval) -> tuple[Interval, Interval]:
+    """The two bisection halves of ``iv``, split at ``iv.mid()``."""
+    mid = iv.mid()
+    return make(iv.lo, mid), make(mid, iv.hi)
+
+
+#: module-level unpickling hook for :meth:`Box.__reduce__`
+_box_of = Box._of

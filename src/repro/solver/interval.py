@@ -313,6 +313,10 @@ class Interval:
             return hash("empty-interval")
         return hash((self.lo, self.hi))
 
+    def __reduce__(self):
+        # the endpoints alone, not the slot-state dict pickle would write
+        return Interval, (self.lo, self.hi)
+
 
 EMPTY = Interval(inf, -inf)
 REALS = Interval(-inf, inf)

@@ -707,13 +707,25 @@ class _Scheduler:
         return new_chunks
 
     def finish_cell(self, cell: _Cell) -> None:
+        # stitch and store write get child spans of the cell span, so the
+        # parent-side tail of a cell is not an untraced gap
+        traced = cell.span is not None
+        if traced:
+            span = self.tracer.begin("stitch", "stitch", cell.span)
         report = _stitch_cell(cell)
+        if traced:
+            self.tracer.finish(span, records=len(report.records))
         self.result.reports[cell.key] = report
         self.result.computed.append(cell.key)
         _CELLS_COUNTER.inc(result="computed")
         if self.store is not None and cell.content_key is not None:
-            self.store.put(cell.content_key, report)
-        if cell.span is not None:
+            if traced:
+                span = self.tracer.begin("store_put", "store", cell.span)
+            written = self.store.put(cell.content_key, report)
+            if traced:
+                # a store wrapper that does not report its size adds no attr
+                self.tracer.finish(span, **({} if written is None else {"bytes": written}))
+        if traced:
             self.tracer.finish(
                 cell.span,
                 units=len(cell.units),
@@ -782,6 +794,11 @@ def _stitch_cell(cell: _Cell) -> VerificationReport:
         if not report.records:
             continue
         offset = len(records)
+        if offset == 0:
+            # the cell's first records (so no parent): indices and child
+            # links are already final, and the unit report is discarded
+            records.extend(report.records)
+            continue
         if parent is not None:
             parent.children.append(offset)  # this unit's subtree root
         for r in report.records:

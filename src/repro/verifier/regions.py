@@ -25,9 +25,14 @@ SYMBOL_UNKNOWN = "?"
 SYMBOL_NOT_APPLICABLE = "-"
 
 
-@dataclass
+@dataclass(slots=True)
 class RegionRecord:
-    """One VERIFIER call: the box it examined and what it concluded."""
+    """One VERIFIER call: the box it examined and what it concluded.
+
+    Slotted and pickled positionally: a budget-exhausted cell holds tens
+    of thousands of records, and every one crosses the worker -> parent
+    pickle boundary.
+    """
 
     index: int
     depth: int
@@ -36,6 +41,13 @@ class RegionRecord:
     model: dict[str, float] | None = None
     children: list[int] = field(default_factory=list)
     solver_steps: int = 0
+
+    def __reduce__(self):
+        # positional fields: no per-record field names in the pickle
+        return RegionRecord, (
+            self.index, self.depth, self.box, self.outcome,
+            self.model, self.children, self.solver_steps,
+        )
 
     def own_volume(self, records: list["RegionRecord"]) -> float:
         """Volume attributed to this record after children paint over it."""

@@ -41,6 +41,7 @@ from typing import Iterator
 
 from ..obs.jsonl import JsonlWriter, iter_jsonl
 from ..solver.box import Box
+from ..solver.interval import make
 from .regions import Outcome, RegionRecord, VerificationReport
 
 __all__ = [
@@ -68,7 +69,8 @@ def _box_payload(box: Box) -> dict[str, list[float]]:
 
 
 def _box_from_payload(payload: dict[str, list[float]]) -> Box:
-    return Box.from_bounds({name: (lo, hi) for name, (lo, hi) in payload.items()})
+    names = tuple(sorted(payload))
+    return Box._of(names, tuple(make(*payload[name]) for name in names))
 
 
 def report_to_payload(report: VerificationReport) -> dict:
@@ -161,7 +163,8 @@ class CampaignStore:
 
     def put_payload(
         self, key: str, payload: dict, *, functional: str = "", condition_id: str = ""
-    ) -> None:
+    ) -> int:
+        """Persist ``payload`` under ``key``; returns the payload bytes written."""
         raise NotImplementedError
 
     def get(self, key: str) -> VerificationReport | None:
@@ -176,8 +179,8 @@ class CampaignStore:
             return None
         return report_from_payload(payload)
 
-    def put(self, key: str, report: VerificationReport) -> None:
-        self.put_payload(
+    def put(self, key: str, report: VerificationReport) -> int:
+        return self.put_payload(
             key,
             report_to_payload(report),
             functional=report.functional_name,
@@ -303,16 +306,17 @@ class SqliteStore(CampaignStore):
 
     def put_payload(
         self, key: str, payload: dict, *, functional: str = "", condition_id: str = ""
-    ) -> None:
+    ) -> int:
+        text = json.dumps(payload, sort_keys=True)
         with self._lock:
             self._conn.execute(
                 "INSERT OR REPLACE INTO results"
                 " (key, functional, condition_id, created_at, payload)"
                 " VALUES (?, ?, ?, ?, ?)",
-                (key, functional, condition_id, time.time(),
-                 json.dumps(payload, sort_keys=True)),
+                (key, functional, condition_id, time.time(), text),
             )
             self._conn.commit()
+        return len(text)
 
     def keys(self) -> list[str]:
         with self._lock:
@@ -367,9 +371,9 @@ class JsonlStore(CampaignStore):
 
     def put_payload(
         self, key: str, payload: dict, *, functional: str = "", condition_id: str = ""
-    ) -> None:
+    ) -> int:
         created = time.time()
-        self._writer.write(
+        written = self._writer.write(
             {
                 "key": key,
                 "functional": functional,
@@ -380,6 +384,7 @@ class JsonlStore(CampaignStore):
         )
         self._entries[key] = payload
         self._created[key] = created
+        return written
 
     def keys(self) -> list[str]:
         return list(self._entries)

@@ -9,7 +9,10 @@ explicit work queue (no Python recursion):
 * delta-SAT, spurious model -> *inconclusive* (split);
 * budget exhausted          -> *timeout* (split);
 * box below threshold t     -> stop (line 1-2 of Algorithm 1); the parent
-                               verdict stands for that area.
+                               verdict stands for that area.  ``verify``
+                               never queues such children (popping one
+                               would only discard it), so the check at
+                               pop time guards just the root domain.
 
 The per-call budget plays the role of the paper's two-hour dReal limit; an
 optional *global* budget models the finite total compute of an evaluation
@@ -277,11 +280,12 @@ class Verifier:
         )
 
         # -- the work-queue loop (Algorithm 1, de-recursed) -------------------
+        threshold = self.config.split_threshold
         queue = _WorkQueue(self.config.queue_order)
         queue.push(domain, depth_offset, None)
         while queue:
             box, depth, parent = queue.pop()
-            if box.max_width() < self.config.split_threshold:  # Alg. 1, lines 1-2
+            if box.max_width() < threshold:  # Alg. 1, lines 1-2
                 continue
             record = self._solve_box(problem, box, depth, report)
             if parent is not None:
@@ -289,8 +293,9 @@ class Verifier:
             if on_record is not None:
                 on_record(record)
             if self._should_split(record.outcome):
-                # Alg. 1, lines 14-15
-                queue.push_children(box.split_all(), depth + 1, record)
+                # Alg. 1, lines 14-15; children below the threshold would
+                # be popped and dropped (lines 1-2), so they are not queued
+                queue.push_children(box.split_all(threshold), depth + 1, record)
 
         report.elapsed_seconds = time.monotonic() - t_start
         report.budget_exhausted = self._steps_left <= 0
@@ -310,6 +315,8 @@ class Verifier:
         queue.  Returns ``(record, children)``; ``record`` is None when the
         box is below the split threshold (Algorithm 1 lines 1-2 -- nothing
         to solve), ``children`` is None when the verdict is terminal.
+        All 2^n children are returned, sub-threshold ones included: the
+        campaign divides the remaining budget by their count.
         """
         self._problem_names(problem)  # validates specialize_boxes pairing
         if box.max_width() < self.config.split_threshold:

@@ -102,6 +102,25 @@ class TestVerifierCampaignTrace:
         assert solve["attrs"]["steps"] > 0
         assert solve["attrs"]["boxes_processed"] > 0
 
+    def test_stitch_and_store_put_spans_under_each_cell(self, tmp_path):
+        store = tmp_path / "store.jsonl"
+        result, (header, spans) = traced_campaign(
+            tmp_path, PAIRS, FAST, max_workers=2, store=store
+        )
+        assert lint_trace(header, spans) == []
+        cats = spans_by_cat(spans)
+        for cell in cats["cell"]:
+            key = (cell["attrs"]["functional"], cell["attrs"]["condition"])
+            kids = {s["name"]: s for s in spans if s["parent"] == cell["span"]}
+            stitch, put = kids["stitch"], kids["store_put"]
+            assert stitch["attrs"]["records"] == len(result.reports[key].records)
+            assert stitch["ts"] + stitch["dur"] <= put["ts"]
+            assert put["ts"] + put["dur"] <= cell["ts"] + cell["dur"]
+        # a fresh JSONL store holds exactly the bytes the spans report
+        puts = [s for s in spans if s["name"] == "store_put"]
+        assert len(puts) == 3
+        assert sum(s["attrs"]["bytes"] for s in puts) == store.stat().st_size
+
     def test_store_hits_open_no_cell_spans(self, tmp_path):
         store = tmp_path / "store.sqlite"
         run_campaign(PAIRS, FAST, max_workers=1, store=store)

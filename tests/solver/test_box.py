@@ -1,9 +1,17 @@
 """Tests for variable boxes."""
 
+import itertools
+import math
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.solver.box import Box
-from repro.solver.interval import EMPTY, make
+from repro.solver.interval import EMPTY, Interval, make
+from repro.verifier.regions import Outcome, RegionRecord
+from tests.support import hyp_examples
 
 
 def box2(rs=(0.0, 5.0), s=(0.0, 5.0)) -> Box:
@@ -123,3 +131,138 @@ class TestEquality:
         assert box2() == box2()
         assert hash(box2()) == hash(box2())
         assert box2() != box2(rs=(0, 4))
+
+
+# ---------------------------------------------------------------------------
+# differential corpus: the split fast path against the chained-replace oracle
+# ---------------------------------------------------------------------------
+
+def old_replace(box: Box, name: str, interval) -> Box:
+    """Box.replace before the trusted constructor: a fresh sorted dict."""
+    mapping = dict(box.items())
+    mapping[name] = interval
+    return Box(mapping)
+
+
+def old_split(box: Box, name: str | None = None) -> tuple[Box, Box]:
+    """Box.split before the fast path: two chained replace calls."""
+    if name is None:
+        name = box.widest_dim()
+    iv = box[name]
+    mid = iv.mid()
+    return old_replace(box, name, make(iv.lo, mid)), old_replace(box, name, make(mid, iv.hi))
+
+
+def old_split_all(box: Box) -> list[Box]:
+    """Box.split_all before the fast path: split every box on each name in turn."""
+    out = [box]
+    for name in box.names:
+        nxt: list[Box] = []
+        for child in out:
+            nxt.extend(old_split(child, name))
+        out = nxt
+    return out
+
+
+def bits(box: Box) -> tuple:
+    """Names plus the exact endpoint bits (``float.hex`` tells -0.0 from 0.0)."""
+    return tuple((n, iv.lo.hex(), iv.hi.hex()) for n, iv in box.items())
+
+
+#: endpoints hitting every Interval.mid branch: both infinite, one infinite
+#: on either side, signed zeros, and values around the +-1 offsets there
+SPECIAL = [-math.inf, math.inf, 0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-300, 5e-324, 1e308]
+endpoints = st.one_of(
+    st.sampled_from(SPECIAL), st.floats(allow_nan=False, width=64)
+)
+
+
+@st.composite
+def intervals(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return EMPTY
+    a, b = draw(endpoints), draw(endpoints)
+    return make(min(a, b), max(a, b))
+
+
+NAMES = ("alpha", "rs", "s", "zeta")
+boxes = st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True).flatmap(
+    lambda names: st.tuples(*[intervals() for _ in names]).map(
+        lambda ivs: Box(dict(zip(names, ivs)))
+    )
+)
+
+
+class TestSplitDifferential:
+    @settings(max_examples=hyp_examples(200), deadline=None)
+    @given(boxes)
+    def test_split_all_bit_identical_to_chained_replace(self, box):
+        assert [bits(c) for c in box.split_all()] == [bits(c) for c in old_split_all(box)]
+
+    @settings(max_examples=hyp_examples(200), deadline=None)
+    @given(boxes, st.data())
+    def test_split_bit_identical_to_chained_replace(self, box, data):
+        name = data.draw(st.sampled_from((None,) + box.names))
+        new, old = box.split(name), old_split(box, name)
+        assert [bits(c) for c in new] == [bits(c) for c in old]
+
+    @settings(max_examples=hyp_examples(200), deadline=None)
+    @given(boxes, intervals(), st.data())
+    def test_replace_bit_identical(self, box, interval, data):
+        name = data.draw(st.sampled_from(box.names))
+        assert bits(box.replace(name, interval)) == bits(old_replace(box, name, interval))
+
+    @settings(max_examples=hyp_examples(200), deadline=None)
+    @given(boxes, st.sampled_from([1e-3, 0.05, 0.1, 0.7, 1.0, 10.0, math.inf]))
+    def test_min_width_drops_exactly_what_the_pop_check_drops(self, box, threshold):
+        kept = [c for c in old_split_all(box) if not c.max_width() < threshold]
+        assert [bits(c) for c in box.split_all(threshold)] == [bits(c) for c in kept]
+
+    def test_nan_width_child_is_kept(self):
+        # [inf, inf] is non-empty with width inf - inf = NaN; the pop check
+        # `max_width() < t` does not drop it, so neither may the filter
+        box = Box(a=make(math.inf, math.inf), b=make(0.0, 0.01))
+        assert len(box.split_all(0.05)) == len(old_split_all(box)) == 4
+
+    def test_every_mid_branch_covered(self):
+        cases = [
+            make(-math.inf, math.inf), make(-math.inf, 3.0), make(-math.inf, -math.inf),
+            make(2.0, math.inf), make(1.0, 2.0), EMPTY,
+        ]
+        for a, b in itertools.product(cases, repeat=2):
+            box = Box(x=a, y=b)
+            assert [bits(c) for c in box.split_all()] == [bits(c) for c in old_split_all(box)]
+
+    def test_trusted_constructor_equals_general(self):
+        box = Box.from_bounds({"s": (0.0, 1.0), "rs": (2.0, 3.0)})
+        clone = Box._of(box.names, box.intervals)
+        assert clone == box and hash(clone) == hash(box) and bits(clone) == bits(box)
+
+    def test_replace_new_dimension_still_adds_it(self):
+        out = Box(x=(0.0, 1.0)).replace("a", make(2.0, 3.0))
+        assert out.names == ("a", "x")
+
+
+class TestPickleRoundTrip:
+    @settings(max_examples=hyp_examples(100), deadline=None)
+    @given(boxes)
+    def test_box_and_intervals(self, box):
+        back = pickle.loads(pickle.dumps(box))
+        assert back == box and hash(back) == hash(box) and bits(back) == bits(box)
+        for iv, back_iv in zip(box.intervals, back.intervals):
+            assert type(back_iv) is Interval
+            assert back_iv == iv and hash(back_iv) == hash(iv)
+
+    def test_empty_interval(self):
+        back = pickle.loads(pickle.dumps(EMPTY))
+        assert back == EMPTY and hash(back) == hash(EMPTY) and back.is_empty()
+
+    def test_region_record(self):
+        record = RegionRecord(
+            3, 2, box2(), Outcome.COUNTEREXAMPLE, {"rs": 1.5, "s": -0.0},
+            children=[4, 5], solver_steps=17,
+        )
+        back = pickle.loads(pickle.dumps(record))
+        assert back == record and back.outcome is Outcome.COUNTEREXAMPLE
+        assert hash(back.box) == hash(record.box)
+        assert not hasattr(back, "__dict__")  # slotted
