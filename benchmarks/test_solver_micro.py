@@ -622,7 +622,6 @@ def test_tape_fusion_and_multitape_timings():
     assert t_multi <= t_fused * 1.05
 
 
-@pytest.mark.perf
 def test_disabled_tracer_overhead_on_solver_calls():
     """Observability gate: with tracing off, the campaign's per-call
     tracer pattern (ambient ``current_tracer()`` lookup + ``enabled``

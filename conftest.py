@@ -5,9 +5,9 @@ The slow ablation benchmark files are excluded from the tier-1 run
 setting ``REPRO_RUN_ABLATIONS``.
 
 Tests marked ``perf`` assert wall-clock ratios, which a loaded or small
-machine cannot hold deterministically.  They are deselected unless a
-``-m`` expression is given (CI's perf-smoke job runs ``-m perf``); their
-correctness halves live in unmarked tests that tier-1 always runs.
+machine cannot hold deterministically.  They are deselected unless the
+``-m`` expression mentions ``perf`` (CI's perf-smoke job runs ``-m perf``);
+their correctness halves live in unmarked tests that tier-1 always runs.
 """
 
 import os
@@ -19,13 +19,13 @@ if not os.environ.get("REPRO_RUN_ABLATIONS"):
 
 def pytest_configure(config):
     config.addinivalue_line(
-        "markers", "perf: wall-clock ratio gate; deselected unless -m selects it"
+        "markers", "perf: wall-clock ratio gate; deselected unless -m mentions perf"
     )
 
 
 def pytest_collection_modifyitems(config, items):
-    if config.getoption("markexpr"):
-        return  # an explicit -m expression decides
+    if "perf" in (config.getoption("markexpr") or ""):
+        return  # a -m expression about perf decides
     perf = [item for item in items if item.get_closest_marker("perf") is not None]
     if perf:
         config.hook.pytest_deselected(items=perf)

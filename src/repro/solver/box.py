@@ -77,9 +77,6 @@ class Box:
         return zip(self.names, self.intervals)
 
     def replace(self, name: str, interval: Interval) -> "Box":
-        if name in self.names and isinstance(interval, Interval):
-            return self._with(self.names.index(name), interval)
-        # a new dimension or a (lo, hi) tuple: the general constructor
         mapping = dict(self.items())
         mapping[name] = interval
         return Box(mapping)

@@ -138,7 +138,7 @@ class TestEquality:
 # ---------------------------------------------------------------------------
 
 def old_replace(box: Box, name: str, interval) -> Box:
-    """Box.replace before the trusted constructor: a fresh sorted dict."""
+    """The replace the old split path called: a fresh sorted dict."""
     mapping = dict(box.items())
     mapping[name] = interval
     return Box(mapping)
@@ -207,12 +207,6 @@ class TestSplitDifferential:
         assert [bits(c) for c in new] == [bits(c) for c in old]
 
     @settings(max_examples=hyp_examples(200), deadline=None)
-    @given(boxes, intervals(), st.data())
-    def test_replace_bit_identical(self, box, interval, data):
-        name = data.draw(st.sampled_from(box.names))
-        assert bits(box.replace(name, interval)) == bits(old_replace(box, name, interval))
-
-    @settings(max_examples=hyp_examples(200), deadline=None)
     @given(boxes, st.sampled_from([1e-3, 0.05, 0.1, 0.7, 1.0, 10.0, math.inf]))
     def test_min_width_drops_exactly_what_the_pop_check_drops(self, box, threshold):
         kept = [c for c in old_split_all(box) if not c.max_width() < threshold]
@@ -237,10 +231,6 @@ class TestSplitDifferential:
         box = Box.from_bounds({"s": (0.0, 1.0), "rs": (2.0, 3.0)})
         clone = Box._of(box.names, box.intervals)
         assert clone == box and hash(clone) == hash(box) and bits(clone) == bits(box)
-
-    def test_replace_new_dimension_still_adds_it(self):
-        out = Box(x=(0.0, 1.0)).replace("a", make(2.0, 3.0))
-        assert out.names == ("a", "x")
 
 
 class TestPickleRoundTrip:
