@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 import time
-
-import numpy as np
+from functools import partial
 
 from repro.analysis.tables import (
     run_table_one,
@@ -38,27 +36,9 @@ from repro.verifier.campaign import run_campaign
 from repro.verifier.costmodel import CostModel, SchedulingPolicy
 from repro.verifier.verifier import VerifierConfig
 
+from _settings import record_bench as _record_bench
 
-def record_bench(section: str, **values) -> None:
-    """Merge one benchmark section into the JSON perf artifact (if enabled)."""
-    path = os.environ.get("BENCH_SOLVER_JSON")
-    if not path:
-        return
-    doc: dict = {}
-    if os.path.exists(path):
-        with open(path) as fh:
-            doc = json.load(fh)
-    doc.setdefault("meta", {}).update(
-        {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "commit": os.environ.get("GITHUB_SHA", ""),
-        }
-    )
-    doc.setdefault(section, {}).update(values)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+record_bench = partial(_record_bench, "BENCH_SOLVER_JSON")
 
 
 #: skewed slice: LYP/EC1 dominates the runtime and is submitted LAST,

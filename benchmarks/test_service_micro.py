@@ -10,35 +10,16 @@ names the file; CI uploads it next to ``BENCH_solver.json``).
 
 from __future__ import annotations
 
-import json
 import os
-import platform
 import threading
 import time
+from functools import partial
 
 import pytest
 
+from _settings import record_bench as _record_bench
 
-def record_bench(section: str, **values) -> None:
-    """Merge one section into the service perf artifact (if enabled)."""
-    path = os.environ.get("BENCH_SERVICE_JSON")
-    if not path:
-        return
-    doc: dict = {}
-    if os.path.exists(path):
-        with open(path) as fh:
-            doc = json.load(fh)
-    doc.setdefault("meta", {}).update(
-        {
-            "python": platform.python_version(),
-            "commit": os.environ.get("GITHUB_SHA", ""),
-            "cpus": os.cpu_count(),
-        }
-    )
-    doc.setdefault(section, {}).update(values)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+record_bench = partial(_record_bench, "BENCH_SERVICE_JSON")
 
 
 SPEC = {

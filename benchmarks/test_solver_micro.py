@@ -4,19 +4,20 @@ Not a paper artifact, but the performance envelope everything else rests
 on: HC4 contraction throughput on real DFA formulas, compiled-kernel grid
 throughput, and symbolic differentiation cost per functional.
 
-The speedup gates additionally publish their timings: when the
+The timing benchmarks additionally publish their numbers: when the
 ``BENCH_SOLVER_JSON`` environment variable names a file, every measured
-walk/tape/batch number is merged into that JSON document (CI uploads it
-as the ``BENCH_solver.json`` artifact, giving the perf trajectory one
-file per commit).
+timing is merged into that JSON document (CI uploads it as the
+``BENCH_solver.json`` artifact, giving the perf trajectory one file per
+commit).  The bit-identity checks run production against the test-only
+oracles of ``tests/solver/oracles.py`` (tree-walk contractor, per-box
+loop) and the forced-scalar, unfused tape build.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import platform
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,32 +26,17 @@ from repro.conditions import EC1
 from repro.expr.derivative import derivative
 from repro.functionals import get_functional, paper_functionals
 from repro.functionals.vars import RS
+from repro.solver import tape as tape_mod
 from repro.solver.box import Box
 from repro.solver.contractor import HC4Contractor
 from repro.solver.icp import Budget, ICPSolver
+from repro.solver.tape import CompiledAtom, CompiledConjunction, compile_expr
 from repro.verifier import encode
+from tests.solver.oracles import WalkContractor, assert_results_identical, solve_per_box
 
+from _settings import record_bench as _record_bench
 
-def record_bench(section: str, **values) -> None:
-    """Merge one benchmark section into the JSON perf artifact (if enabled)."""
-    path = os.environ.get("BENCH_SOLVER_JSON")
-    if not path:
-        return
-    doc: dict = {}
-    if os.path.exists(path):
-        with open(path) as fh:
-            doc = json.load(fh)
-    doc.setdefault("meta", {}).update(
-        {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "commit": os.environ.get("GITHUB_SHA", ""),
-        }
-    )
-    doc.setdefault(section, {}).update(values)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+record_bench = partial(_record_bench, "BENCH_SOLVER_JSON")
 
 
 def test_hc4_contraction_throughput(benchmark):
@@ -62,117 +48,43 @@ def test_hc4_contraction_throughput(benchmark):
     assert not result.is_empty() or True
 
 
-def test_hc4_tree_walk_throughput(benchmark):
-    """The legacy tree-walking executor, kept as the comparison baseline."""
-    problem = encode(get_functional("PBE"), EC1)
-    contractor = HC4Contractor(problem.negation, delta=1e-5, backend="walk")
-    box = Box.from_bounds({"rs": (1.0, 3.0), "s": (0.0, 2.0)})
-
-    benchmark(contractor.contract, box)
-
-
-def test_tape_vm_speedup_over_tree_walk():
-    """Acceptance check: tape-compiled HC4 >= 2x the tree walk on PBE-class
-    residuals, with identical contraction output."""
+def test_tape_contraction_matches_tree_walk():
+    """Tape-compiled HC4 contraction of a PBE-class residual is
+    bit-identical to the tree-walk oracle."""
     problem = encode(get_functional("PBE"), EC1)
     box = Box.from_bounds({"rs": (1.0, 3.0), "s": (0.0, 2.0)})
-
-    def best_of(contractor, repeats=5, iters=20):
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            for _ in range(iters):
-                contractor.contract(box)
-            best = min(best, (time.perf_counter() - t0) / iters)
-        return best
-
-    tape_c = HC4Contractor(problem.negation, delta=1e-5, backend="tape")
-    walk_c = HC4Contractor(problem.negation, delta=1e-5, backend="walk")
-    tape_box = tape_c.contract(box)
-    walk_box = walk_c.contract(box)
+    tape_box = HC4Contractor(problem.negation, delta=1e-5).contract(box)
+    walk_box = WalkContractor(problem.negation, delta=1e-5).contract(box)
     for name in tape_box.names:
         assert tape_box[name].lo == walk_box[name].lo
         assert tape_box[name].hi == walk_box[name].hi
 
-    t_tape = best_of(tape_c)
-    t_walk = best_of(walk_c)
-    ratio = t_walk / t_tape
-    print(f"\nHC4 contract: walk {t_walk*1e3:.3f} ms, tape {t_tape*1e3:.3f} ms, "
-          f"speedup {ratio:.2f}x")
-    record_bench(
-        "hc4_contract", walk_ms=t_walk * 1e3, tape_ms=t_tape * 1e3, speedup=ratio
-    )
-    assert ratio >= 2.0, f"tape VM only {ratio:.2f}x faster than tree walk"
 
-
-def test_solver_call_speedup_over_tree_walk():
+def test_solver_call_matches_tree_walk():
     """Full ICP solver calls (contract + probe + split) on the PBE EC1
-    negation: the tape backend must at least halve the per-call cost."""
+    negation: the frontier solver replays the per-box tree-walk loop."""
     problem = encode(get_functional("PBE"), EC1)
     box = Box.from_bounds({"rs": (1.0, 3.0), "s": (0.0, 2.0)})
     budget = Budget(max_steps=60)
-
-    def best_of(backend, repeats=3):
-        solver = ICPSolver(delta=1e-5, precision=1e-3, backend=backend)
-        result = solver.solve(problem.negation, box, budget)  # warm caches
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            solver.solve(problem.negation, box, budget)
-            best = min(best, time.perf_counter() - t0)
-        return best, result
-
-    t_tape, r_tape = best_of("tape")
-    t_walk, r_walk = best_of("walk")
-    assert r_tape.status == r_walk.status
-    assert r_tape.model == r_walk.model
-    ratio = t_walk / t_tape
-    print(f"\nICP solve: walk {t_walk*1e3:.1f} ms, tape {t_tape*1e3:.1f} ms, "
-          f"speedup {ratio:.2f}x")
-    record_bench(
-        "icp_solve", walk_ms=t_walk * 1e3, tape_ms=t_tape * 1e3, speedup=ratio
+    solver = ICPSolver(delta=1e-5, precision=1e-3)
+    assert_results_identical(
+        solver.solve(problem.negation, box, budget),
+        solve_per_box(solver, problem.negation, box, budget, executor="walk"),
     )
-    assert ratio >= 1.5, f"solver calls only {ratio:.2f}x faster than tree walk"
 
 
-def test_batched_frontier_speedup_over_per_box_tape():
-    """Acceptance check: the batched frontier loop (backend="batch") must
-    solve a full-domain PBE EC1 run >= 1.5x faster than the per-box tape
-    backend, with identical status, model and per-box statistics.
-
-    The budget is sized so the BFS frontier grows a few hundred boxes
-    wide -- the regime the batched executors are built for (the verifier
-    drives the solver at exactly this scale on the full input domain).
-    """
+def test_batched_frontier_matches_per_box_oracle():
+    """A full-domain PBE EC1 frontier solve, with the BFS frontier a few
+    hundred boxes wide (the regime the batched executors are built for),
+    matches the per-box tape loop in status, model and per-box stats."""
     problem = encode(get_functional("PBE"), EC1)
-    domain = problem.domain
     budget = Budget(max_steps=5000)
-
-    def best_of(backend, repeats=3):
-        solver = ICPSolver(delta=1e-5, precision=1e-3, backend=backend)
-        result = solver.solve(problem.negation, domain, budget)  # warm caches
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            solver.solve(problem.negation, domain, budget)
-            best = min(best, time.perf_counter() - t0)
-        return best, result
-
-    t_batch, r_batch = best_of("batch")
-    t_tape, r_tape = best_of("tape")
-    assert r_batch.status == r_tape.status
-    assert r_batch.model == r_tape.model
-    assert r_batch.stats.boxes_processed == r_tape.stats.boxes_processed
-    assert r_batch.stats.boxes_pruned == r_tape.stats.boxes_pruned
-    assert r_batch.stats.boxes_split == r_tape.stats.boxes_split
-    assert r_batch.stats.batches > 0
-    ratio = t_tape / t_batch
-    print(f"\nfrontier solve: tape {t_tape*1e3:.1f} ms, batch {t_batch*1e3:.1f} ms, "
-          f"speedup {ratio:.2f}x ({r_batch.stats.batches} batches)")
-    record_bench(
-        "frontier_solve", tape_ms=t_tape * 1e3, batch_ms=t_batch * 1e3, speedup=ratio
+    solver = ICPSolver(delta=1e-5, precision=1e-3)
+    result = solver.solve(problem.negation, problem.domain, budget)
+    assert result.stats.batches > 0
+    assert_results_identical(
+        result, solve_per_box(solver, problem.negation, problem.domain, budget)
     )
-    assert ratio >= 1.5, f"batched frontier only {ratio:.2f}x faster than per-box tape"
 
 
 def test_campaign_work_stealing_beats_static_chunks():
@@ -183,9 +95,8 @@ def test_campaign_work_stealing_beats_static_chunks():
     The workload is the skew the old drivers handled worst: one
     SCAN-sized pair (LYP EC1, pre-split into 16 subdomain units) next to
     pairs that verify at the root.  The static baseline dispatches each
-    cell as one pre-assigned chunk -- the ``verify_domain_parallel``
-    idiom, where whichever worker draws the expensive cell drags the
-    whole campaign -- while the stealing run dispatches unit-granularity
+    cell as one pre-assigned chunk -- whichever worker draws the
+    expensive cell drags the whole campaign -- while the stealing run dispatches unit-granularity
     chunks that idle workers pull from the shared queue.  Both runs share
     one warm process pool and must produce bit-identical stitched
     reports.
@@ -297,161 +208,52 @@ def _assert_batches_identical(got, want):
                 assert x[name].lo == y[name].lo and x[name].hi == y[name].hi
 
 
-def test_pow_func_batch_kernel_speedup_over_seed_backend():
-    """Tentpole gate: the whole-batch Pow/Func kernels plus tape fusion
-    must contract PBE EC1 batches >= 2x faster than the pre-kernel batch
-    backend across frontier widths, bit-identically.
-
-    The baseline reconstructs the seed configuration exactly: per-column
-    Pow/Func loops (``legacy`` kernel mode, including the original
-    stack-and-reduce endpoint multiply), no fusion pass (which also
-    disables the cross-atom ``MultiTape``), and the pre-kernel
-    ``vector_min = 48`` crossover.  PBE EC1 is the Pow/Func-heavy pair:
-    its residual tapes are dominated by integer-power chains, real
-    powers and exp/log rows.
-
-    The gate sums times over a width sweep rather than timing one width:
-    the per-width ratio depends on alive-set geometry (how many columns
-    survive to the backward pass at that split depth), so any single
-    width inherits whichever geometry is least favourable plus its
-    jitter, while the summed ratio is what a frontier actually pays.
-    Whole passes alternate between the two configurations so a transient
-    slowdown (GC, a neighbouring test's subprocess) cannot land entirely
-    on one side of the ratio.
-    """
-    from repro.solver.tape import (
-        clear_tape_cache, set_batch_kernel_mode, set_tape_fusion,
+def _forced_scalar_unfused(monkeypatch, formula) -> CompiledConjunction:
+    """The per-column reference configuration: every batch below the
+    vector/scalar crossover and tapes built without constant folding."""
+    monkeypatch.setattr(tape_mod, "_VECTOR_MIN", 10**9)
+    monkeypatch.setattr(tape_mod, "_VECTOR_MIN_BWD", 10**9)
+    return CompiledConjunction(
+        tuple(
+            CompiledAtom(compile_expr(atom.residual, fuse=False), atom.op)
+            for atom in formula.atoms
+        )
     )
 
+
+def test_pow_func_batch_kernels_match_forced_scalar(monkeypatch):
+    """The whole-batch Pow/Func kernels plus tape fusion contract PBE EC1
+    batches bit-identically to the per-column scalar interpreter on
+    unfused tapes, across frontier widths.  PBE EC1 is the Pow/Func-heavy
+    pair: its residual tapes are dominated by integer-power chains, real
+    powers and exp/log rows."""
     problem = encode(get_functional("PBE"), EC1)
     widths = (256, 512, 1024)
     batches = {w: _split_domain(problem.domain, w) for w in widths}
-
-    def sweep(seed_mode, repeats=3):
-        clear_tape_cache()  # tapes must be rebuilt under the active flags
-        if seed_mode:
-            set_tape_fusion(False)
-            set_batch_kernel_mode("legacy")
-            contractor = HC4Contractor(problem.negation, delta=1e-5, vector_min=48)
-        else:
-            contractor = HC4Contractor(problem.negation, delta=1e-5)
-        times = {}
-        outs = {}
-        try:
-            for w, boxes in batches.items():
-                outs[w] = contractor.contract_batch(boxes)  # warm
-                best = float("inf")
-                for _ in range(repeats):
-                    t0 = time.perf_counter()
-                    contractor.contract_batch(boxes)
-                    best = min(best, time.perf_counter() - t0)
-                times[w] = best
-        finally:
-            set_tape_fusion(True)
-            set_batch_kernel_mode("vector")
-        return times, outs
-
-    t_kernel, out_kernel = sweep(seed_mode=False)
-    t_seed, out_seed = sweep(seed_mode=True)
-    for _ in range(2):
-        for w, t in sweep(seed_mode=False)[0].items():
-            t_kernel[w] = min(t_kernel[w], t)
-        for w, t in sweep(seed_mode=True)[0].items():
-            t_seed[w] = min(t_seed[w], t)
+    contractor = HC4Contractor(problem.negation, delta=1e-5)
+    kernel = {w: contractor.contract_batch(boxes) for w, boxes in batches.items()}
+    with monkeypatch.context() as m:
+        reference = HC4Contractor(
+            _forced_scalar_unfused(m, problem.negation), delta=1e-5
+        )
+        scalar = {w: reference.contract_batch(boxes) for w, boxes in batches.items()}
     for w in widths:
-        _assert_batches_identical(out_kernel[w], out_seed[w])
-
-    total_seed = sum(t_seed.values())
-    total_kernel = sum(t_kernel.values())
-    ratio = total_seed / total_kernel
-    per_width = ", ".join(f"{w}: {t_seed[w] / t_kernel[w]:.2f}x" for w in widths)
-    print(f"\npow/func batch kernels: seed backend {total_seed*1e3:.2f} ms, "
-          f"kernels {total_kernel*1e3:.2f} ms, speedup {ratio:.2f}x "
-          f"({per_width})")
-    record_bench(
-        "pow_func_kernels",
-        seed_ms=total_seed * 1e3,
-        kernel_ms=total_kernel * 1e3,
-        speedup=ratio,
-        **{f"speedup_w{w}": t_seed[w] / t_kernel[w] for w in widths},
-    )
-    assert ratio >= 2.0, (
-        f"batch kernels only {ratio:.2f}x faster than the seed batch backend"
-    )
+        _assert_batches_identical(kernel[w], scalar[w])
 
 
-def _pow_func_frontier(repeats):
-    """Best-of-``repeats`` seed-mode vs kernel frontier solves of PBE/EC1.
-
-    Returns ``(t_seed, t_kernel, r_seed, r_kernel)``; ``repeats=0`` solves
-    once per mode and times nothing.
-    """
-    from repro.solver.tape import (
-        clear_tape_cache, set_batch_kernel_mode, set_tape_fusion,
-    )
-
+def test_pow_func_frontier_matches_forced_scalar(monkeypatch):
+    """The same comparison on a full frontier solve of PBE/EC1."""
     problem = encode(get_functional("PBE"), EC1)
     budget = Budget(max_steps=1200)
-
-    def best_of(seed_mode):
-        clear_tape_cache()
-        if seed_mode:
-            set_tape_fusion(False)
-            set_batch_kernel_mode("legacy")
-            solver = ICPSolver(
-                delta=1e-5, precision=1e-3, backend="batch", vector_min=48
-            )
-        else:
-            solver = ICPSolver(delta=1e-5, precision=1e-3, backend="batch")
-        try:
-            result = solver.solve(problem.negation, problem.domain, budget)
-            best = float("inf")
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                solver.solve(problem.negation, problem.domain, budget)
-                best = min(best, time.perf_counter() - t0)
-        finally:
-            set_tape_fusion(True)
-            set_batch_kernel_mode("vector")
-        return best, result
-
-    t_kernel, r_kernel = best_of(seed_mode=False)
-    t_seed, r_seed = best_of(seed_mode=True)
-    if repeats:
-        # one more alternation evens out one-sided scheduling jitter
-        t_kernel = min(t_kernel, best_of(seed_mode=False)[0])
-        t_seed = min(t_seed, best_of(seed_mode=True)[0])
-    return t_seed, t_kernel, r_seed, r_kernel
-
-
-def test_pow_func_frontier_matches_seed_backend():
-    """The seed batch backend and the kernels solve PBE/EC1 identically."""
-    _, _, r_seed, r_kernel = _pow_func_frontier(repeats=0)
-    assert r_kernel.status == r_seed.status
-    assert r_kernel.model == r_seed.model
-    assert r_kernel.stats.boxes_processed == r_seed.stats.boxes_processed
-
-
-@pytest.mark.perf
-def test_pow_func_frontier_speedup_over_seed_backend():
-    """Regression bench: the same seed-vs-kernels comparison on a full
-    frontier solve (contract + probe + split), where splitting and point
-    probes dilute the kernel win; gated looser, recorded for trend."""
-    t_seed, t_kernel, r_seed, r_kernel = _pow_func_frontier(repeats=3)
-    assert r_kernel.stats.boxes_processed == r_seed.stats.boxes_processed
-
-    ratio = t_seed / t_kernel
-    print(f"\npow/func frontier: seed backend {t_seed*1e3:.1f} ms, "
-          f"kernels {t_kernel*1e3:.1f} ms, speedup {ratio:.2f}x")
-    record_bench(
-        "pow_func_frontier",
-        seed_ms=t_seed * 1e3,
-        kernel_ms=t_kernel * 1e3,
-        speedup=ratio,
+    kernel = ICPSolver(delta=1e-5, precision=1e-3).solve(
+        problem.negation, problem.domain, budget
     )
-    assert ratio >= 1.3, (
-        f"frontier solve only {ratio:.2f}x faster than the seed batch backend"
-    )
+    with monkeypatch.context() as m:
+        formula = _forced_scalar_unfused(m, problem.negation)
+        scalar = ICPSolver(delta=1e-5, precision=1e-3).solve(
+            formula, problem.domain, budget
+        )
+    assert_results_identical(kernel, scalar)
 
 
 def test_per_op_kernel_timings():
@@ -552,9 +354,7 @@ def test_tape_fusion_and_multitape_timings():
     the gradient-condition shape where atoms share the whole F_c
     subgraph, which is what the MultiTape's cross-atom interning is for.
     """
-    from repro.solver.tape import (
-        MultiTape, clear_tape_cache, set_tape_fusion, tape_for,
-    )
+    from repro.solver.tape import MultiTape
 
     problem = encode(get_functional("PBE"), EC1)
     residual = problem.negation.atoms[0].residual
@@ -562,47 +362,41 @@ def test_tape_fusion_and_multitape_timings():
     boxes = _split_domain(problem.domain, 256)
 
     def build_tapes(fused):
-        clear_tape_cache()
-        set_tape_fusion(fused)
-        try:
-            return [tape_for(e) for e in exprs]
-        finally:
-            set_tape_fusion(True)
-
-    def forward_us(tapes, repeats=5, iters=10):
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            for _ in range(iters):
-                for tape in tapes:
-                    lo_mat, hi_mat = tape.load_batch(boxes)
-                    tape.forward_batch(lo_mat, hi_mat, 0)
-            best = min(best, (time.perf_counter() - t0) / iters)
-        return best * 1e6
+        return [compile_expr(e, fuse=fused) for e in exprs]
 
     fused = build_tapes(fused=True)
     unfused = build_tapes(fused=False)
     multi = MultiTape.from_tapes(fused)
 
+    def tapes_forward(tapes):
+        for tape in tapes:
+            lo_mat, hi_mat = tape.load_batch(boxes)
+            tape.forward_batch(lo_mat, hi_mat, 0)
+
     def multi_forward(m=multi):
         lo_mat, hi_mat = m.load_batch(boxes)
         m.forward_batch(lo_mat, hi_mat, 0)
 
-    def multi_us(repeats=5, iters=10):
-        best = float("inf")
-        for _ in range(repeats):
+    variants = [
+        ("fused", lambda: tapes_forward(fused)),
+        ("unfused", lambda: tapes_forward(unfused)),
+        ("multi", multi_forward),
+    ]
+    # fine-grained interleaving: every round times one call of each
+    # variant in a rotating order, so a load transient lands on all three
+    # alike instead of on one variant's block; each variant's fastest
+    # single call counts (PBE's fused and unfused tapes run the same
+    # program, so their comparison is pure measurement noise otherwise)
+    best = {name: float("inf") for name, _ in variants}
+    for rnd in range(150):
+        for k in range(len(variants)):
+            name, run = variants[(rnd + k) % len(variants)]
             t0 = time.perf_counter()
-            for _ in range(iters):
-                multi_forward()
-            best = min(best, (time.perf_counter() - t0) / iters)
-        return best * 1e6
-
-    # alternate passes: the three variants see the same load transients
-    t_fused = t_unfused = t_multi = float("inf")
-    for _ in range(3):
-        t_fused = min(t_fused, forward_us(fused))
-        t_unfused = min(t_unfused, forward_us(unfused))
-        t_multi = min(t_multi, multi_us())
+            run()
+            best[name] = min(best[name], time.perf_counter() - t0)
+    t_fused, t_unfused, t_multi = (
+        best[name] * 1e6 for name in ("fused", "unfused", "multi")
+    )
 
     print(f"\nPBE EC1 residual+derivative forward x{len(fused)} atoms at "
           f"width 256: unfused {t_unfused:.0f} us, fused {t_fused:.0f} us, "
@@ -629,16 +423,16 @@ def test_disabled_tracer_overhead_on_solver_calls():
 
     This is the exact shape the traced hot paths use -- the solver inner
     loop itself carries no tracing code, so this bounds the *total*
-    disabled-tracing tax a campaign pays per cell/unit.  Whole passes
-    alternate between the two loops so load transients land on both
-    sides of the ratio.
+    disabled-tracing tax a campaign pays per cell/unit.  Single bare and
+    gated calls alternate, and each side's fastest call counts, so a load
+    transient cannot land on one side's whole pass.
     """
     from repro.obs.trace import current_tracer
 
     problem = encode(get_functional("PBE"), EC1)
     box = Box.from_bounds({"rs": (1.0, 3.0), "s": (0.0, 2.0)})
     budget = Budget(max_steps=60)
-    solver = ICPSolver(delta=1e-5, precision=1e-3, backend="tape")
+    solver = ICPSolver(delta=1e-5, precision=1e-3)
     solver.solve(problem.negation, box, budget)  # warm caches
 
     def bare(iters):
@@ -658,20 +452,23 @@ def test_disabled_tracer_overhead_on_solver_calls():
                 tracer.finish(span)
         return time.perf_counter() - t0
 
-    iters = 20
     t_bare = t_gated = float("inf")
-    for _ in range(5):
-        t_bare = min(t_bare, bare(iters))
-        t_gated = min(t_gated, gated(iters))
+    for rnd in range(100):
+        if rnd % 2:
+            t_gated = min(t_gated, gated(1))
+            t_bare = min(t_bare, bare(1))
+        else:
+            t_bare = min(t_bare, bare(1))
+            t_gated = min(t_gated, gated(1))
 
     overhead = t_gated / t_bare
-    print(f"\ndisabled tracing: bare {t_bare / iters * 1e3:.2f} ms/solve, "
-          f"gated {t_gated / iters * 1e3:.2f} ms/solve, "
+    print(f"\ndisabled tracing: bare {t_bare * 1e3:.2f} ms/solve, "
+          f"gated {t_gated * 1e3:.2f} ms/solve, "
           f"overhead {overhead:.4f}x")
     record_bench(
         "tracing_off_overhead",
-        bare_ms=t_bare / iters * 1e3,
-        gated_ms=t_gated / iters * 1e3,
+        bare_ms=t_bare * 1e3,
+        gated_ms=t_gated * 1e3,
         overhead_ratio=overhead,
     )
     assert overhead <= 1.02, (

@@ -18,7 +18,7 @@ import time
 from repro import VerifierConfig, run_table_one
 from repro.analysis.tables import PAPER_TABLE_ONE
 from repro.conditions import applicable_pairs
-from repro.verifier.parallel import verify_pairs_parallel
+from repro.verifier.campaign import run_campaign
 
 
 def main() -> None:
@@ -50,7 +50,10 @@ def main() -> None:
 
     t0 = time.time()
     if args.parallel:
-        reports = verify_pairs_parallel(applicable_pairs(), config)
+        result = run_campaign(applicable_pairs(), config)
+        if result.interrupted:
+            raise KeyboardInterrupt
+        reports = result.reports
         from repro.analysis.tables import TableOne
         from repro.conditions import PAPER_CONDITIONS
         from repro.functionals import paper_functionals

@@ -96,12 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--newton", action="store_true", help="enable the interval-Newton contractor"
     )
     p_verify.add_argument(
-        "--backend", choices=("batch", "tape", "walk"), default="batch",
-        help="solver execution strategy (bit-identical; perf knob)",
-    )
-    p_verify.add_argument(
         "--batch-size", type=int, default=256,
-        help="boxes per frontier batch (backend=batch)",
+        help="boxes per frontier batch (bit-identical; perf knob)",
     )
     p_verify.add_argument(
         "--map", dest="map_resolution", type=int, default=0,
@@ -607,7 +603,6 @@ def _cmd_verify(args) -> int:
         delta=config.delta,
         precision=config.precision,
         use_newton=args.newton,
-        backend=args.backend,
         batch_size=args.batch_size,
     )
     from .obs.trace import current_tracer

@@ -235,7 +235,7 @@ def specialize(expr: Expr, box) -> Expr:
     complexity they carry -- disappear from the expression.
     """
     from ..solver.contractor import enclosure
-    from ..solver.contractor import _decide_cond  # shared decision logic
+    from ..solver.tape import COND_CODE, decide_cond  # shared decision logic
 
     pins = {}
     for name in box.names:
@@ -248,7 +248,7 @@ def specialize(expr: Expr, box) -> Expr:
             return b.as_expr(pins[node.name])
         if isinstance(node, Ite):
             gap = enclosure(b.sub(node.cond.lhs, node.cond.rhs), box)
-            decided = _decide_cond(node.cond.op, gap)
+            decided = decide_cond(COND_CODE[node.cond.op], gap)
             if decided is True:
                 return node.then
             if decided is False:

@@ -19,8 +19,8 @@ the exact machinery PR 3 built for the verifier:
   (:func:`repro.verifier.campaign.drive_chunks`) the verification
   campaign uses -- an ``executor`` can literally be shared between a
   Table I run and a numerics sweep -- and hazard-formula solves inside
-  each cell run through the PR 2 batched tape backend
-  (``NumericsConfig.solver_backend``, a pure perf knob);
+  each cell run through the batched frontier solver
+  (``NumericsConfig.batch_size``, a pure perf knob);
 * completed cells persist immediately to the **same content-hash-keyed
   store** (:mod:`repro.verifier.store`, generalised from verify-cells to
   arbitrary payload kinds), keyed by the compiled expression tape
@@ -96,10 +96,9 @@ class NumericsConfig:
 
     The semantic fields feed the content-hash key of every cell (scoped
     per check: changing the continuity seed must not invalidate stored
-    hazard cells).  ``solver_backend``/``batch_size`` are the PR 2
-    bit-identical execution strategies and are excluded, exactly like
-    :meth:`repro.verifier.verifier.VerifierConfig.semantic_key` excludes
-    them.
+    hazard cells).  ``batch_size`` is a bit-identical perf knob, excluded
+    exactly as :meth:`repro.verifier.verifier.VerifierConfig.semantic_key`
+    excludes it.
     """
 
     # continuity
@@ -112,8 +111,7 @@ class NumericsConfig:
     # sensitivity (grid resolution per input axis, by family arity)
     per_dim: int = 65
     per_dim_mgga: int = 33
-    # perf knobs (bit-identical; not part of any semantic key)
-    solver_backend: str = "batch"
+    # perf knob (bit-identical; not part of any semantic key)
     batch_size: int = 256
 
     def __post_init__(self):
@@ -139,11 +137,6 @@ class NumericsConfig:
                 f"per_dim/per_dim_mgga must be >= 2, got "
                 f"{self.per_dim}/{self.per_dim_mgga}"
             )
-        if self.solver_backend not in ("batch", "tape", "walk"):
-            raise ValueError(
-                f"solver_backend must be 'batch', 'tape' or 'walk', "
-                f"got {self.solver_backend!r}"
-            )
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -160,7 +153,6 @@ class NumericsConfig:
         return ICPSolver(
             delta=self.delta,
             precision=min(1e-4, self.delta * 100),
-            backend=self.solver_backend,
             batch_size=self.batch_size,
         )
 

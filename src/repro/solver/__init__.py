@@ -17,7 +17,7 @@ from .interval import EMPTY, Interval, REALS, make, point
 from .box import Box
 from .constraint import Atom, Conjunction, negate_condition
 from .tape import CompiledAtom, CompiledConjunction, Tape, compile_expr, tape_for
-from .contractor import HC4Contractor, enclosure, interval_eval
+from .contractor import HC4Contractor, enclosure
 from .newton import NewtonContractor
 from .icp import Budget, ICPSolver, SolverResult, SolverStats, SolverStatus
 
@@ -25,6 +25,6 @@ __all__ = [
     "EMPTY", "Interval", "REALS", "make", "point",
     "Box", "Atom", "Conjunction", "negate_condition",
     "CompiledAtom", "CompiledConjunction", "Tape", "compile_expr", "tape_for",
-    "HC4Contractor", "enclosure", "interval_eval", "NewtonContractor",
+    "HC4Contractor", "enclosure", "NewtonContractor",
     "Budget", "ICPSolver", "SolverResult", "SolverStats", "SolverStatus",
 ]

@@ -18,51 +18,25 @@ dReal's treatment of partial functions via domain constraints and is the
 right semantics for DFA expressions, which are well-defined on the physical
 input domain.
 
-Execution strategy: by default :class:`HC4Contractor` compiles each atom's
-residual into a flat instruction tape (:mod:`repro.solver.tape`) and runs
-forward/backward off that tape with a preallocated slot vector -- same
-operations, same order, several-fold less interpretation overhead than
-re-walking the DAG per box.  ``backend="walk"`` selects the original
-tree-walking executors, kept as the differential-testing oracle.
+Execution: :class:`HC4Contractor` compiles each atom's residual into a
+flat instruction tape (:mod:`repro.solver.tape`) and runs forward/backward
+off that tape with a preallocated slot vector, per box or wholesale over a
+batch of boxes.  The tree-walking reference executors are test-only
+(``tests/solver/oracles.py``): the oracle the differential tests compare
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 
 import numpy as np
 
-from ..expr.nodes import Add, Const, Expr, Func, Ite, Mul, Pow, Var
+from ..expr.nodes import Expr
 from .box import Box
-from .constraint import Atom, Conjunction
-from .interval import EMPTY, Interval, make, point
-from . import tape as _tape_mod
-from .tape import (
-    COND_CODE,
-    CompiledConjunction,
-    MultiTape,
-    Tape,
-    atanh_interval as _atanh_interval,
-    decide_cond,
-    erfinv_interval as _erfinv_interval,
-    root_int as _root_int,
-    tan_restricted as _tan_restricted,
-    tape_for,
-    wexpw as _wexpw,
-)
-
-
-# ---------------------------------------------------------------------------
-# forward interval evaluation (tree-walk oracle)
-# ---------------------------------------------------------------------------
-
-def interval_eval(expr: Expr, box: Box) -> dict[int, Interval]:
-    """Forward pass: enclosure for every DAG node given the box."""
-    ivals: dict[int, Interval] = {}
-    for node in expr.walk():
-        ivals[id(node)] = _forward_node(node, ivals, box)
-    return ivals
+from .constraint import Conjunction
+from .interval import EMPTY, Interval
+from .tape import CompiledConjunction, MultiTape, Tape, tape_for
 
 
 def enclosure(expr: Expr, box: Box) -> Interval:
@@ -70,212 +44,9 @@ def enclosure(expr: Expr, box: Box) -> Interval:
     return tape_for(expr).enclosure(box)
 
 
-def _forward_node(node: Expr, ivals: dict[int, Interval], box: Box) -> Interval:
-    if isinstance(node, Const):
-        return point(node.value)
-    if isinstance(node, Var):
-        try:
-            return box[node.name]
-        except KeyError:
-            raise KeyError(f"box does not bind variable {node.name!r}") from None
-    if isinstance(node, Add):
-        out = ivals[id(node.args[0])]
-        for arg in node.args[1:]:
-            out = out + ivals[id(arg)]
-        return out
-    if isinstance(node, Mul):
-        out = ivals[id(node.args[0])]
-        for arg in node.args[1:]:
-            out = out * ivals[id(arg)]
-        return out
-    if isinstance(node, Pow):
-        base = ivals[id(node.base)]
-        expo = ivals[id(node.exponent)]
-        if expo.lo == expo.hi:
-            return base.pow(expo.lo)
-        # general power via exp(e * log(b)); requires positive base
-        return (expo * base.log()).exp()
-    if isinstance(node, Func):
-        arg = ivals[id(node.arg)]
-        return _FORWARD_FUNC[node.name](arg)
-    if isinstance(node, Ite):
-        gap = ivals[id(node.cond.lhs)] - ivals[id(node.cond.rhs)]
-        branch = _decide_cond(node.cond.op, gap)
-        if branch is True:
-            return ivals[id(node.then)]
-        if branch is False:
-            return ivals[id(node.orelse)]
-        return ivals[id(node.then)].hull(ivals[id(node.orelse)])
-    raise TypeError(f"cannot interval-evaluate {type(node).__name__}")
-
-
-_FORWARD_FUNC = {
-    "exp": Interval.exp,
-    "log": Interval.log,
-    "sqrt": Interval.sqrt,
-    "cbrt": Interval.cbrt,
-    "atan": Interval.atan,
-    "abs": Interval.abs,
-    "lambertw": Interval.lambertw,
-    "sin": Interval.sin,
-    "cos": Interval.cos,
-    "tanh": Interval.tanh,
-    "erf": Interval.erf,
-}
-
-
-def _decide_cond(op: str, gap: Interval) -> bool | None:
-    """Decide a condition ``gap op 0`` over an interval, or None if unknown."""
-    return decide_cond(COND_CODE[op], gap)
-
-
-# ---------------------------------------------------------------------------
-# backward propagation (tree-walk oracle)
-# ---------------------------------------------------------------------------
-
-def _narrow(ivals: dict[int, Interval], node: Expr, allowed: Interval) -> bool:
-    """Intersect the stored enclosure of ``node``; return False if empty."""
-    current = ivals[id(node)]
-    updated = current.intersect(allowed)
-    ivals[id(node)] = updated
-    return not updated.is_empty()
-
-
-def _backward_pow(node: Pow, ivals: dict[int, Interval]) -> bool:
-    out = ivals[id(node)]
-    base = ivals[id(node.base)]
-    expo = ivals[id(node.exponent)]
-    if expo.lo != expo.hi:
-        # non-constant exponent: propagate through exp(e*log(b)) form
-        # log(out) = e * log(b)
-        log_out = out.log()
-        log_base = base.log()
-        if not log_base.is_empty() and not log_out.is_empty():
-            # narrow e
-            if not (log_base.lo <= 0.0 <= log_base.hi):
-                if not _narrow(ivals, node.exponent, log_out / log_base):
-                    return False
-            # narrow b: log(b) = log(out)/e
-            expo2 = ivals[id(node.exponent)]
-            if not (expo2.lo <= 0.0 <= expo2.hi):
-                if not _narrow(ivals, node.base, (log_out / expo2).exp()):
-                    return False
-        return True
-    p = expo.lo
-    if float(p).is_integer() and abs(p) < 2**31:
-        n = int(p)
-        if n == 0:
-            return True
-        if n > 0:
-            inv = _root_int(out, n, base)
-        else:
-            recip = out.inverse()
-            inv = _root_int(recip, -n, base)
-        return _narrow(ivals, node.base, inv)
-    # fractional exponent: base >= 0 and monotone
-    inv = out.pow_real(1.0 / p)
-    return _narrow(ivals, node.base, inv)
-
-
-def _backward_node(node: Expr, ivals: dict[int, Interval]) -> bool:
-    """Push the (already narrowed) enclosure of ``node`` to its children.
-
-    Returns False if some child's enclosure becomes empty (box infeasible).
-    """
-    out = ivals[id(node)]
-    if out.is_empty():
-        return False
-
-    if isinstance(node, (Const, Var)):
-        return True
-
-    if isinstance(node, Add):
-        args = node.args
-        n = len(args)
-        # prefix[i] = sum of enclosures of args[:i]; suffix[i] = sum args[i+1:]
-        prefix = [point(0.0)] * (n + 1)
-        for i, arg in enumerate(args):
-            prefix[i + 1] = prefix[i] + ivals[id(arg)]
-        suffix = [point(0.0)] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + ivals[id(args[i])]
-        for i, arg in enumerate(args):
-            others = prefix[i] + suffix[i + 1]
-            if not _narrow(ivals, arg, out - others):
-                return False
-        return True
-
-    if isinstance(node, Mul):
-        args = node.args
-        n = len(args)
-        prefix = [point(1.0)] * (n + 1)
-        for i, arg in enumerate(args):
-            prefix[i + 1] = prefix[i] * ivals[id(arg)]
-        suffix = [point(1.0)] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            suffix[i] = suffix[i + 1] * ivals[id(args[i])]
-        for i, arg in enumerate(args):
-            others = prefix[i] * suffix[i + 1]
-            if others.lo <= 0.0 <= others.hi and others.lo != others.hi:
-                continue  # division through zero gives no contraction
-            if others.lo == 0.0 and others.hi == 0.0:
-                continue
-            if not _narrow(ivals, arg, out / others):
-                return False
-        return True
-
-    if isinstance(node, Pow):
-        return _backward_pow(node, ivals)
-
-    if isinstance(node, Func):
-        arg = node.arg
-        name = node.name
-        if name == "exp":
-            return _narrow(ivals, arg, out.log())
-        if name == "log":
-            return _narrow(ivals, arg, out.exp())
-        if name == "sqrt":
-            return _narrow(ivals, arg, out.intersect(make(0.0, inf)).pow_int(2))
-        if name == "cbrt":
-            return _narrow(ivals, arg, out.pow_int(3))
-        if name == "atan":
-            return _narrow(ivals, arg, _tan_restricted(out))
-        if name == "abs":
-            mag = out.intersect(make(0.0, inf))
-            if mag.is_empty():
-                return False
-            current = ivals[id(arg)]
-            pos = mag.intersect(current)
-            neg = (-mag).intersect(current)
-            return _narrow(ivals, arg, pos.hull(neg))
-        if name == "tanh":
-            return _narrow(ivals, arg, _atanh_interval(out))
-        if name == "erf":
-            return _narrow(ivals, arg, _erfinv_interval(out))
-        if name == "lambertw":
-            return _narrow(ivals, arg, _wexpw(out))
-        # sin/cos: non-invertible over wide ranges; skip (sound)
-        return True
-
-    if isinstance(node, Ite):
-        gap = ivals[id(node.cond.lhs)] - ivals[id(node.cond.rhs)]
-        branch = _decide_cond(node.cond.op, gap)
-        if branch is True:
-            return _narrow(ivals, node.then, out)
-        if branch is False:
-            return _narrow(ivals, node.orelse, out)
-        return True  # undecided: no sound single-branch propagation
-
-    raise TypeError(f"cannot backward-propagate {type(node).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # HC4 contractor for a conjunction of atoms
 # ---------------------------------------------------------------------------
-
-#: verdicts of the vectorised batch filter (:meth:`HC4Contractor.classify_batch`)
-BATCH_UNKNOWN, BATCH_SAT, BATCH_REFUTED = 0, 1, 2
-
 
 @dataclass
 class ContractionStats:
@@ -294,43 +65,20 @@ class HC4Contractor:
     ``formula`` may be a :class:`Conjunction` (residual DAGs are compiled to
     tapes here) or an already-compiled
     :class:`~repro.solver.tape.CompiledConjunction` (e.g. shipped to a
-    worker process).  ``backend="walk"`` runs the original tree-walking
-    executors instead of the tape VM (oracle for differential testing;
-    requires a :class:`Conjunction`).
+    worker process).
     """
 
     def __init__(
         self,
         formula: Conjunction | CompiledConjunction,
         delta: float = 1e-5,
-        backend: str = "tape",
-        vector_min: int | None = None,
     ):
         if delta < 0.0:
             raise ValueError("delta must be non-negative")
-        if backend not in ("tape", "walk"):
-            raise ValueError("backend must be 'tape' or 'walk'")
-        if backend == "walk" and isinstance(formula, CompiledConjunction):
-            raise ValueError("the walk backend needs expression-level atoms")
         self.formula = formula
         self.delta = delta
-        self.backend = backend
-        self.vector_min = vector_min
         self.stats = ContractionStats()
         self._multi: MultiTape | bool | None = None
-        if backend == "walk":
-            # tree-walk oracle: contraction/certainly_sat never touch tapes,
-            # so a tape-VM bug in the interval executors cannot leak into
-            # both sides of a differential comparison.  (Point probing via
-            # Atom.holds_at still uses the tape scalar evaluator on both
-            # backends; its independent oracle is evaluate_tree, compared
-            # directly in tests/solver/test_tape.py.)
-            self._orders = [list(atom.residual.walk()) for atom in formula.atoms]
-            self._tapes = None
-            self._los = None
-            self._his = None
-            return
-        self._orders = None
         if isinstance(formula, CompiledConjunction):
             self._tapes: list[Tape] = [atom.tape for atom in formula.atoms]
         else:
@@ -343,12 +91,12 @@ class HC4Contractor:
         """Lazily-built fused forward program over all atom tapes.
 
         Only worth building (and only used) when there is more than one
-        atom and tape fusion is enabled; built per contractor instance on
-        first batch use and reused for every later batch.  Forward-only:
-        the backward revise stays per-tape.
+        atom; built per contractor instance on first batch use and reused
+        for every later batch.  Forward-only: the backward revise stays
+        per-tape.
         """
         if self._multi is None:
-            if len(self._tapes) > 1 and _tape_mod._FUSION_ON:
+            if len(self._tapes) > 1:
                 self._multi = MultiTape.from_tapes(self._tapes)
             else:
                 self._multi = False
@@ -356,12 +104,10 @@ class HC4Contractor:
 
     def contract(self, box: Box, rounds: int = 2) -> Box:
         """Iterate HC4-revise over all atoms up to ``rounds`` fixpoint rounds."""
-        revise = self._revise_tape if self.backend == "tape" else self._revise_walk
-        atoms = self.formula.atoms
         for _ in range(max(1, rounds)):
             changed = False
-            for i, atom in enumerate(atoms):
-                new_box = revise(i, atom, box)
+            for i in range(len(self._tapes)):
+                new_box = self._revise(i, box)
                 if new_box.is_empty():
                     self.stats.prunes_to_empty += 1
                     return new_box
@@ -372,8 +118,7 @@ class HC4Contractor:
                 break
         return box
 
-    # -- tape-compiled revise ----------------------------------------------
-    def _revise_tape(self, i: int, atom, box: Box) -> Box:
+    def _revise(self, i: int, box: Box) -> Box:
         self.stats.forward_passes += 1
         tape = self._tapes[i]
         los = self._los[i]
@@ -404,92 +149,6 @@ class HC4Contractor:
                 out[name] = out[name].intersect(Interval(los[slot], his[slot]))
         return Box(out)
 
-    # -- tree-walk revise (oracle) ------------------------------------------
-    def _revise_walk(self, i: int, atom: Atom, box: Box) -> Box:
-        self.stats.forward_passes += 1
-        order = self._orders[i]
-        ivals: dict[int, Interval] = {}
-        for node in order:
-            ivals[id(node)] = _forward_node(node, ivals, box)
-
-        root = atom.residual
-        if ivals[id(root)].is_empty():
-            return Box({name: EMPTY for name in box.names})
-        allowed = make(-inf, self.delta)
-        narrowed = ivals[id(root)].intersect(allowed)
-        if narrowed.is_empty():
-            return Box({name: EMPTY for name in box.names})
-        if ivals[id(root)].is_subset(allowed):
-            return box  # atom gives no pruning information
-        ivals[id(root)] = narrowed
-
-        self.stats.backward_passes += 1
-        for node in reversed(order):
-            if not _backward_node(node, ivals):
-                return Box({name: EMPTY for name in box.names})
-
-        out = {}
-        for name in box.names:
-            out[name] = box[name]
-        for node in order:
-            if isinstance(node, Var) and node.name in out:
-                out[node.name] = out[node.name].intersect(ivals[id(node)])
-        return Box(out)
-
-    def classify_batch(self, boxes) -> np.ndarray:
-        """Vectorised decide pass over a batch of boxes (tape backend only).
-
-        Replays, from one batched forward pass per atom, exactly the
-        decisions the first fixpoint round of :meth:`contract` would reach
-        using forward enclosures alone.  Returns one ``int8`` verdict per
-        box:
-
-        * :data:`BATCH_REFUTED` -- some atom's root enclosure is empty or
-          lies entirely above ``delta`` while every atom before it gave no
-          pruning information, so ``contract`` would return an empty box;
-        * :data:`BATCH_SAT` -- every atom's enclosure already sits within
-          ``delta``: ``contract`` is a no-op and :meth:`certainly_sat`
-          holds on the whole box;
-        * :data:`BATCH_UNKNOWN` -- neither; the per-box path must decide.
-
-        The underlying forward pass is bit-identical to the per-box one,
-        so the verdicts match what the per-box code would conclude.  This
-        is the cheap forward-only filter; the frontier solver itself uses
-        :meth:`contract_batch`, which subsumes these verdicts and also
-        performs the batched backward revise.
-        """
-        if self.backend != "tape":
-            raise ValueError("classify_batch requires the tape backend")
-        n_boxes = len(boxes)
-        codes = np.zeros(n_boxes, dtype=np.int8)
-        if n_boxes == 0:
-            return codes
-        delta = self.delta
-        all_sat = np.ones(n_boxes, dtype=bool)
-        refuted = np.zeros(n_boxes, dtype=bool)
-        multi = self._multi_tape()
-        if multi is not None:
-            # one fused forward pass computes every atom's root at once;
-            # shared subtapes across atoms execute a single time
-            lo_mat, hi_mat = multi.load_batch(boxes)
-            multi.forward_batch(lo_mat, hi_mat, self.vector_min)
-            root_rows = [(lo_mat[r], hi_mat[r]) for r in multi.roots]
-        else:
-            root_rows = []
-            for tape in self._tapes:
-                lo_mat, hi_mat = tape.load_batch(boxes)
-                tape.forward_batch(lo_mat, hi_mat, self.vector_min)
-                root_rows.append((lo_mat[tape.root].copy(), hi_mat[tape.root].copy()))
-        for root_lo, root_hi in root_rows:
-            nonempty = root_lo <= root_hi
-            # refute: empty root, or no overlap with (-inf, delta];
-            # sat: whole enclosure inside the allowed set
-            refuted |= all_sat & (~nonempty | (root_lo > delta))
-            all_sat &= nonempty & (root_hi <= delta)
-        codes[refuted] = BATCH_REFUTED
-        codes[~refuted & all_sat] = BATCH_SAT
-        return codes
-
     def contract_batch(
         self, boxes: list[Box], rounds: int = 2
     ) -> tuple[list[Box], np.ndarray]:
@@ -517,8 +176,6 @@ class HC4Contractor:
         equivalent sequence of per-box :meth:`contract` calls would
         record.
         """
-        if self.backend != "tape":
-            raise ValueError("contract_batch requires the tape backend")
         n_boxes = len(boxes)
         if n_boxes == 0:
             return [], np.zeros(0, dtype=bool)
@@ -552,7 +209,7 @@ class HC4Contractor:
                 sub_lo = {name: arr[cols] for name, arr in var_lo.items()}
                 sub_hi = {name: arr[cols] for name, arr in var_hi.items()}
                 lo_mat, hi_mat = multi.load_batch_arrays(sub_lo, sub_hi, cols.size)
-                multi.forward_batch(lo_mat, hi_mat, self.vector_min)
+                multi.forward_batch(lo_mat, hi_mat)
                 sat = np.ones(cols.size, dtype=bool)
                 for r in multi.roots:
                     root_lo = lo_mat[r]
@@ -567,7 +224,7 @@ class HC4Contractor:
                 sub_lo = {name: arr[cols] for name, arr in var_lo.items()}
                 sub_hi = {name: arr[cols] for name, arr in var_hi.items()}
                 lo_mat, hi_mat = tape.load_batch_arrays(sub_lo, sub_hi, cols.size)
-                tape.forward_batch(lo_mat, hi_mat, self.vector_min)
+                tape.forward_batch(lo_mat, hi_mat)
                 root_lo = lo_mat[tape.root]
                 root_hi = hi_mat[tape.root]
                 allsat[cols] &= (root_lo <= root_hi) & (root_hi <= self.delta)
@@ -607,7 +264,7 @@ class HC4Contractor:
         sub_lo = {name: arr[cols] for name, arr in var_lo.items()}
         sub_hi = {name: arr[cols] for name, arr in var_hi.items()}
         lo_mat, hi_mat = tape.load_batch_arrays(sub_lo, sub_hi, cols.size)
-        tape.forward_batch(lo_mat, hi_mat, self.vector_min)
+        tape.forward_batch(lo_mat, hi_mat)
         root = tape.root
         root_lo = lo_mat[root]
         root_hi = hi_mat[root]
@@ -626,7 +283,7 @@ class HC4Contractor:
         blo = lo_mat[:, sub]
         bhi = hi_mat[:, sub]
         bhi[root] = delta  # intersect root with the allowed set
-        ok = tape.backward_batch(blo, bhi, self.vector_min)
+        ok = tape.backward_batch(blo, bhi)
         bcols = cols[sub]
         narrowed_lo = {}
         narrowed_hi = {}
@@ -657,16 +314,6 @@ class HC4Contractor:
 
     def certainly_sat(self, box: Box) -> bool:
         """True if every atom holds on the *whole* box (within delta)."""
-        if self.backend == "walk":
-            allowed = make(-inf, self.delta)
-            for atom, order in zip(self.formula.atoms, self._orders):
-                ivals: dict[int, Interval] = {}
-                for node in order:
-                    ivals[id(node)] = _forward_node(node, ivals, box)
-                root = ivals[id(atom.residual)]
-                if root.is_empty() or not root.is_subset(allowed):
-                    return False
-            return True
         for i, tape in enumerate(self._tapes):
             los = self._los[i]
             his = self._his[i]

@@ -84,10 +84,9 @@ class SolverStats:
     boxes_split: int = 0
     probe_hits: int = 0
     elapsed_seconds: float = 0.0
-    #: frontier-loop counters (zero on the per-box backends): batches of
-    #: boxes contracted wholesale by the batched tape executors, boxes the
-    #: batched contraction pruned, and boxes settled as certainly-sat by
-    #: the batch's vectorised decide pass
+    #: frontier-loop counters: batches of boxes pulled from the worklist,
+    #: boxes the batched contraction pruned, and boxes settled as
+    #: certainly-sat by the batch's vectorised decide pass
     batches: int = 0
     batch_pruned: int = 0
     batch_certain: int = 0
@@ -164,27 +163,16 @@ class ICPSolver:
         box.  Pays off on derivative-heavy residuals where HC4's
         syntax-directed pruning stalls; costs one symbolic derivative per
         (atom, variable) up front plus extra interval sweeps per box.
-    backend:
-        Execution strategy: ``"batch"`` (default) runs the frontier loop --
-        boxes are pulled from the worklist up to ``batch_size`` at a time
-        and contracted *wholesale* by the batched tape executors
-        (:meth:`HC4Contractor.contract_batch`: vectorised forward and
-        HC4-backward passes, with per-column scalar fallbacks only inside
-        Pow/Func instructions and for narrow batches), leaving per-box
-        work to probing, splitting and the optional Newton contractor;
-        ``"tape"`` is the per-box tape VM; ``"walk"`` uses the original
-        tree-walking executors (the differential-testing oracle).  All
-        three produce bit-identical results; the frontier loop needs BFS
-        search and contraction enabled, and silently degrades to the
-        per-box tape path otherwise.
+    search:
+        ``"bfs"`` (default) pulls up to ``batch_size`` boxes FIFO per
+        iteration; ``"dfs"`` pops one box at a time LIFO (ablation knob).
     batch_size:
-        Upper bound on the number of boxes per frontier batch (only used
-        by ``backend="batch"``).
-    vector_min:
-        Minimum batch width before the batched executors switch from the
-        per-column scalar path to the vector kernels; ``None`` uses the
-        module default (``REPRO_VECTOR_MIN``).  A pure performance knob:
-        both paths are bit-identical.
+        Upper bound on the number of boxes per frontier batch.  Each batch
+        is contracted *wholesale* by the batched tape executors
+        (:meth:`HC4Contractor.contract_batch`: vectorised forward and
+        HC4-backward passes), leaving per-box work to probing, splitting
+        and the optional Newton contractor.  A pure performance knob:
+        results are bit-identical for every batch size.
     """
 
     def __init__(
@@ -196,16 +184,12 @@ class ICPSolver:
         use_contraction: bool = True,
         use_newton: bool = False,
         search: str = "bfs",
-        backend: str = "batch",
         batch_size: int = 256,
-        vector_min: int | None = None,
     ):
         if precision <= 0.0:
             raise ValueError("precision must be positive")
         if search not in ("bfs", "dfs"):
             raise ValueError("search must be 'bfs' or 'dfs'")
-        if backend not in ("batch", "tape", "walk"):
-            raise ValueError("backend must be 'batch', 'tape' or 'walk'")
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         self.delta = delta
@@ -215,9 +199,7 @@ class ICPSolver:
         self.use_contraction = use_contraction
         self.use_newton = use_newton
         self.search = search
-        self.backend = backend
         self.batch_size = batch_size
-        self.vector_min = vector_min
         # contractors are pure functions of the formula; reuse across the
         # many solver calls Algorithm 1 makes for the same condition.
         # Keyed on the formula itself (holding a strong reference), NOT on
@@ -229,13 +211,7 @@ class ICPSolver:
     def _contractor_for(self, formula: Conjunction) -> HC4Contractor:
         contractor = self._contractors.get(formula)
         if contractor is None:
-            executor = "walk" if self.backend == "walk" else "tape"
-            contractor = HC4Contractor(
-                formula,
-                delta=self.delta,
-                backend=executor,
-                vector_min=self.vector_min,
-            )
+            contractor = HC4Contractor(formula, delta=self.delta)
             self._contractors[formula] = contractor
         return contractor
 
@@ -261,93 +237,50 @@ class ICPSolver:
         if missing:
             raise ValueError(f"domain does not bind variables: {sorted(missing)}")
 
-        # The frontier loop's batched filter replays the first contraction
-        # round's forward decisions, so it needs contraction on; it pulls
-        # boxes FIFO, so it needs BFS.  Anything else degrades to the
-        # per-box loop (bit-identical results either way).
-        if self.backend == "batch" and self.search == "bfs" and self.use_contraction:
-            return self._solve_frontier(formula, domain, contractor, newton, clock, stats, t0)
-        return self._solve_per_box(formula, domain, contractor, newton, clock, stats, t0)
-
-    def _solve_per_box(
-        self, formula, domain: Box, contractor, newton, clock, stats, t0
-    ) -> SolverResult:
-        """Classic pop-one-box branch-and-prune loop."""
-        # BFS keeps refinement uniform: un-prunable regions exhaust the
-        # budget (timeout) instead of diving to a precision box and
-        # reporting a spurious delta-SAT; DFS is kept as an ablation knob.
-        stack: deque[Box] = deque([domain])
-        while stack:
-            if not clock.tick():
-                stats.elapsed_seconds = time.monotonic() - t0
-                return SolverResult(SolverStatus.TIMEOUT, None, stats)
-            box = stack.pop() if self.search == "dfs" else stack.popleft()
-            stats.boxes_processed += 1
-
-            if box.is_empty():
-                stats.boxes_pruned += 1
-                continue
-
-            if self.use_contraction:
-                box = contractor.contract(box, rounds=self.contraction_rounds)
-                if box.is_empty():
-                    stats.boxes_pruned += 1
-                    continue
-
-            if newton is not None:
-                box = newton.contract(box)
-                if box.is_empty():
-                    stats.boxes_pruned += 1
-                    continue
-
-            if self.use_probing:
-                probe = box.midpoint()
-                if formula.holds_at(probe):
-                    stats.probe_hits += 1
-                    stats.elapsed_seconds = time.monotonic() - t0
-                    return SolverResult(SolverStatus.DELTA_SAT, probe, stats)
-
-            if box.max_width() <= self.precision:
-                # cannot prune, cannot split: delta-SAT by delta-completeness
-                stats.elapsed_seconds = time.monotonic() - t0
-                return SolverResult(SolverStatus.DELTA_SAT, box.midpoint(), stats)
-
-            if contractor.certainly_sat(box):
-                stats.elapsed_seconds = time.monotonic() - t0
-                return SolverResult(SolverStatus.DELTA_SAT, box.midpoint(), stats)
-
-            left, right = box.split()
-            stats.boxes_split += 1
-            stack.append(left)
-            stack.append(right)
-
-        stats.elapsed_seconds = time.monotonic() - t0
-        return SolverResult(SolverStatus.UNSAT, None, stats)
+        return self._solve_frontier(formula, domain, contractor, newton, clock, stats, t0)
 
     def _solve_frontier(
         self, formula, domain: Box, contractor, newton, clock, stats, t0
     ) -> SolverResult:
         """Frontier loop: contract whole batches, per-box work on survivors.
 
-        Pulls up to ``batch_size`` boxes FIFO per iteration and contracts
-        them wholesale with the batched tape executors
+        BFS pulls up to ``batch_size`` boxes FIFO per iteration and
+        contracts them wholesale with the batched tape executors
         (:meth:`HC4Contractor.contract_batch`), which also decides
         certainly-sat for every surviving box in the same sweep.  Only
         probing, the precision check, splitting and the optional Newton
-        contractor remain per box.  Because the batched contraction is
+        contractor remain per box.  The batched contraction is
         bit-identical to per-box :meth:`~HC4Contractor.contract` and the
-        boxes are visited in the same FIFO order, the sequence of
-        results, models and per-box stats matches the per-box BFS loop
-        exactly.
+        boxes are visited in FIFO order, so results, models and per-box
+        stats match a classic pop-one-box BFS loop exactly.
+
+        The ablation knobs run through the same loop: ``search="dfs"``
+        pops LIFO batches of one box, and with contraction off each box is
+        passed through uncontracted and decided by a per-box
+        :meth:`~HC4Contractor.certainly_sat`.
         """
+        # BFS keeps refinement uniform: un-prunable regions exhaust the
+        # budget (timeout) instead of diving to a precision box and
+        # reporting a spurious delta-SAT; DFS is kept as an ablation knob.
+        lifo = self.search == "dfs"
+        # the batch's certainly-sat verdicts hold for the contracted boxes;
+        # Newton narrows them further and no contraction means no verdicts,
+        # so either case re-decides per box
+        decide_per_box = newton is not None or not self.use_contraction
         stack: deque[Box] = deque([domain])
         while stack:
-            take = min(self.batch_size, len(stack))
-            batch = [stack.popleft() for _ in range(take)]
+            if lifo:
+                batch = [stack.pop()]
+            else:
+                take = min(self.batch_size, len(stack))
+                batch = [stack.popleft() for _ in range(take)]
             stats.batches += 1
-            contracted, allsat = contractor.contract_batch(
-                batch, rounds=self.contraction_rounds
-            )
+            if self.use_contraction:
+                contracted, allsat = contractor.contract_batch(
+                    batch, rounds=self.contraction_rounds
+                )
+            else:
+                contracted, allsat = batch, None
             for j, original in enumerate(batch):
                 if not clock.tick():
                     stats.elapsed_seconds = time.monotonic() - t0
@@ -378,18 +311,16 @@ class ICPSolver:
                         return SolverResult(SolverStatus.DELTA_SAT, probe, stats)
 
                 if box.max_width() <= self.precision:
+                    # cannot prune, cannot split: delta-SAT by delta-completeness
                     stats.elapsed_seconds = time.monotonic() - t0
                     return SolverResult(SolverStatus.DELTA_SAT, box.midpoint(), stats)
 
-                # the batch pass already decided certainly_sat on the
-                # contracted box -- unless Newton narrowed it since, in
-                # which case re-check like the per-box loop does
-                if newton is None:
+                if decide_per_box:
+                    certainly = contractor.certainly_sat(box)
+                else:
                     certainly = bool(allsat[j])
                     if certainly:
                         stats.batch_certain += 1
-                else:
-                    certainly = contractor.certainly_sat(box)
                 if certainly:
                     stats.elapsed_seconds = time.monotonic() - t0
                     return SolverResult(SolverStatus.DELTA_SAT, box.midpoint(), stats)

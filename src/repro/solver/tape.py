@@ -27,7 +27,6 @@ verifier ship compiled formulas to workers instead of re-encoding DAGs.
 from __future__ import annotations
 
 import math
-import os
 from math import inf
 
 import numpy as np
@@ -46,8 +45,6 @@ __all__ = [
     "compile_expr",
     "tape_for",
     "clear_tape_cache",
-    "set_batch_kernel_mode",
-    "set_tape_fusion",
     "CompiledAtom",
     "CompiledConjunction",
 ]
@@ -91,30 +88,20 @@ PINF = inf
 #: below this batch width the batched interval executors run the scalar
 #: per-column code instead of NumPy kernels: per-ufunc-call overhead is
 #: flat in the width, so narrow batches are cheaper on Python floats (the
-#: two strategies are bit-identical; the threshold is pure tuning).  Now
-#: that Pow/Func rows are whole-batch kernels too, the measured crossover
-#: on PBE/LYP/SCAN-class tapes sits at ~20-24 columns (it was ~48 in the
-#: per-column days); override per call site
-#: (``forward_batch``/``backward_batch`` take ``vector_min``), through
-#: ``ICPSolver``/``VerifierConfig(vector_min=...)``, or via the
-#: ``REPRO_VECTOR_MIN`` environment variable for tuning sweeps
-_VECTOR_MIN = int(os.environ.get("REPRO_VECTOR_MIN", "24"))
+#: two strategies are bit-identical; the threshold is pure tuning).  With
+#: Pow/Func rows running as whole-batch kernels, the measured crossover on
+#: PBE/LYP/SCAN-class tapes sits at ~20-24 columns.  ``forward_batch`` and
+#: ``backward_batch`` take a per-call ``vector_min`` override, which the
+#: differential tests use to force the scalar per-column reference
+_VECTOR_MIN = 24
 
 #: the backward pass has its own, higher crossover: each reverse
 #: instruction runs ~10 ufunc calls (endpoint products, inverses,
 #: narrowing masks) against the forward pass's ~4, and the scalar
 #: per-column backward stops early on refuted columns while the vector
 #: pass keeps executing them -- measured crossover is ~30 (SCAN-class)
-#: to ~45-60 (PBE/LYP-class) columns.  An explicit ``vector_min``
-#: (parameter, solver/config knob) still overrides both passes; this
-#: default only applies when the call site leaves it unset
-_VECTOR_MIN_BWD = int(os.environ.get("REPRO_VECTOR_MIN_BWD", "48"))
-
-#: whole-batch Pow/Func kernel dispatch: "vector" runs the directed-
-#: rounding array kernels in :mod:`repro.solver.kernels`; "legacy" keeps
-#: the per-column Interval loops (bit-identical by construction -- the
-#: switch exists for differential tests and perf comparison)
-_KERNEL_MODE = os.environ.get("REPRO_BATCH_KERNELS", "vector")
+#: to ~45-60 (PBE/LYP-class) columns
+_VECTOR_MIN_BWD = 48
 
 #: forward/backward array kernels in FUNC_NAMES index order; the None
 #: backward entries (abs needs the current rows and dispatches to
@@ -125,46 +112,14 @@ _BWD_KERNELS = tuple(_kern.BWD_FUNC[name] for name in FUNC_NAMES)
 
 
 #: per-process cache of built tape runtimes, keyed by the full persistent
-#: state (plus the fusion flag): pool workers unpickle identical tapes on
-#: every chunk, and rebuilding the dispatch lists and fold pass each time
-#: is pure waste.  The cached structures are immutable in practice --
-#: executors copy the init templates and only iterate the programs.
+#: state plus the build's ``fuse`` flag (a fused and an unfused build of
+#: the same tape never share an entry): pool workers unpickle identical
+#: tapes on every chunk, and rebuilding the dispatch lists and fold pass
+#: each time is pure waste.  The cached structures are immutable in
+#: practice -- executors copy the init templates and only iterate the
+#: programs.
 _RUNTIME_CACHE: dict = {}
 _RUNTIME_CACHE_MAX = 512
-
-#: compile-time tape fusion: constant-fold literal-operand chains out of
-#: the forward instruction list at runtime-build time (values baked into
-#: the slot seeds by the forward interpreter itself, hence bit-identical)
-_FUSION_ON = os.environ.get("REPRO_TAPE_FUSION", "on") != "off"
-
-
-def set_tape_fusion(enabled: bool) -> bool:
-    """Enable/disable the constant-folding fusion pass; returns the old flag.
-
-    Affects tapes (re)built afterwards -- existing ``Tape`` objects keep
-    the runtime they were built with, so benchmarks comparing fused vs
-    unfused recompile their problems after toggling.
-    """
-    global _FUSION_ON
-    old = _FUSION_ON
-    _FUSION_ON = bool(enabled)
-    return old
-
-
-def set_batch_kernel_mode(mode: str) -> str:
-    """Select the batched Pow/Func execution strategy; returns the old one.
-
-    ``"vector"`` (default) runs the whole-batch NumPy kernels,
-    ``"legacy"`` the per-column Interval loops.  Both are bit-identical
-    per column; the knob exists so tests and the perf-smoke job can
-    compare them.
-    """
-    global _KERNEL_MODE
-    if mode not in ("vector", "legacy"):
-        raise ValueError(f"unknown batch kernel mode: {mode!r}")
-    old = _KERNEL_MODE
-    _KERNEL_MODE = mode
-    return old
 
 #: exp overflow guard shared with the scalar evaluator's ``_scalar_exp``
 _EXP_OVERFLOW = 709.0
@@ -256,7 +211,9 @@ def func_guard_table() -> tuple[bool, ...]:
 def decide_cond(code: int, gap: Interval) -> bool | None:
     """Decide ``gap op 0`` over an interval, or None if undecided.
 
-    Semantics identical to the tree-walk contractor's ``_decide_cond``.
+    The one guard decider: the tape executors, box specialisation
+    (:func:`repro.expr.simplify.specialize`) and the tree-walk test
+    oracle all call it.
     """
     if gap.is_empty():
         return None
@@ -320,8 +277,9 @@ def cond_compare(code: int, lhs: float, rhs: float) -> bool:
 # ---------------------------------------------------------------------------
 # backward-step primitives (inverse interval forms)
 # ---------------------------------------------------------------------------
-# These are the single source of truth for the HC4 inverse operations; the
-# tree-walk oracle in repro.solver.contractor imports them from here.
+# These are the single source of truth for the HC4 inverse operations: the
+# per-box and batched backward passes call them, and so does the tree-walk
+# oracle of the differential tests (tests/solver/oracles.py).
 
 def tan_restricted(x: Interval) -> Interval:
     """tan on an interval inside (-pi/2, pi/2) (inverse of atan)."""
@@ -396,12 +354,13 @@ def root_int(y: Interval, n: int, current: Interval) -> Interval:
 # compilation
 # ---------------------------------------------------------------------------
 
-def compile_expr(expr: Expr) -> "Tape":
+def compile_expr(expr: Expr, fuse: bool = True) -> "Tape":
     """Linearize an expression DAG into a flat instruction tape.
 
     Slots are assigned in the same topological (children-first) order the
     tree-walk executors use, so both strategies perform the identical
-    sequence of primitive operations.
+    sequence of primitive operations.  ``fuse=False`` builds the runtime
+    without the constant-folding pass (see :class:`Tape`).
     """
     order = list(expr.walk())
     slot_of: dict[int, int] = {id(node): i for i, node in enumerate(order)}
@@ -458,6 +417,7 @@ def compile_expr(expr: Expr) -> "Tape":
         root=slot_of[id(expr)],
         var_slots=tuple(var_slots),
         const_slots=tuple(const_slots),
+        fuse=fuse,
     )
 
 
@@ -475,20 +435,28 @@ class Tape:
     ``Interval`` methods (same operations, same order, same outward
     rounding), but the per-op allocation and method-call overhead is gone.
     The empty interval is encoded the same way (``lo > hi``).
+
+    ``fuse`` (default True) runs the constant-folding pass over the
+    forward program at build time (:meth:`_fold_constants`); the unfused
+    build exists for the fusion audit (``statan.tapecheck`` TAPE109) and
+    the differential tests.  It is a build option, not content: both
+    builds share one persistent state and :meth:`fingerprint`, and every
+    tape unpickles fused.
     """
 
     __slots__ = (
-        "instrs", "n_slots", "root", "var_slots", "const_slots",
+        "instrs", "n_slots", "root", "var_slots", "const_slots", "fuse",
         "_fwd", "_rev", "_scalar", "_init_los", "_init_his", "_scalar_init",
         "_batch_seed",
     )
 
-    def __init__(self, instrs, n_slots, root, var_slots, const_slots):
+    def __init__(self, instrs, n_slots, root, var_slots, const_slots, fuse=True):
         self.instrs = instrs
         self.n_slots = n_slots
         self.root = root
         self.var_slots = var_slots
         self.const_slots = const_slots
+        self.fuse = fuse
         self._build_runtime()
 
     # -- pickling ----------------------------------------------------------
@@ -497,6 +465,7 @@ class Tape:
 
     def __setstate__(self, state):
         self.instrs, self.n_slots, self.root, self.var_slots, self.const_slots = state
+        self.fuse = True
         # per-process compiled-runtime cache: workers unpickle the same
         # tapes on every chunk, and the runtime structures are immutable
         # once built (templates are copied, instruction lists only
@@ -507,7 +476,7 @@ class Tape:
             self.root,
             tuple(tuple(v) for v in self.var_slots),
             tuple(tuple(c) for c in self.const_slots),
-            _FUSION_ON,
+            self.fuse,
         )
         cached = _RUNTIME_CACHE.get(key)
         if cached is None:
@@ -584,7 +553,7 @@ class Tape:
         #: slot rows the batched forward pass (re)loads before executing:
         #: the literal pool plus, after fusion, folded instruction results
         self._batch_seed = [(s, v, v) for s, v in self.const_slots]
-        if _FUSION_ON and fwd:
+        if self.fuse and fwd:
             self._fold_constants()
 
     def _fold_constants(self) -> None:
@@ -696,9 +665,9 @@ class Tape:
         a :meth:`forward_arrays` run on that box: the endpoint arithmetic
         of add/mul chains and Ite guards is vectorised with the exact same
         operations and outward rounding (``np.nextafter`` elementwise
-        matches ``math.nextafter``), while Pow/Func instructions -- whose
-        scalar semantics go through libm -- run the identical per-column
-        ``Interval`` calls the per-box executor makes.  The empty interval
+        matches ``math.nextafter``), Pow/Func rows run the whole-batch
+        kernels of :mod:`repro.solver.kernels` (per-column ``Interval``
+        calls only for exponents no kernel covers).  The empty interval
         keeps its ``lo > hi`` encoding, and NaN endpoints propagate to
         empty exactly like the per-box comparisons do.  Zero-width batches
         are valid and leave the matrices untouched.
@@ -767,7 +736,8 @@ class Tape:
         the surviving columns see the identical narrowing sequence either
         way.  Add/mul chains and Ite guards are vectorised with the same
         endpoint arithmetic as the scalar pass; Pow/Func inverses run the
-        existing per-column primitives on column views.
+        whole-batch kernels (per-column primitives only for exponents no
+        kernel covers).
         """
         n_boxes = lo_mat.shape[1]
         alive = np.ones(n_boxes, dtype=bool)
@@ -884,7 +854,7 @@ class Tape:
                     alive &= skip | (lo <= hi)
 
             elif op == OP_POW:
-                if _KERNEL_MODE == "vector" and aux is not None:
+                if aux is not None:
                     if aux[0] == "i":
                         n = aux[1]
                         if n == 0:
@@ -933,35 +903,17 @@ class Tape:
                 hi_mat[b] = ehi
 
             elif op == OP_FUNC:
-                if _KERNEL_MODE == "vector":
-                    if b == F_SIN or b == F_COS:
-                        continue  # non-invertible over wide ranges (sound)
-                    lo = lo_mat[a]
-                    hi = hi_mat[a]
-                    if b == F_ABS:
-                        wlo, whi = _kern._bwd_abs(olo, ohi, lo, hi)
-                    else:
-                        wlo, whi = _BWD_KERNELS[b](olo, ohi)
-                    np.copyto(lo, wlo, where=alive & (wlo > lo))
-                    np.copyto(hi, whi, where=alive & (whi < hi))
-                    alive &= lo <= hi
-                    continue
-                alo = lo_mat[a].tolist()
-                ahi = hi_mat[a].tolist()
-                olo_l = olo.tolist()
-                ohi_l = ohi.tolist()
-                for j in np.nonzero(alive)[0]:
-                    los_d = {a: alo[j]}
-                    his_d = {a: ahi[j]}
-                    ok = _backward_func(
-                        los_d, his_d, Interval(olo_l[j], ohi_l[j]), a, b
-                    )
-                    alo[j] = los_d[a]
-                    ahi[j] = his_d[a]
-                    if not ok:
-                        alive[j] = False
-                lo_mat[a] = alo
-                hi_mat[a] = ahi
+                if b == F_SIN or b == F_COS:
+                    continue  # non-invertible over wide ranges (sound)
+                lo = lo_mat[a]
+                hi = hi_mat[a]
+                if b == F_ABS:
+                    wlo, whi = _kern._bwd_abs(olo, ohi, lo, hi)
+                else:
+                    wlo, whi = _BWD_KERNELS[b](olo, ohi)
+                np.copyto(lo, wlo, where=alive & (wlo > lo))
+                np.copyto(hi, whi, where=alive & (whi < hi))
+                alive &= lo <= hi
 
             else:  # OP_ITE
                 lhs, rhs, then, orelse = a
@@ -1406,26 +1358,11 @@ def _run_forward_batch_ops(fwd: list, lo_mat: np.ndarray, hi_mat: np.ndarray) ->
             lo_mat[out] = lo
             hi_mat[out] = hi
         elif op == OP_FUNC:
-            if _KERNEL_MODE == "vector":
-                lo, hi = _FWD_KERNELS[b](lo_mat[a], hi_mat[a])
-                lo_mat[out] = lo
-                hi_mat[out] = hi
-                continue
-            # legacy: .tolist() round-trips give the per-column loop
-            # plain Python floats: identical IEEE values, several-fold
-            # faster than operating on np.float64 scalars
-            alo = lo_mat[a].tolist()
-            ahi = hi_mat[a].tolist()
-            olo = [0.0] * n_boxes
-            ohi = [0.0] * n_boxes
-            for j in range(n_boxes):
-                iv = aux(Interval(alo[j], ahi[j]))
-                olo[j] = iv.lo
-                ohi[j] = iv.hi
-            lo_mat[out] = olo
-            hi_mat[out] = ohi
+            lo, hi = _FWD_KERNELS[b](lo_mat[a], hi_mat[a])
+            lo_mat[out] = lo
+            hi_mat[out] = hi
         elif op == OP_POW:
-            if _KERNEL_MODE == "vector" and aux is not None:
+            if aux is not None:
                 # whole-row kernels cover constant exponents; a large
                 # |n| (no mult chain) drops to the per-column loop
                 if aux[0] == "i":
@@ -1588,7 +1525,7 @@ class MultiTape:
             roots.append(local[tape.root])
 
         # constant folding at the merged level, through the interpreter
-        if _FUSION_ON and fwd:
+        if fwd:
             known = {s for s, _, _ in seed}
             foldable: list = []
             live: list = []
@@ -1763,32 +1700,6 @@ def _add_ep_batch(alo, ahi, blo, bhi) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _mul_ep_batch_stack(alo, ahi, blo, bhi) -> tuple[np.ndarray, np.ndarray]:
-    """The original ``(4, n)`` stack-and-reduce endpoint multiply.
-
-    Kept verbatim as the ``"legacy"`` kernel-mode implementation: the
-    legacy mode's job is to preserve the pre-kernel batch backend as a
-    faithful perf baseline and as an independent implementation for the
-    differential fuzz corpus, and this multiply was part of it.
-    """
-    prods = np.empty((4,) + alo.shape)
-    np.multiply(alo, blo, out=prods[0])
-    np.multiply(alo, bhi, out=prods[1])
-    np.multiply(ahi, blo, out=prods[2])
-    np.multiply(ahi, bhi, out=prods[3])
-    np.copyto(prods, 0.0, where=prods != prods)
-    lo = prods.min(axis=0)
-    hi = prods.max(axis=0)
-    out_lo = np.nextafter(lo, NINF)
-    out_hi = np.nextafter(hi, PINF)
-    np.copyto(out_lo, NINF, where=lo == NINF)
-    np.copyto(out_hi, PINF, where=hi == PINF)
-    empty = ~((alo <= ahi) & (blo <= bhi))
-    np.copyto(out_lo, PINF, where=empty)
-    np.copyto(out_hi, NINF, where=empty)
-    return out_lo, out_hi
-
-
 def _mul_ep_batch(alo, ahi, blo, bhi) -> tuple[np.ndarray, np.ndarray]:
     """Columnwise form of ``_mul_ep``: identical products and NaN
     cleaning, min/max over the four endpoint products, then one-ulp
@@ -1801,8 +1712,6 @@ def _mul_ep_batch(alo, ahi, blo, bhi) -> tuple[np.ndarray, np.ndarray]:
     already maps an infinite endpoint toward its own sign to itself, so
     no explicit infinity restore is needed.
     """
-    if _KERNEL_MODE == "legacy":
-        return _mul_ep_batch_stack(alo, ahi, blo, bhi)
     p0 = alo * blo
     p1 = alo * bhi
     p2 = ahi * blo

@@ -51,7 +51,6 @@ from ..solver.tape import (
     Tape,
     _BATCH_FUNC_BAD,
     func_guard_table,
-    set_tape_fusion,
     stable_digest,
 )
 from .report import Finding, Report
@@ -370,14 +369,6 @@ def _unsafe_pow_input(aux, blo, bhi, elo, ehi) -> bool:
     return not blo > 0.0
 
 
-def _rebuild(state, fusion: bool) -> Tape:
-    old = set_tape_fusion(fusion)
-    try:
-        return Tape(*state)
-    finally:
-        set_tape_fusion(old)
-
-
 def check_tape(
     tape: Tape,
     label: str,
@@ -424,7 +415,7 @@ def check_tape(
                 "TAPE107", where, "fingerprint",
                 "fingerprint() disagrees with the digest of __getstate__()",
             ))
-        fresh = _rebuild(state, fusion=len(tape.runtime_program()[0]) < len(state[0]))
+        fresh = Tape(*state, fuse=tape.fuse)
         live = tape.runtime_program()
         rebuilt = fresh.runtime_program()
         parts = ("forward program", "batch seed", "init los", "init his")
@@ -438,7 +429,7 @@ def check_tape(
                 ))
                 break
 
-    unfused = _rebuild(state, fusion=False)
+    unfused = Tape(*state, fuse=False)
     names = [name for name, _ in tape.var_slots]
     domain = _norm_box(box, names)
     probes = [domain, _midpoint_box(domain)]

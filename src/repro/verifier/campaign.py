@@ -26,9 +26,6 @@ that used to run such workloads with one scheduler:
   unchanged cell into a cache hit, which is what makes long campaigns
   survivable: kill the process at any point and only in-flight cells are
   recomputed.
-
-``verify_pairs_parallel`` and ``verify_domain_parallel`` in
-:mod:`repro.verifier.parallel` are thin wrappers over this engine.
 """
 
 from __future__ import annotations
@@ -413,9 +410,7 @@ def _worker_compile(payload, config):
         problem_key,
         config.delta,
         config.precision,
-        config.solver_backend,
         config.batch_size,
-        config.vector_min,
     )
     hit = _WORKER_CACHE.pop(key, None)
     if hit is not None:
@@ -621,9 +616,8 @@ class _Scheduler:
         """Build a cell's initial units (the shared queue's seed).
 
         ``cell.presplit_levels`` forced splits produce ``2**(levels*dims)``
-        sibling units whose records have no parent, exactly like the old
-        ``verify_domain_parallel`` merge; the per-unit budget is the
-        global budget divided evenly.  With no pre-split the cell is one
+        sibling units whose records have no parent; the per-unit budget is
+        the global budget divided evenly.  With no pre-split the cell is one
         unit holding the full domain and the full budget.
         """
         domain = cell.domain
@@ -861,8 +855,7 @@ def run_campaign(
     presplit_levels:
         Force-split every cell's domain this many levels up front so one
         pair fans out across the pool (``2**(levels*dims)`` units, global
-        budget divided evenly -- the old ``verify_domain_parallel``
-        semantics).
+        budget divided evenly).
     steal_depth:
         Depth above which workers *spill* splits back to the shared
         queue instead of descending locally: a unit at ``depth <

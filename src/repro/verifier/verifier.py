@@ -71,17 +71,9 @@ class VerifierConfig:
     #: piece on boxes that stay on one side of the switch.  Costs one
     #: rebuild per box; pays off on Ite-heavy formulas.
     specialize_boxes: bool = False
-    #: solver execution strategy (see :class:`ICPSolver`): the batched
-    #: frontier loop by default; "tape"/"walk" select the per-box paths
-    #: (all bit-identical -- these are perf/ablation knobs, and workers of
-    #: the parallel drivers inherit them through the pickled config)
-    solver_backend: str = "batch"
+    #: boxes per frontier batch of the solver (see :class:`ICPSolver`): a
+    #: bit-identical perf knob, excluded from :meth:`semantic_key`
     batch_size: int = 256
-    #: minimum frontier width before the batched executors use the vector
-    #: kernels (None = module default / ``REPRO_VECTOR_MIN``); like
-    #: ``batch_size`` it is a bit-identical perf knob, excluded from
-    #: :meth:`semantic_key`
-    vector_min: int | None = None
     #: work-queue discipline of the iterative driver.  ``"dfs"`` (default)
     #: replays Algorithm 1's recursive pre-order exactly -- bit-identical
     #: region trees and budget consumption.  ``"widest"`` is a priority
@@ -116,17 +108,8 @@ class VerifierConfig:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
         if not self.precision > 0.0:
             raise ValueError(f"precision must be > 0, got {self.precision}")
-        if self.solver_backend not in ("batch", "tape", "walk"):
-            raise ValueError(
-                f"solver_backend must be 'batch', 'tape' or 'walk', "
-                f"got {self.solver_backend!r}"
-            )
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.vector_min is not None and self.vector_min < 0:
-            raise ValueError(
-                f"vector_min must be >= 0 or None, got {self.vector_min}"
-            )
         if self.queue_order not in ("dfs", "widest"):
             raise ValueError(
                 f"queue_order must be 'dfs' or 'widest', got {self.queue_order!r}"
@@ -137,10 +120,9 @@ class VerifierConfig:
 
         Used by the campaign store's content-hash keys: two configs with
         the same semantic key produce bit-identical reports, so stored
-        cells stay valid across changes to the pure performance knobs
-        (``solver_backend``, ``batch_size`` and ``vector_min`` are proven
-        bit-identical by the solver's differential test corpus and are
-        deliberately excluded).
+        cells stay valid across changes to the pure performance knob
+        ``batch_size`` (proven bit-identical by the solver's differential
+        test corpus and deliberately excluded).
         """
         return (
             self.split_threshold,
@@ -159,9 +141,7 @@ class VerifierConfig:
         return ICPSolver(
             delta=self.delta,
             precision=self.precision,
-            backend=self.solver_backend,
             batch_size=self.batch_size,
-            vector_min=self.vector_min,
         )
 
     def make_budget(self) -> Budget:

@@ -115,7 +115,7 @@ class TestContentKeys:
     def test_perf_knobs_excluded(self):
         f = get_functional("Wigner")
         assert cell_content_key(
-            f, "fc", "hazards", "branch", NumericsConfig(solver_backend="walk")
+            f, "fc", "hazards", "branch", NumericsConfig()
         ) == cell_content_key(
             f, "fc", "hazards", "branch", NumericsConfig(batch_size=7)
         )

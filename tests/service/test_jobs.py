@@ -57,6 +57,24 @@ class TestSpecValidation:
                  "config": {"warp_factor": 9}}
             )
 
+    @pytest.mark.parametrize(
+        "kind, key",
+        [("verify", "solver_backend"), ("verify", "vector_min"),
+         ("numerics", "solver_backend")],
+    )
+    def test_removed_solver_knobs_are_unknown_keys(self, kind, key):
+        # the solver has one execution path; configs still naming the old
+        # backend/crossover knobs fail like any other unknown key
+        payload = {"kind": kind, "config": {key: "batch"}}
+        if kind == "verify":
+            payload.update(functional="PBE", condition="EC1")
+            what = "verifier"
+        else:
+            payload["functionals"] = ["Wigner"]
+            what = "numerics"
+        with pytest.raises(ValueError, match=rf"unknown {what} config keys: \['{key}'\]"):
+            spec_from_payload(payload)
+
     def test_unknown_numerics_config_key(self):
         with pytest.raises(ValueError, match="unknown numerics config keys"):
             spec_from_payload(
@@ -185,7 +203,7 @@ class TestCellTasks:
         )
         perf_knob = spec_from_payload(
             {"kind": "verify", "functional": "Wigner", "condition": "EC1",
-             "config": {**TINY, "solver_backend": "tape"}}
+             "config": {**TINY, "batch_size": 7}}
         )
         key = base.cell_tasks()[0].content_key
         assert changed.cell_tasks()[0].content_key != key

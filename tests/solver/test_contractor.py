@@ -8,7 +8,9 @@ from repro.expr import builder as b
 from repro.expr.nodes import Var
 from repro.solver.box import Box
 from repro.solver.constraint import Atom, Conjunction
-from repro.solver.contractor import HC4Contractor, enclosure, interval_eval
+from repro.solver.contractor import HC4Contractor, enclosure
+
+from .oracles import interval_eval
 
 X = Var("x")
 Y = Var("y")

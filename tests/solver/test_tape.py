@@ -19,9 +19,11 @@ from repro.expr.evaluator import evaluate, evaluate_tree
 from repro.expr.nodes import Expr
 from repro.solver.box import Box
 from repro.solver.constraint import Atom, Conjunction
-from repro.solver.contractor import HC4Contractor, interval_eval
+from repro.solver.contractor import HC4Contractor
 from repro.solver.icp import Budget, ICPSolver
 from repro.solver.tape import CompiledConjunction, compile_expr, tape_for
+
+from .oracles import WalkContractor, interval_eval, solve_per_box
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +110,8 @@ def test_contraction_matches_tree_walk(seed):
         *[Atom(random_expr(rng), rng.choice(["<=", "<"])) for _ in range(rng.randint(1, 3))]
     )
     box = random_box(rng)
-    tape_c = HC4Contractor(formula, delta=1e-5, backend="tape")
-    walk_c = HC4Contractor(formula, delta=1e-5, backend="walk")
+    tape_c = HC4Contractor(formula, delta=1e-5)
+    walk_c = WalkContractor(formula, delta=1e-5)
     assert_boxes_identical(tape_c.contract(box), walk_c.contract(box))
 
 
@@ -157,10 +159,11 @@ def test_solver_status_and_model_match(seed):
     formula = Conjunction.of(Atom(random_expr(rng, depth=3), "<="))
     box = random_box(rng)
     budget = Budget(max_steps=300)
-    results = {}
-    for backend in ("tape", "walk"):
-        solver = ICPSolver(delta=1e-5, precision=1e-2, backend=backend)
-        results[backend] = solver.solve(formula, box, budget)
+    solver = ICPSolver(delta=1e-5, precision=1e-2)
+    results = {
+        "tape": solver.solve(formula, box, budget),
+        "walk": solve_per_box(solver, formula, box, budget, executor="walk"),
+    }
     assert results["tape"].status == results["walk"].status
     assert results["tape"].model == results["walk"].model
     assert (
@@ -187,6 +190,28 @@ def test_tape_is_flat_picklable_data():
         assert (t1.lo, t1.hi) == (t2.lo, t2.hi)
 
 
+def test_unfused_build_is_a_build_option_not_state():
+    """``fuse`` is a build option: both builds share persistent state and
+    fingerprint, and the unfused build never takes its runtime from the
+    cache entry a fused tape of the same state left behind."""
+    from repro.expr.nodes import Const, Func, Mul
+    from repro.solver.tape import _RUNTIME_CACHE, Tape
+
+    # raw node constructors: b.exp would fold exp(0.5) to a literal itself
+    expr = Mul((Func("exp", Const(0.5)), X))
+    fused = compile_expr(expr)
+    plain = compile_expr(expr, fuse=False)
+    assert (fused.fuse, plain.fuse) == (True, False)
+    assert fused.__getstate__() == plain.__getstate__()
+    assert fused.fingerprint() == plain.fingerprint()
+    assert len(fused.runtime_program()[0]) < len(plain.runtime_program()[0])
+    _RUNTIME_CACHE.clear()
+    assert pickle.loads(pickle.dumps(fused)).runtime_program() == fused.runtime_program()
+    assert len(_RUNTIME_CACHE) == 1
+    rebuilt = Tape(*plain.__getstate__(), fuse=False)
+    assert rebuilt.runtime_program() == plain.runtime_program()
+
+
 def test_tape_cache_returns_same_tape_for_interned_expr():
     expr = b.exp(X) + Y
     assert tape_for(expr) is tape_for(expr)
@@ -210,7 +235,7 @@ def test_compiled_conjunction_roundtrip_through_pickle():
     box = random_box(rng)
     assert_boxes_identical(
         HC4Contractor(compiled, delta=1e-5).contract(box),
-        HC4Contractor(formula, delta=1e-5, backend="walk").contract(box),
+        WalkContractor(formula, delta=1e-5).contract(box),
     )
     env = {"x": 0.3, "y": -0.7, "z": 0.9}
     assert compiled.holds_at(env) == formula.holds_at(env)
@@ -243,7 +268,7 @@ def test_walk_backend_rejects_compiled_conjunction():
     formula = Conjunction.of(Atom(X + Y, "<="))
     compiled = CompiledConjunction.from_conjunction(formula)
     with pytest.raises(ValueError, match="walk"):
-        HC4Contractor(compiled, backend="walk")
+        WalkContractor(compiled)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +301,7 @@ def test_paper_functional_contraction_parity():
 
     problem = encode(get_functional("PBE"), EC1)
     box = Box.from_bounds({"rs": (1.0, 3.0), "s": (0.0, 2.0)})
-    tape_c = HC4Contractor(problem.negation, delta=1e-5, backend="tape")
-    walk_c = HC4Contractor(problem.negation, delta=1e-5, backend="walk")
+    tape_c = HC4Contractor(problem.negation, delta=1e-5)
+    walk_c = WalkContractor(problem.negation, delta=1e-5)
     for sub in box.split_all():
         assert_boxes_identical(tape_c.contract(sub), walk_c.contract(sub))

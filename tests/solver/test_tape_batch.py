@@ -20,16 +20,13 @@ import pytest
 from repro.expr import builder as b
 from repro.solver.box import Box
 from repro.solver.constraint import Atom, Conjunction
-from repro.solver.contractor import (
-    BATCH_REFUTED,
-    BATCH_SAT,
-    BATCH_UNKNOWN,
-    HC4Contractor,
-)
+from repro.solver import tape as tape_mod
+from repro.solver.contractor import HC4Contractor
 from repro.solver.icp import Budget, ICPSolver
 from repro.solver.interval import Interval
 from repro.solver.tape import _VECTOR_MIN, tape_for
 
+from .oracles import assert_results_identical, solve_per_box
 from .test_tape import assert_boxes_identical, random_box, random_expr
 
 #: one width per side of the vectorisation threshold, so every case runs
@@ -175,7 +172,7 @@ def test_contract_batch_matches_contract(seed, width):
     rng = random.Random(1000 + seed)
     formula = random_formula(rng)
     boxes = [random_box(rng) for _ in range(width)]
-    contractor = HC4Contractor(formula, delta=1e-5, backend="tape")
+    contractor = HC4Contractor(formula, delta=1e-5)
     rounds = rng.choice([1, 2, 3])
     got, allsat = contractor.contract_batch(boxes, rounds=rounds)
     for j, box in enumerate(boxes):
@@ -188,7 +185,7 @@ def test_contract_batch_matches_contract(seed, width):
 def test_contract_batch_returns_original_object_when_unchanged():
     x = b.var("x", nonneg=True)
     formula = Conjunction.of(Atom(x + (-100.0), "<="))  # never prunes on [0, 1]
-    contractor = HC4Contractor(formula, delta=1e-5, backend="tape")
+    contractor = HC4Contractor(formula, delta=1e-5)
     boxes = [Box({"x": (0.0, 1.0)}) for _ in range(3)]
     got, allsat = contractor.contract_batch(boxes)
     for j, box in enumerate(boxes):
@@ -198,7 +195,7 @@ def test_contract_batch_returns_original_object_when_unchanged():
 
 def test_contract_batch_empty_input():
     formula = Conjunction.of(Atom(b.var("x", nonneg=True), "<="))
-    contractor = HC4Contractor(formula, delta=1e-5, backend="tape")
+    contractor = HC4Contractor(formula, delta=1e-5)
     got, allsat = contractor.contract_batch([])
     assert got == []
     assert allsat.shape == (0,)
@@ -206,7 +203,7 @@ def test_contract_batch_empty_input():
 
 def test_contract_batch_passes_through_already_empty_boxes():
     formula = Conjunction.of(Atom(b.var("x", nonneg=True), "<="))
-    contractor = HC4Contractor(formula, delta=1e-5, backend="tape")
+    contractor = HC4Contractor(formula, delta=1e-5)
     empty = Box({"x": Interval(math.inf, -math.inf)})
     full = Box({"x": (0.5, 1.0)})
     before = contractor.stats.prunes_to_empty
@@ -219,46 +216,28 @@ def test_contract_batch_passes_through_already_empty_boxes():
     assert contractor.stats.prunes_to_empty == before + 1
 
 
-def test_contract_batch_requires_tape_backend():
-    formula = Conjunction.of(Atom(b.var("x", nonneg=True), "<="))
-    walk = HC4Contractor(formula, delta=1e-5, backend="walk")
-    with pytest.raises(ValueError, match="tape"):
-        walk.contract_batch([Box({"x": (0.0, 1.0)})])
-    with pytest.raises(ValueError, match="tape"):
-        walk.classify_batch([Box({"x": (0.0, 1.0)})])
-
-
 @pytest.mark.parametrize("seed", range(15))
 def test_classify_batch_matches_per_box_decisions(seed):
+    """The batch's refute and certainly-sat verdicts match per-box ones: a
+    box per-box contraction refutes comes back empty, and a box every atom
+    already satisfies comes back as the very same object, flagged
+    certainly-sat."""
     rng = random.Random(4000 + seed)
     formula = random_formula(rng)
     boxes = [random_box(rng) for _ in range(13)]
-    contractor = HC4Contractor(formula, delta=1e-5, backend="tape")
-    codes = contractor.classify_batch(boxes)
+    contractor = HC4Contractor(formula, delta=1e-5)
+    got, allsat = contractor.contract_batch(boxes, rounds=1)
     for j, box in enumerate(boxes):
-        code = int(codes[j])
         contracted = contractor.contract(box, rounds=1)
-        if code == BATCH_SAT:
+        assert got[j].is_empty() == contracted.is_empty(), j
+        if contractor.certainly_sat(box):
             assert contracted is box
-            assert contractor.certainly_sat(box)
-        elif code == BATCH_REFUTED:
-            assert contracted.is_empty()
-        else:
-            assert code == BATCH_UNKNOWN
+            assert got[j] is box and bool(allsat[j]), j
 
 
 # ---------------------------------------------------------------------------
 # frontier solver parity (the property the PR must preserve end to end)
 # ---------------------------------------------------------------------------
-
-def assert_results_identical(r1, r2) -> None:
-    assert r1.status == r2.status
-    assert r1.model == r2.model
-    assert r1.stats.boxes_processed == r2.stats.boxes_processed
-    assert r1.stats.boxes_pruned == r2.stats.boxes_pruned
-    assert r1.stats.boxes_split == r2.stats.boxes_split
-    assert r1.stats.probe_hits == r2.stats.probe_hits
-
 
 @pytest.mark.parametrize("seed", range(15))
 def test_frontier_solver_matches_tape_and_walk(seed):
@@ -269,20 +248,18 @@ def test_frontier_solver_matches_tape_and_walk(seed):
     box = random_box(rng)
     budget = Budget(max_steps=250)
     batch_size = rng.choice([1, 3, 64])
-    results = {}
-    for backend in ("batch", "tape", "walk"):
-        solver = ICPSolver(
-            delta=1e-5, precision=1e-2, backend=backend, batch_size=batch_size
-        )
-        results[backend] = solver.solve(formula, box, budget)
-    assert_results_identical(results["batch"], results["tape"])
-    assert_results_identical(results["batch"], results["walk"])
-    assert results["batch"].stats.batches > 0
-    assert results["tape"].stats.batches == 0
+    solver = ICPSolver(delta=1e-5, precision=1e-2, batch_size=batch_size)
+    batch = solver.solve(formula, box, budget)
+    for executor in ("tape", "walk"):
+        oracle = solve_per_box(solver, formula, box, budget, executor=executor)
+        assert_results_identical(batch, oracle)
+    assert batch.stats.batches > 0
 
 
 @pytest.mark.parametrize("knob", ["dfs", "no-contraction", "newton"])
 def test_frontier_solver_knob_fallbacks_stay_identical(knob):
+    """The ablation knobs run through the frontier loop too; each must
+    replay the per-box loop exactly, at every batch size."""
     rng = random.Random(42)
     formula = Conjunction.of(Atom(random_expr(rng, depth=3), "<="))
     box = random_box(rng)
@@ -294,40 +271,42 @@ def test_frontier_solver_knob_fallbacks_stay_identical(knob):
         kwargs["use_contraction"] = False
     else:
         kwargs["use_newton"] = True
-    results = {
-        backend: ICPSolver(
-            delta=1e-5, precision=1e-2, backend=backend, **kwargs
-        ).solve(formula, box, budget)
-        for backend in ("batch", "tape")
-    }
-    assert_results_identical(results["batch"], results["tape"])
+    for batch_size in (1, 3, 64):
+        solver = ICPSolver(delta=1e-5, precision=1e-2, batch_size=batch_size, **kwargs)
+        batch = solver.solve(formula, box, budget)
+        for executor in ("tape", "walk"):
+            oracle = solve_per_box(solver, formula, box, budget, executor=executor)
+            assert_results_identical(batch, oracle)
 
 
 def test_frontier_timeout_mid_batch_matches_per_box():
     rng = random.Random(11)
     formula = Conjunction.of(Atom(random_expr(rng, depth=3), "<="))
     box = random_box(rng)
+    solver = ICPSolver(precision=1e-3, batch_size=4)
     for steps in (1, 2, 3, 7, 19):
         budget = Budget(max_steps=steps)
-        r_batch = ICPSolver(precision=1e-3, backend="batch", batch_size=4).solve(
-            formula, box, budget
+        assert_results_identical(
+            solver.solve(formula, box, budget),
+            solve_per_box(solver, formula, box, budget),
         )
-        r_tape = ICPSolver(precision=1e-3, backend="tape").solve(formula, box, budget)
-        assert_results_identical(r_batch, r_tape)
 
 
-def test_frontier_solver_vector_min_override_identical():
-    """vector_min only moves the kernel/scalar crossover, never results."""
+def test_frontier_solver_vector_min_override_identical(monkeypatch):
+    """The vector/scalar crossover only moves work between the NumPy
+    kernels and the per-column scalar path, never results."""
     rng = random.Random(77)
     formula = Conjunction.of(Atom(random_expr(rng, depth=3), "<="))
     box = random_box(rng)
     budget = Budget(max_steps=200)
-    results = [
-        ICPSolver(
-            precision=1e-3, backend="batch", batch_size=8, vector_min=vm
-        ).solve(formula, box, budget)
-        for vm in (0, 4, 10**9, None)
-    ]
+    results = []
+    for vm in (0, 4, 10**9, None):
+        with monkeypatch.context() as m:
+            if vm is not None:
+                m.setattr(tape_mod, "_VECTOR_MIN", vm)
+                m.setattr(tape_mod, "_VECTOR_MIN_BWD", vm)
+            solver = ICPSolver(precision=1e-3, batch_size=8)
+            results.append(solver.solve(formula, box, budget))
     for other in results[1:]:
         assert_results_identical(results[0], other)
 
@@ -335,8 +314,6 @@ def test_frontier_solver_vector_min_override_identical():
 def test_solver_rejects_bad_batch_options():
     with pytest.raises(ValueError, match="batch_size"):
         ICPSolver(batch_size=0)
-    with pytest.raises(ValueError, match="backend"):
-        ICPSolver(backend="vectorized")
 
 
 def test_paper_functional_frontier_parity():
@@ -348,13 +325,11 @@ def test_paper_functional_frontier_parity():
     problem = encode(get_functional("PBE"), EC1)
     box = Box.from_bounds({"rs": (1.0, 3.0), "s": (0.0, 2.0)})
     budget = Budget(max_steps=300)
-    r_batch = ICPSolver(precision=1e-3, backend="batch").solve(
-        problem.negation, box, budget
+    solver = ICPSolver(precision=1e-3)
+    assert_results_identical(
+        solver.solve(problem.negation, box, budget),
+        solve_per_box(solver, problem.negation, box, budget),
     )
-    r_tape = ICPSolver(precision=1e-3, backend="tape").solve(
-        problem.negation, box, budget
-    )
-    assert_results_identical(r_batch, r_tape)
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.expr import builder as b
+from repro.expr.nodes import Add, Const, Func, Mul
 from repro.solver.box import Box
 from repro.solver.interval import _POW_CHAIN_MAX, Interval
-from repro.solver.tape import (
-    MultiTape,
-    set_batch_kernel_mode,
-    set_tape_fusion,
-    tape_for,
-)
+from repro.solver.tape import MultiTape, compile_expr, tape_for
 from tests.support import hyp_examples
 
 #: every Func the tape VM dispatches, including the scipy-backed ones
@@ -66,7 +62,7 @@ def pow_func_expr(rng: random.Random, depth: int = 3):
         expo = rng.choice(POW_EXPONENTS)
         return b.pow_(pow_func_expr(rng, depth - 1), expo)
     if kind < 0.42:
-        # variable exponent: OP_POW with aux None (log-form legacy path)
+        # variable exponent: OP_POW with aux None (per-column log-form path)
         return b.pow_(pow_func_expr(rng, depth - 1), b.var("z", nonneg=True))
     if kind < 0.82:
         name = rng.choice(FUNCS)
@@ -201,44 +197,39 @@ def test_fuzz_backward_batch_vector_kernels_bit_identical(seed):
 
 
 # ---------------------------------------------------------------------------
-# kernel-mode switch, fusion pass, MultiTape
+# vector kernels vs forced scalar, fusion pass, MultiTape
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=hyp_examples(30), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_fuzz_legacy_mode_matches_vector_mode(seed):
+def test_fuzz_vector_mode_matches_forced_scalar(seed):
+    """Forward then backward: the whole-batch kernels (``vector_min=0``)
+    against the per-column scalar executors forced by a huge
+    ``vector_min``, slot for slot on every live column."""
     rng = random.Random(seed)
     expr = pow_func_expr(rng)
     tape = tape_for(expr)
     boxes = fuzz_boxes(rng, 12)
     vec_lo, vec_hi = tape.load_batch(boxes)
     tape.forward_batch(vec_lo, vec_hi, vector_min=0)
-    set_batch_kernel_mode("legacy")
-    try:
-        leg_lo, leg_hi = tape.load_batch(boxes)
-        tape.forward_batch(leg_lo, leg_hi, vector_min=0)
-        delta = 1e-5
-        root = tape.root
-        v2_lo, v2_hi = vec_lo.copy(), vec_hi.copy()
-        l2_lo, l2_hi = leg_lo.copy(), leg_hi.copy()
-        np.copyto(v2_hi[root], delta, where=v2_hi[root] > delta)
-        np.copyto(l2_hi[root], delta, where=l2_hi[root] > delta)
-        set_batch_kernel_mode("vector")
-        vec_alive = tape.backward_batch(v2_lo, v2_hi, vector_min=0)
-        set_batch_kernel_mode("legacy")
-        leg_alive = tape.backward_batch(l2_lo, l2_hi, vector_min=0)
-    finally:
-        set_batch_kernel_mode("vector")
+    sca_lo, sca_hi = tape.load_batch(boxes)
+    tape.forward_batch(sca_lo, sca_hi, vector_min=10**9)
     for slot in range(tape.n_slots):
         for j in range(len(boxes)):
-            assert same_endpoint(vec_lo[slot, j], leg_lo[slot, j]), (slot, j)
-            assert same_endpoint(vec_hi[slot, j], leg_hi[slot, j]), (slot, j)
+            assert same_endpoint(vec_lo[slot, j], sca_lo[slot, j]), (slot, j)
+            assert same_endpoint(vec_hi[slot, j], sca_hi[slot, j]), (slot, j)
+    delta = 1e-5
+    root = tape.root
+    np.copyto(vec_hi[root], delta, where=vec_hi[root] > delta)
+    np.copyto(sca_hi[root], delta, where=sca_hi[root] > delta)
+    vec_alive = tape.backward_batch(vec_lo, vec_hi, vector_min=0)
+    sca_alive = tape.backward_batch(sca_lo, sca_hi, vector_min=10**9)
     for j in range(len(boxes)):
-        assert bool(vec_alive[j]) == bool(leg_alive[j]), j
+        assert bool(vec_alive[j]) == bool(sca_alive[j]), j
         if vec_alive[j]:
             for slot in range(tape.n_slots):
-                assert same_endpoint(v2_lo[slot, j], l2_lo[slot, j]), (slot, j)
-                assert same_endpoint(v2_hi[slot, j], l2_hi[slot, j]), (slot, j)
+                assert same_endpoint(vec_lo[slot, j], sca_lo[slot, j]), (slot, j)
+                assert same_endpoint(vec_hi[slot, j], sca_hi[slot, j]), (slot, j)
 
 
 @settings(max_examples=hyp_examples(30), deadline=None)
@@ -246,17 +237,16 @@ def test_fuzz_legacy_mode_matches_vector_mode(seed):
 def test_fuzz_fusion_pass_is_bit_identical(seed):
     """Tapes compiled with fusion off and on agree slot-for-slot."""
     rng = random.Random(seed)
-    expr = b.add(
+    # raw node constructors keep the literal-operand rows that b.mul and
+    # b.exp would fold themselves, so the fusion pass has something to fold
+    expr = Add((
         pow_func_expr(rng, depth=2),
-        b.mul(b.const(rng.uniform(0.5, 2.0)), b.const(rng.uniform(-2.0, 2.0))),
-        b.exp(b.const(rng.uniform(-1.0, 1.0))),
-    )
-    set_tape_fusion(False)
-    try:
-        plain = tape_for(expr)
-    finally:
-        set_tape_fusion(True)
+        Mul((Const(rng.uniform(0.5, 2.0)), Const(rng.uniform(-2.0, 2.0)))),
+        Func("exp", Const(rng.uniform(-1.0, 1.0))),
+    ))
+    plain = compile_expr(expr, fuse=False)
     fused = tape_for(expr)
+    assert len(fused.runtime_program()[0]) < len(plain.runtime_program()[0])
     boxes = fuzz_boxes(rng, 12)
     for tape in (plain, fused):
         lo_mat, hi_mat = tape.load_batch(boxes)

@@ -248,6 +248,12 @@ class TestRuntimeChecks:
         tape = compile_expr(rich_expr())
         assert check_tape(tape, "rich") == []
 
+    def test_unfused_build_is_clean(self):
+        # TAPE107 rebuilds with the tape's own fuse flag
+        tape = compile_expr(rich_expr(), fuse=False)
+        assert check_tape(tape, "rich-unfused") == []
+        assert check_tape(tape, "rich-unfused", rules={"TAPE107"}) == []
+
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=hyp_examples(25), deadline=None)
     def test_random_clean_tapes(self, seed):

@@ -106,15 +106,9 @@ class TestPooledScheduling:
 
     def test_presplit_levels_match_domain_parallel_semantics(self):
         functional, condition = get_functional("LYP"), EC1
-        from repro.verifier.parallel import verify_domain_parallel
-
-        merged = verify_domain_parallel(
-            functional, condition, FAST, levels=1, max_workers=1
-        )
         result = run_campaign(
             [(functional, condition)], FAST, max_workers=1, presplit_levels=1
         )
-        assert_reports_identical(merged, result.reports[("LYP", "EC1")])
         top = [r for r in result.reports[("LYP", "EC1")].records if r.depth == 1]
         assert len(top) == 4  # 2-D domain, one forced split level
 
@@ -166,8 +160,8 @@ class TestStoreIntegration:
         run_campaign([("VWN RPA", "EC1")], FAST, max_workers=1, store=store)
         import dataclasses
 
-        walk = dataclasses.replace(FAST, solver_backend="walk")
-        rerun = run_campaign([("VWN RPA", "EC1")], walk, max_workers=1, store=store)
+        tuned = dataclasses.replace(FAST, batch_size=7)
+        rerun = run_campaign([("VWN RPA", "EC1")], tuned, max_workers=1, store=store)
         assert rerun.store_hits == [("VWN RPA", "EC1")]
 
     def test_resume_false_recomputes_but_stores(self, tmp_path):
@@ -250,18 +244,6 @@ class TestWorkerCompileCache:
         payload = report_to_payload(report)
         del payload["compile_seconds"]
         assert report_from_payload(payload).compile_seconds == 0.0
-
-    def test_vector_min_is_excluded_from_semantic_key(self, tmp_path):
-        import dataclasses
-
-        store = tmp_path / "store.sqlite"
-        run_campaign([("LYP", "EC1")], FAST, max_workers=1, store=store)
-        tuned = dataclasses.replace(FAST, vector_min=2)
-        rerun = run_campaign([("LYP", "EC1")], tuned, max_workers=1, store=store)
-        # vector_min is a bit-identical perf knob like batch_size: stored
-        # cells keep hitting
-        assert rerun.store_hits == [("LYP", "EC1")]
-        assert tuned.semantic_key() == FAST.semantic_key()
 
 
 class TestSpecializeBoxesPath:

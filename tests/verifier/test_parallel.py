@@ -1,11 +1,17 @@
-"""Tests for the process-parallel verification drivers."""
+"""Process fan-out through the campaign engine.
+
+:func:`~repro.verifier.campaign.run_campaign` is the one parallel entry point:
+pairs fan out as independent cells, and ``presplit_levels`` fans one
+pair's domain out as subdomain units that are stitched back into one
+report.  These tests pin both fan-outs against the in-process run.
+"""
 
 
 import pytest
 
 from repro.conditions import EC1
 from repro.functionals import get_functional
-from repro.verifier.parallel import verify_domain_parallel, verify_pairs_parallel
+from repro.verifier.campaign import run_campaign
 from repro.verifier.verifier import VerifierConfig
 
 FAST = VerifierConfig(
@@ -13,30 +19,44 @@ FAST = VerifierConfig(
 )
 
 
+def verify_pairs(pairs, max_workers, precompile=False):
+    return run_campaign(
+        pairs, FAST, max_workers=max_workers, precompile=precompile
+    ).reports
+
+
+def verify_domain(max_workers):
+    result = run_campaign(
+        [(get_functional("LYP"), EC1)], FAST, max_workers=max_workers,
+        presplit_levels=1,
+    )
+    return result.reports[("LYP", "EC1")]
+
+
 class TestVerifyPairsParallel:
     def test_sequential_fallback(self):
         pairs = [(get_functional("VWN RPA"), EC1), (get_functional("LYP"), EC1)]
-        results = verify_pairs_parallel(pairs, FAST, max_workers=1)
+        results = verify_pairs(pairs, max_workers=1)
         assert results[("VWN RPA", "EC1")].classification() == "OK"
         assert results[("LYP", "EC1")].classification() == "CEX"
 
     def test_parallel_two_workers(self):
         pairs = [(get_functional("VWN RPA"), EC1), (get_functional("LYP"), EC1)]
-        results = verify_pairs_parallel(pairs, FAST, max_workers=2)
+        results = verify_pairs(pairs, max_workers=2)
         assert len(results) == 2
         assert results[("LYP", "EC1")].has_counterexample()
 
     def test_parallel_matches_sequential_classification(self):
         pairs = [(get_functional("LYP"), EC1)]
-        seq = verify_pairs_parallel(pairs, FAST, max_workers=1)
-        par = verify_pairs_parallel(pairs, FAST, max_workers=2)
+        seq = verify_pairs(pairs, max_workers=1)
+        par = verify_pairs(pairs, max_workers=2)
         key = ("LYP", "EC1")
         assert seq[key].classification() == par[key].classification()
 
     def test_precompiled_tapes_match_reencoding_workers(self):
         pairs = [(get_functional("VWN RPA"), EC1), (get_functional("LYP"), EC1)]
-        reencoded = verify_pairs_parallel(pairs, FAST, max_workers=1)
-        precompiled = verify_pairs_parallel(pairs, FAST, max_workers=1, precompile=True)
+        reencoded = verify_pairs(pairs, max_workers=1, precompile=False)
+        precompiled = verify_pairs(pairs, max_workers=1, precompile=True)
         for key, seq_report in reencoded.items():
             pre_report = precompiled[key]
             assert len(seq_report.records) == len(pre_report.records)
@@ -49,7 +69,7 @@ class TestVerifyPairsParallel:
         # regression: the same pair passed twice used to be solved twice,
         # the second result silently overwriting the first
         lyp = get_functional("LYP")
-        results = verify_pairs_parallel([(lyp, EC1), (lyp, EC1)], FAST, max_workers=1)
+        results = verify_pairs([(lyp, EC1), (lyp, EC1)], max_workers=1)
         assert list(results) == [("LYP", "EC1")]
         assert results[("LYP", "EC1")].classification() == "CEX"
 
@@ -60,14 +80,12 @@ class TestVerifyPairsParallel:
             cid = "EC1"
 
         with pytest.raises(ValueError, match="conflicting duplicate"):
-            verify_pairs_parallel([(lyp, EC1), (lyp, FakeEC1())], FAST, max_workers=1)
+            verify_pairs([(lyp, EC1), (lyp, FakeEC1())], max_workers=1)
 
 
 class TestVerifyDomainParallel:
     def test_merged_report_covers_domain(self):
-        report = verify_domain_parallel(
-            get_functional("LYP"), EC1, FAST, levels=1, max_workers=1
-        )
+        report = verify_domain(max_workers=1)
         assert report.classification() == "CEX"
         total = sum(
             r.own_volume(report.records) for r in report.records
@@ -77,26 +95,24 @@ class TestVerifyDomainParallel:
         assert total > 0.0
 
     def test_levels_produce_subdomain_records(self):
-        report = verify_domain_parallel(
-            get_functional("LYP"), EC1, FAST, levels=1, max_workers=1
-        )
+        # the stitched report's top-level records are the four presplit
+        # subdomains (2-D domain, one level): no record points at them,
+        # and in order they are the split of the functional's domain
+        report = verify_domain(max_workers=1)
         top = [r for r in report.records if r.depth == 1]
-        assert len(top) == 4  # 2D domain, one split level
+        linked = {c for r in report.records for c in r.children}
+        assert len(top) == 4
+        assert {r.index for r in top} == set(range(len(report.records))) - linked
+        assert [r.box for r in top] == get_functional("LYP").domain().split_all()
 
     def test_parallel_workers_agree_with_sequential(self):
-        seq = verify_domain_parallel(
-            get_functional("LYP"), EC1, FAST, levels=1, max_workers=1
-        )
-        par = verify_domain_parallel(
-            get_functional("LYP"), EC1, FAST, levels=1, max_workers=2
-        )
+        seq = verify_domain(max_workers=1)
+        par = verify_domain(max_workers=2)
         assert seq.classification() == par.classification()
         assert len(seq.records) == len(par.records)
 
     def test_indices_are_consistent(self):
-        report = verify_domain_parallel(
-            get_functional("LYP"), EC1, FAST, levels=1, max_workers=1
-        )
+        report = verify_domain(max_workers=1)
         for i, record in enumerate(report.records):
             assert record.index == i
             for child in record.children:

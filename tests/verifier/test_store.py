@@ -172,7 +172,7 @@ class TestContentKeys:
             extra=config.semantic_key()
         )
         # ... pure performance knobs do not
-        perf = VerifierConfig(solver_backend="walk", batch_size=7)
+        perf = VerifierConfig(batch_size=7)
         assert problem.content_hash(extra=perf.semantic_key()) == problem.content_hash(
             extra=config.semantic_key()
         )
