@@ -345,10 +345,15 @@ def test_per_op_kernel_timings():
     record_bench("kernel_ops", width=width, **values)
 
 
+@pytest.mark.perf
 def test_tape_fusion_and_multitape_timings():
     """Publish fused-vs-unfused forward timings and the cross-atom
     MultiTape's win over per-tape classification; fusion must never lose
     (it only removes instructions).
+
+    A wall-clock ratio gate, so ``perf``-marked: PBE's fused and unfused
+    tapes are the same program (nothing folds), and on a loaded host the
+    fused <= 1.10x unfused bound compares noise.
 
     The conjunction is a PBE EC1 residual next to its rs-derivative --
     the gradient-condition shape where atoms share the whole F_c

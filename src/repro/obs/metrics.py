@@ -284,11 +284,6 @@ def prometheus_exposition(doc: dict, registry: MetricRegistry | None = None) -> 
         ],
     )
     family(
-        "repro_requests_deprecated_total", "counter",
-        "Requests served on deprecated unversioned routes.",
-        [_sample("repro_requests_deprecated_total", None, requests["deprecated"])],
-    )
-    family(
         "repro_auth_failures_total", "counter", "Rejected authentications.",
         [_sample("repro_auth_failures_total", None, doc["auth"]["failures"])],
     )

@@ -3,22 +3,22 @@
 The measurement machinery itself -- the log-spaced
 :class:`~repro.obs.metrics.Histogram`, bucket edges and the Prometheus
 text renderer -- lives in :mod:`repro.obs.metrics` (the process-wide
-metrics core, PR 10); this module re-exports it unchanged and keeps the
-server-specific part: :class:`ServiceMetrics`, the counters recorded on
-the event-loop thread and the ``/v1/metrics`` JSON document they
-assemble.  All mutation happens on the event-loop thread (requests are
-counted where they are handled), so the structures are plain dicts with
-no locks; a scrape is a snapshot assembled on the same loop and is
-therefore always internally consistent.
+metrics core); this module keeps the server-specific part:
+:class:`ServiceMetrics`, the counters recorded on the event-loop thread
+and the ``/v1/metrics`` JSON document they assemble.  All mutation
+happens on the event-loop thread (requests are counted where they are
+handled), so the structures are plain dicts with no locks; a scrape is a
+snapshot assembled on the same loop and is therefore always internally
+consistent.
 """
 
 from __future__ import annotations
 
 import time
 
-from ..obs.metrics import BUCKET_EDGES, Histogram  # noqa: F401  (re-export)
+from ..obs.metrics import Histogram
 
-__all__ = ["BUCKET_EDGES", "Histogram", "ServiceMetrics"]
+__all__ = ["ServiceMetrics"]
 
 
 class ServiceMetrics:
@@ -31,7 +31,6 @@ class ServiceMetrics:
         self.requests_total = 0
         self.requests_by_status: dict[str, int] = {}
         self.requests_by_route: dict[str, int] = {}
-        self.deprecated_requests = 0
         self.auth_failures = 0
         self.rate_limited = 0
         self.shed = 0
@@ -40,14 +39,12 @@ class ServiceMetrics:
         self.submit_latency: dict[str, Histogram] = {}
 
     # -- recording (event-loop thread only) --------------------------------
-    def record_request(self, route: str, status: int, deprecated: bool) -> None:
+    def record_request(self, route: str, status: int) -> None:
         self.requests_total += 1
         self.requests_by_status[str(status)] = (
             self.requests_by_status.get(str(status), 0) + 1
         )
         self.requests_by_route[route] = self.requests_by_route.get(route, 0) + 1
-        if deprecated:
-            self.deprecated_requests += 1
 
     def record_submit(self, kind: str, seconds: float) -> None:
         histogram = self.submit_latency.get(kind)
@@ -75,7 +72,6 @@ class ServiceMetrics:
                 "total": self.requests_total,
                 "by_status": dict(sorted(self.requests_by_status.items())),
                 "by_route": dict(sorted(self.requests_by_route.items())),
-                "deprecated": self.deprecated_requests,
             },
             "auth": {
                 "mode": (

@@ -39,12 +39,11 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
-
 from ..numerics.campaign import _numerics_worker, cell_condition_id
+from ..obs.metrics import Histogram
 from ..verifier.campaign import _campaign_worker_warm, run_campaign
 from ..verifier.store import CampaignStore, report_to_payload
 from .jobs import CellTask, Job, JobState, attach_future, spec_from_payload
-from .metrics import Histogram
 
 __all__ = ["LANES", "SchedulerDraining", "VerificationScheduler"]
 

@@ -22,8 +22,8 @@ connections and a middleware pipeline in front of the routes.  The
                                       latency histograms (JSON)
 ====================================  =====================================
 
-The pre-/v1 unversioned paths keep answering identically but carry a
-``Deprecation: true`` response header; new clients must use ``/v1``.
+Every route lives under ``/v1``; a bare path (``/jobs``, ``/healthz``,
+``/metrics``, ...) answers 404 ``not_found``.
 
 **Middleware pipeline** (in order, per request):
 
@@ -267,16 +267,13 @@ class ServiceServer:
         exc: ApiError,
         *,
         keep_alive: bool,
-        deprecated: bool = False,
         route_label: str = "?",
     ) -> None:
         extra = {}
         if exc.retry_after is not None:
             # integral seconds per RFC 9110 (ceil so "0.2" never reads 0)
             extra["Retry-After"] = str(max(1, int(-(-exc.retry_after // 1))))
-        if deprecated:
-            extra["Deprecation"] = "true"
-        self.metrics.record_request(route_label, exc.status, deprecated)
+        self.metrics.record_request(route_label, exc.status)
         await self._send_json(
             writer, exc.status, exc.envelope(),
             keep_alive=keep_alive, extra_headers=extra,
@@ -319,13 +316,16 @@ class ServiceServer:
         # sees them)
         path, _, query_string = path.partition("?")
         query = parse_qs(query_string)
-        # 1. API version: /v1 is canonical, bare paths are deprecated
-        if path == "/v1" or path.startswith("/v1/"):
-            rel = path[len("/v1"):] or "/"
-            deprecated = False
-        else:
-            rel = path
-            deprecated = True
+        # 1. API version: every route lives under /v1; a bare path is no
+        # route at all and counts under the unroutable label "?"
+        if path != "/v1" and not path.startswith("/v1/"):
+            await self._send_error(
+                writer,
+                ApiError(404, "not_found", f"no route for {method} {path}"),
+                keep_alive=keep_alive,
+            )
+            return False
+        rel = path[len("/v1"):] or "/"
         route_label = f"{method} {_route_pattern(rel)}"
         try:
             # 2. authentication (liveness probes exempt)
@@ -370,24 +370,20 @@ class ServiceServer:
                     )
 
             return await self._route(
-                method, rel, query, headers, body, writer, client,
-                deprecated, route_label,
+                method, rel, query, headers, body, writer, client, route_label,
             )
         except ApiError as exc:
             await self._send_error(
-                writer, exc, keep_alive=keep_alive,
-                deprecated=deprecated, route_label=route_label,
+                writer, exc, keep_alive=keep_alive, route_label=route_label,
             )
             return False
 
     # -- routes ------------------------------------------------------------
     async def _route(self, method, rel, query, headers, body, writer, client,
-                     deprecated, route_label):
-        extra = {"Deprecation": "true"} if deprecated else None
-
+                     route_label):
         async def respond(status: int, payload: dict) -> None:
-            self.metrics.record_request(route_label, status, deprecated)
-            await self._send_json(writer, status, payload, extra_headers=extra)
+            self.metrics.record_request(route_label, status)
+            await self._send_json(writer, status, payload)
 
         if method == "GET" and rel == "/healthz":
             jobs = self.scheduler.jobs()
@@ -415,11 +411,10 @@ class ServiceServer:
                 fmt == "" and "text/plain" in accept
                 and "application/json" not in accept
             ):
-                self.metrics.record_request(route_label, 200, deprecated)
+                self.metrics.record_request(route_label, 200)
                 await self._send_raw(
                     writer, 200, CONTENT_TYPE_PROMETHEUS,
                     prometheus_exposition(doc).encode(),
-                    extra_headers=extra,
                 )
                 return False
             await respond(200, doc)
@@ -450,7 +445,7 @@ class ServiceServer:
                 await respond(200, job.result_payload())
                 return False
             if tail == "events":
-                self.metrics.record_request(route_label, 200, deprecated)
+                self.metrics.record_request(route_label, 200)
                 await self._stream_events(writer, job)
                 return True
         raise ApiError(404, "not_found", f"no route for {method} {rel}")

@@ -42,7 +42,7 @@ from ..functionals.registry import get_functional
 from ..obs.metrics import REGISTRY
 from ..obs.trace import SpanRecorder, current_tracer
 from ..solver.box import Box
-from .encoder import CompiledProblem, EncodedProblem, compile_problem, encode
+from .encoder import CompiledProblem, compile_problem, encode
 from .regions import RegionRecord, VerificationReport
 from .store import SCHEMA_VERSION, CampaignStore, open_store
 from .verifier import Verifier, VerifierConfig
@@ -375,39 +375,27 @@ class _Cell:
         self.span = None                # parent-side cell span (tracing only)
 
 
-def _materialize(payload) -> EncodedProblem | CompiledProblem:
-    if isinstance(payload, tuple):
-        functional_name, condition_id = payload
-        return encode(get_functional(functional_name), get_condition(condition_id))
-    return payload
-
-
-#: per-worker persistent compile cache: (problem identity, solver-relevant
+#: per-worker persistent compile cache: (problem content hash, solver-relevant
 #: config) -> (problem, solver).  Workers are long-lived across chunks, so
-#: without this every chunk of the same cell re-materialises the problem
-#: (name payloads re-run the whole symbolic encode) and rebuilds a fresh
-#: solver whose contractor cache -- keyed on formula *identity* -- starts
-#: cold, re-walking every atom into tapes.  Content addressing makes the
-#: reuse sound: name payloads key on the registry pair, compiled payloads
-#: on the tapes' stable content hash (two unpickled copies of the same
-#: problem hash identically), and the solver key pins every config field
+#: without this every chunk of the same cell would solve a freshly
+#: unpickled problem with a fresh solver whose contractor cache -- keyed on
+#: formula *identity* -- starts cold, re-walking every atom into tapes.
+#: Content addressing makes the reuse sound: the tapes' stable content hash
+#: (two unpickled copies of the same problem hash identically) names the
+#: problem, and the solver key pins every config field
 #: :meth:`VerifierConfig.make_solver` consumes.
 _WORKER_CACHE: dict = {}
 _WORKER_CACHE_MAX = 64
 
 
-def _worker_compile(payload, config):
-    """Materialise (problem, solver) through the per-worker cache.
+def _worker_compile(problem: CompiledProblem, config):
+    """Resolve (problem, solver) through the per-worker cache.
 
     Returns ``(problem, solver, compile_seconds)``; a warm hit reuses the
     resident pair and reports ~zero compile time.
     """
-    if isinstance(payload, tuple):
-        problem_key: object = payload
-    else:
-        problem_key = payload.content_hash()
     key = (
-        problem_key,
+        problem.content_hash(),
         config.delta,
         config.precision,
         config.batch_size,
@@ -415,21 +403,13 @@ def _worker_compile(payload, config):
     hit = _WORKER_CACHE.pop(key, None)
     if hit is not None:
         _WORKER_CACHE[key] = hit  # LRU refresh
-        problem, solver = hit
-        if solver is None:
-            solver = config.make_solver()
-        return problem, solver, 0.0
+        return (*hit, 0.0)
     start = time.perf_counter()
-    problem = _materialize(payload)
     solver = config.make_solver()
     elapsed = time.perf_counter() - start
     if len(_WORKER_CACHE) >= _WORKER_CACHE_MAX:
         _WORKER_CACHE.pop(next(iter(_WORKER_CACHE)))
-    # a specialising config mints fresh per-box formulas every verify, and
-    # the solver's contractor cache is keyed on formula identity -- keeping
-    # that solver resident would grow it without bound, so only the
-    # materialised problem is cached and the solver stays per-chunk
-    _WORKER_CACHE[key] = (problem, None if config.specialize_boxes else solver)
+    _WORKER_CACHE[key] = (problem, solver)
     return problem, solver, elapsed
 
 
@@ -452,22 +432,19 @@ def _campaign_worker_warm(hold_seconds: float = 0.0):
 def _campaign_worker(args):
     """Run one chunk of units (same cell) in a worker process.
 
-    The payload is materialised through the persistent per-worker compile
-    cache (:data:`_WORKER_CACHE`) and one solver is shared by every unit,
-    so the solver's contractor cache -- keyed on formula identity, and
-    every unit solves the *same* resident problem object -- stays warm
-    across the whole chunk *and across chunks of the same cell*.
-    (Specialised Ite-folded formulas are the exception: their interning
-    table is deliberately cleared per top-level verify, i.e. per unit, to
-    bound memory on long campaigns, trading one re-specialisation per
-    subdomain.)  Tree-mode units run the full iterative verifier on their
-    box; root-mode units solve exactly one box and return the split
-    children for re-enqueueing.  Returns ``(compile_seconds, results)``
-    -- with a fourth dispatch-args element (a pickled
-    :class:`~repro.obs.trace.SpanContext`), the worker additionally
-    records a pid-stamped span tree (chunk / compile / per-unit solve,
-    solver-internals totals attached) and returns it as a third element
-    for the parent's absorb to reattach to the trace.
+    The payload -- the parent-compiled :class:`CompiledProblem` -- is
+    resolved through the persistent per-worker compile cache
+    (:data:`_WORKER_CACHE`) and one solver is shared by every unit, so the
+    solver's contractor cache -- keyed on formula identity, and every unit
+    solves the *same* resident problem object -- stays warm across the
+    whole chunk *and across chunks of the same cell*.  Tree-mode units run
+    the full iterative verifier on their box; root-mode units solve
+    exactly one box and return the split children for re-enqueueing.
+    Returns ``(compile_seconds, results)`` -- with a fourth dispatch-args
+    element (a pickled :class:`~repro.obs.trace.SpanContext`), the worker
+    additionally records a pid-stamped span tree (chunk / compile /
+    per-unit solve, solver-internals totals attached) and returns it as a
+    third element for the parent's absorb to reattach to the trace.
     """
     payload, config, items = args[0], args[1], args[2]
     recorder = SpanRecorder(args[3]) if len(args) > 3 else None
@@ -475,7 +452,7 @@ def _campaign_worker(args):
         chunk_span = None
         problem, solver, compile_seconds = _worker_compile(payload, config)
     else:
-        pair = _payload_pair(payload)
+        pair = (payload.functional_name, payload.condition_id)
         chunk_span = recorder.begin(
             "chunk", "chunk", units=len(items),
             functional=pair[0], condition=pair[1],
@@ -524,13 +501,6 @@ def _campaign_worker(args):
         return compile_seconds, out
     recorder.finish(chunk_span)
     return compile_seconds, out, recorder.records
-
-
-def _payload_pair(payload) -> tuple[str, str]:
-    """The (functional, condition) names a worker payload identifies."""
-    if isinstance(payload, tuple):
-        return payload
-    return payload.functional_name, payload.condition_id
 
 
 # ---------------------------------------------------------------------------
@@ -834,13 +804,15 @@ def run_campaign(
     unit_chunk_size: int = 1,
     store: CampaignStore | str | os.PathLike | None = None,
     resume: bool = True,
-    precompile: bool = True,
     executor: ProcessPoolExecutor | None = None,
     on_cell: Callable[[tuple[str, str], VerificationReport, bool], None] | None = None,
     policy=None,
     tracer=None,
 ) -> CampaignResult:
     """Run a verification campaign over (functional, condition) pairs.
+
+    The parent encodes and tape-compiles each cell once; workers receive
+    that :class:`CompiledProblem` and never re-encode.
 
     Parameters
     ----------
@@ -875,11 +847,6 @@ def run_campaign(
         derived from the **current** tapes, or a code change (functional,
         condition, simplifier, compiler) could serve stale results --
         soundness of the content addressing is bought with that encode.
-    precompile:
-        Ship tape-compiled problems to workers (encode once, in the
-        parent).  With ``False`` -- or whenever
-        ``config.specialize_boxes`` forces expression-level residuals --
-        workers re-encode from registry names.
     executor:
         An existing pool to share across campaigns; the caller keeps
         ownership.  Incompatible with in-process mode.
@@ -942,7 +909,6 @@ def run_campaign(
 
     try:
         # -- resolve cells: hash, serve store hits, build payloads ------------
-        ship_names = config.specialize_boxes or not precompile
         work_cells: list[_Cell] = []
         for key, functional, condition in cells_spec:
             cell_presplit = presplit_levels
@@ -989,17 +955,11 @@ def run_campaign(
                         if on_cell is not None:
                             on_cell(key, stored, True)
                         continue
-            if ship_names:
-                # workers re-encode locally: the expensive symbolic encoding
-                # runs in parallel instead of serially in the parent
-                payload: object = key
-            else:
-                payload = compiled or compile_problem(encode(functional, condition))
             work_cells.append(
                 _Cell(
                     key,
                     functional.domain(),
-                    payload,
+                    compiled or compile_problem(encode(functional, condition)),
                     content_key,
                     presplit_levels=cell_presplit,
                     steal_depth=cell_steal,

@@ -68,7 +68,7 @@ class VerificationReport:
     total_solver_steps: int = 0
     elapsed_seconds: float = 0.0
     budget_exhausted: bool = False
-    #: wall-clock spent materialising + compiling the problem in workers
+    #: wall-clock cold workers spent setting up the problem's solver
     #: (feeds the campaign cost model); ~0.0 when the per-worker compile
     #: cache was warm.  A timing, not an outcome: excluded from
     #: :meth:`identical_to` like ``elapsed_seconds``.

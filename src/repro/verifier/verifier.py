@@ -25,9 +25,8 @@ order is a config knob: the default ``"dfs"`` order replays the recursive
 traversal of Algorithm 1 exactly (bit-identical region trees, budget
 consumption and indices -- ``tests/verifier/test_workqueue.py`` pins
 this), while ``"widest"`` is a priority order that spends the global
-budget on the widest unknown boxes first.  Results stream out through an
-optional per-record callback, which is how the campaign store checkpoints
-progress.
+budget on the widest unknown boxes first.  Records accumulate in the
+returned report; the campaign store checkpoints whole cells, not records.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 from ..expr.evaluator import evaluate
 from ..solver.box import Box
@@ -65,12 +63,6 @@ class VerifierConfig:
     precision: float = 1e-3
     split_on_counterexample: bool = True
     split_on_timeout: bool = True
-    #: specialise the formula to each box before solving (Section VI-A
-    #: scalability extension): decidable Ite guards fold away, so piecewise
-    #: functionals (SCAN's alpha switches) collapse to a single analytic
-    #: piece on boxes that stay on one side of the switch.  Costs one
-    #: rebuild per box; pays off on Ite-heavy formulas.
-    specialize_boxes: bool = False
     #: boxes per frontier batch of the solver (see :class:`ICPSolver`): a
     #: bit-identical perf knob, excluded from :meth:`semantic_key`
     batch_size: int = 256
@@ -133,7 +125,7 @@ class VerifierConfig:
             self.precision,
             self.split_on_counterexample,
             self.split_on_timeout,
-            self.specialize_boxes,
+            False,  # the removed specialize_boxes slot: keeps stored keys valid
             self.queue_order,
         )
 
@@ -200,25 +192,12 @@ class _WorkQueue:
         return bool(self._stack) or bool(self._heap)
 
 
-#: bound on the per-verifier specialised-formula interning table; one entry
-#: per observed Ite branch combination, so real formulas stay far below it,
-#: but a pathological campaign can no longer grow it without limit
-_SPECIALIZED_CACHE_MAX = 512
-
-
 class Verifier:
     """Drives the solver over an iteratively split domain (Algorithm 1)."""
 
     def __init__(self, config: VerifierConfig | None = None, solver: ICPSolver | None = None):
         self.config = config or VerifierConfig()
         self.solver = solver or self.config.make_solver()
-        # interning table for specialised formulas: hash-consing makes equal
-        # specialisations share residual objects, so keying on residual ids
-        # dedupes them -- and keeps the solver's per-formula contractor
-        # cache effective (it is keyed on formula identity).  Cleared per
-        # top-level verify() and bounded, so long campaigns cannot grow it
-        # without limit.
-        self._specialized_cache: dict[tuple, object] = {}
         #: solver-internals totals of the last verify()/solve_root() run:
         #: contract/classify outcomes and batched-kernel dispatch counts,
         #: summed over every solver call -- the campaign worker surfaces
@@ -231,16 +210,12 @@ class Verifier:
         domain: Box | None = None,
         *,
         depth_offset: int = 0,
-        on_record: Callable[[RegionRecord], None] | None = None,
     ) -> VerificationReport:
         """Run Algorithm 1 on one encoded (or tape-compiled) pair.
 
         ``depth_offset`` shifts recorded depths, so a scheduler handing out
         subdomains of a pre-split domain gets records whose depths match
-        the equivalent single-domain run.  ``on_record`` is called with
-        each :class:`RegionRecord` as soon as it is solved -- the result
-        *stream* consumed by campaign checkpointing; the records still
-        accumulate in the returned report.
+        the equivalent single-domain run.
         """
         functional_name, condition_id = self._problem_names(problem)
         domain = domain if domain is not None else problem.domain
@@ -250,7 +225,6 @@ class Verifier:
             domain=domain,
             records=[],
         )
-        self._specialized_cache.clear()
         self.stats_totals = SolverStats()
         t_start = time.monotonic()
         self._steps_left = (
@@ -270,8 +244,6 @@ class Verifier:
             record = self._solve_box(problem, box, depth, report)
             if parent is not None:
                 parent.children.append(record.index)
-            if on_record is not None:
-                on_record(record)
             if self._should_split(record.outcome):
                 # Alg. 1, lines 14-15; children below the threshold would
                 # be popped and dropped (lines 1-2), so they are not queued
@@ -298,10 +270,8 @@ class Verifier:
         All 2^n children are returned, sub-threshold ones included: the
         campaign divides the remaining budget by their count.
         """
-        self._problem_names(problem)  # validates specialize_boxes pairing
         if box.max_width() < self.config.split_threshold:
             return None, None
-        self._specialized_cache.clear()
         self.stats_totals = SolverStats()
         self._steps_left = (
             self.config.global_step_budget
@@ -319,11 +289,6 @@ class Verifier:
         self, problem: EncodedProblem | CompiledProblem
     ) -> tuple[str, str]:
         if isinstance(problem, CompiledProblem):
-            if self.config.specialize_boxes:
-                raise ValueError(
-                    "specialize_boxes needs expression-level residuals; "
-                    "pass the EncodedProblem instead of a CompiledProblem"
-                )
             return problem.functional_name, problem.condition_id
         return problem.functional.name, problem.condition.cid
 
@@ -355,10 +320,7 @@ class Verifier:
             max_steps=int(min(self.config.per_call_budget, self._steps_left)),
             max_seconds=self.config.per_call_seconds,
         )
-        formula = problem.negation
-        if self.config.specialize_boxes and not isinstance(problem, CompiledProblem):
-            formula = self._specialized(formula, box)
-        result = self.solver.solve(formula, box, budget)
+        result = self.solver.solve(problem.negation, box, budget)
         self.stats_totals.merge(result.stats)
         steps = result.stats.boxes_processed
         self._steps_left -= steps
@@ -377,41 +339,6 @@ class Verifier:
         record = RegionRecord(index, depth, box, outcome, model, solver_steps=steps)
         report.records.append(record)
         return record
-
-    def _specialized(self, formula, box: Box):
-        """Fold box-decidable Ite guards out of every atom's residual.
-
-        Returns the original formula object when nothing folds.  Distinct
-        boxes on the same side of every switch specialise to identical
-        residuals (hash-consing makes them the *same* objects), so the
-        result is interned by residual identities -- keeping the solver's
-        per-formula contractor cache (keyed on formula identity) effective
-        and bounding this cache to one entry per branch combination.
-        """
-        from ..expr.simplify import specialize
-        from ..solver.constraint import Atom, Conjunction
-
-        new_atoms = []
-        changed = False
-        for atom in formula.atoms:
-            residual = specialize(atom.residual, box)
-            if residual is not atom.residual:
-                changed = True
-                new_atoms.append(Atom(residual, atom.op))
-            else:
-                new_atoms.append(atom)
-        if not changed:
-            return formula
-        key = tuple((id(a.residual), a.op) for a in new_atoms)
-        cached = self._specialized_cache.get(key)
-        if cached is None:
-            if len(self._specialized_cache) >= _SPECIALIZED_CACHE_MAX:
-                # drop the oldest interned specialisation (dict insertion
-                # order); losing an entry only costs a re-intern later
-                self._specialized_cache.pop(next(iter(self._specialized_cache)))
-            cached = Conjunction(atoms=tuple(new_atoms))
-            self._specialized_cache[key] = cached
-        return cached
 
     @staticmethod
     def _is_valid_counterexample(

@@ -32,7 +32,6 @@ def metrics_doc(**overrides):
             "total": 7,
             "by_status": {"200": 6, "404": 1},
             "by_route": {"/v1/metrics": 2, "/v1/verify": 5},
-            "deprecated": 1,
         },
         "auth": {"mode": "anonymous", "failures": 0},
         "rate_limit": {"enabled": False, "rate_per_second": 0.0,

@@ -1,4 +1,4 @@
-"""/v1 versioning, the deprecation shim, the error envelope contract,
+"""/v1 versioning (bare paths are 404), the error envelope contract,
 and the client's keep-alive + reconnect-on-stale behaviour."""
 
 from __future__ import annotations
@@ -44,46 +44,35 @@ def raw_request(url, method, path, payload=None):
 
 
 class TestVersioning:
-    @pytest.mark.parametrize("path", ["/healthz", "/jobs", "/metrics"])
-    def test_unversioned_paths_work_but_are_deprecated(self, service, path):
-        status, headers, _ = raw_request(service.url, "GET", path)
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
+    @pytest.mark.parametrize(
+        "method,path",
+        [
+            ("GET", "/healthz"),
+            ("GET", "/jobs"),
+            ("GET", "/metrics"),
+            ("POST", "/jobs"),
+            ("GET", "/jobs/nope"),
+        ],
+    )
+    def test_unversioned_paths_are_not_found(self, service, method, path):
+        payload = table1_spec(["Wigner"], ["EC1"]) if method == "POST" else None
+        status, headers, data = raw_request(service.url, method, path, payload)
+        assert status == 404
+        assert json.loads(data) == {
+            "error": {"code": "not_found", "message": f"no route for {method} {path}"}
+        }
+        assert "Deprecation" not in headers
+        metrics = ServiceClient(service.url).metrics()
+        # counted once, under the unroutable label, and nothing was submitted
+        assert metrics["requests"]["by_route"]["?"] == 1
+        assert "deprecated" not in metrics["requests"]
+        assert metrics["jobs"]["submitted"] == 0
 
     @pytest.mark.parametrize("path", ["/v1/healthz", "/v1/jobs", "/v1/metrics"])
     def test_v1_paths_carry_no_deprecation_header(self, service, path):
         status, headers, _ = raw_request(service.url, "GET", path)
         assert status == 200
         assert "Deprecation" not in headers
-
-    def test_unversioned_submit_roundtrip(self, service):
-        # a pre-/v1 client submits and polls on the bare paths end to end
-        status, headers, data = raw_request(
-            service.url, "POST", "/jobs", table1_spec(["Wigner"], ["EC1"])
-        )
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
-        job_id = json.loads(data)["id"]
-        status, headers, data = raw_request(
-            service.url, "GET", f"/jobs/{job_id}"
-        )
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
-        assert json.loads(data)["id"] == job_id
-
-    def test_deprecated_requests_counted(self, service):
-        raw_request(service.url, "GET", "/jobs")
-        raw_request(service.url, "GET", "/v1/jobs")
-        metrics = ServiceClient(service.url).metrics()
-        assert metrics["requests"]["deprecated"] == 1
-        # both spellings fold into the same route counter
-        assert metrics["requests"]["by_route"]["GET /jobs"] == 2
-
-    def test_deprecated_error_keeps_the_header(self, service):
-        status, headers, data = raw_request(service.url, "GET", "/jobs/nope")
-        assert status == 404
-        assert headers.get("Deprecation") == "true"
-        assert json.loads(data)["error"]["code"] == "job_not_found"
 
 
 class TestErrorEnvelope:

@@ -60,11 +60,12 @@ class TestSpecValidation:
     @pytest.mark.parametrize(
         "kind, key",
         [("verify", "solver_backend"), ("verify", "vector_min"),
-         ("numerics", "solver_backend")],
+         ("verify", "specialize_boxes"), ("numerics", "solver_backend")],
     )
     def test_removed_solver_knobs_are_unknown_keys(self, kind, key):
-        # the solver has one execution path; configs still naming the old
-        # backend/crossover knobs fail like any other unknown key
+        # the solver and the verifier have one execution path each;
+        # configs still naming the old backend/crossover/per-box
+        # specialisation knobs fail like any other unknown key
         payload = {"kind": kind, "config": {key: "batch"}}
         if kind == "verify":
             payload.update(functional="PBE", condition="EC1")

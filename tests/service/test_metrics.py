@@ -11,8 +11,9 @@ import math
 
 import pytest
 
+from repro.obs.metrics import BUCKET_EDGES, Histogram
 from repro.service.client import ServiceClient
-from repro.service.metrics import BUCKET_EDGES, Histogram, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 from repro.service.scheduler import VerificationScheduler
 from repro.service.server import ThreadedService
 
@@ -72,13 +73,12 @@ class TestHistogram:
 class TestServiceMetricsUnit:
     def test_request_counters(self):
         metrics = ServiceMetrics()
-        metrics.record_request("GET /healthz", 200, deprecated=False)
-        metrics.record_request("GET /healthz", 200, deprecated=True)
-        metrics.record_request("POST /jobs", 400, deprecated=False)
+        metrics.record_request("GET /healthz", 200)
+        metrics.record_request("GET /healthz", 200)
+        metrics.record_request("POST /jobs", 400)
         assert metrics.requests_total == 3
         assert metrics.requests_by_status == {"200": 2, "400": 1}
         assert metrics.requests_by_route == {"GET /healthz": 2, "POST /jobs": 1}
-        assert metrics.deprecated_requests == 1
 
     def test_submit_latency_is_per_kind(self):
         metrics = ServiceMetrics()
@@ -142,8 +142,6 @@ class TestMetricsOverHttp:
         assert by_route["GET /healthz"] == 1
         assert by_route["GET /metrics"] >= 1  # the previous scrape
         assert metrics["requests"]["by_status"]["200"] >= 2
-        # everything /v1: nothing deprecated
-        assert metrics["requests"]["deprecated"] == 0
 
 
 class TestLaneMetrics:

@@ -58,7 +58,7 @@ class TestProtocol:
             stub_service.url.split("//")[1].split(":")[0],
             int(stub_service.url.rsplit(":", 1)[1]),
         )
-        conn.request("POST", "/jobs", body=b"{not json",
+        conn.request("POST", "/v1/jobs", body=b"{not json",
                      headers={"Content-Type": "application/json"})
         response = conn.getresponse()
         assert response.status == 400
@@ -71,7 +71,7 @@ class TestProtocol:
         host, port = stub_service.url.split("//")[1].rsplit(":", 1)
         for bad in ("abc", "-1"):
             conn = http.client.HTTPConnection(host, int(port))
-            conn.putrequest("POST", "/jobs", skip_accept_encoding=True)
+            conn.putrequest("POST", "/v1/jobs", skip_accept_encoding=True)
             conn.putheader("Content-Length", bad)
             conn.endheaders()
             response = conn.getresponse()

@@ -245,14 +245,3 @@ class TestWorkerCompileCache:
         del payload["compile_seconds"]
         assert report_from_payload(payload).compile_seconds == 0.0
 
-
-class TestSpecializeBoxesPath:
-    def test_specialize_boxes_cells_ship_names(self):
-        config = VerifierConfig(
-            split_threshold=1.3, per_call_budget=150, global_step_budget=2500,
-            specialize_boxes=True,
-        )
-        result = run_campaign([("SCAN", "EC1")], config, max_workers=1)
-        report = result.reports[("SCAN", "EC1")]
-        oracle = Verifier(config).verify(encode(get_functional("SCAN"), EC1))
-        assert_reports_identical(oracle, report)

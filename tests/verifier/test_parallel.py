@@ -19,10 +19,8 @@ FAST = VerifierConfig(
 )
 
 
-def verify_pairs(pairs, max_workers, precompile=False):
-    return run_campaign(
-        pairs, FAST, max_workers=max_workers, precompile=precompile
-    ).reports
+def verify_pairs(pairs, max_workers):
+    return run_campaign(pairs, FAST, max_workers=max_workers).reports
 
 
 def verify_domain(max_workers):
@@ -52,18 +50,6 @@ class TestVerifyPairsParallel:
         par = verify_pairs(pairs, max_workers=2)
         key = ("LYP", "EC1")
         assert seq[key].classification() == par[key].classification()
-
-    def test_precompiled_tapes_match_reencoding_workers(self):
-        pairs = [(get_functional("VWN RPA"), EC1), (get_functional("LYP"), EC1)]
-        reencoded = verify_pairs(pairs, max_workers=1, precompile=False)
-        precompiled = verify_pairs(pairs, max_workers=1, precompile=True)
-        for key, seq_report in reencoded.items():
-            pre_report = precompiled[key]
-            assert len(seq_report.records) == len(pre_report.records)
-            for a, b in zip(seq_report.records, pre_report.records):
-                assert a.outcome == b.outcome
-                assert a.model == b.model
-                assert a.box == b.box
 
     def test_duplicate_pair_deduped_not_overwritten(self):
         # regression: the same pair passed twice used to be solved twice,

@@ -194,6 +194,28 @@ class TestContentKeys:
         }
         assert len(set(keys.values())) == 3
 
+    @pytest.mark.parametrize(
+        "config, expected",
+        [
+            (
+                VerifierConfig(),
+                "5e0cf2dbb42aafc306f83df7b69461736c5c4c6f49ff7489309f8243d3a26e18",
+            ),
+            (
+                VerifierConfig(split_threshold=0.7, queue_order="widest"),
+                "6138f379e8c4926cd92165f067a4f9b668d923dbbfaa619b9fbdc1024119fc35",
+            ),
+        ],
+        ids=["default", "coarse-widest"],
+    )
+    def test_golden_pair_content_keys(self, config, expected):
+        # literal digests: any change to the tapes, the semantic config
+        # tuple or the key layout re-keys every stored cell, so it must
+        # show up here rather than as a silent store-wide cache miss
+        from repro.verifier.campaign import pair_content_key
+
+        assert pair_content_key("Wigner", "EC1", config) == expected
+
 
 class TestOpenStoreSuffixes:
     def test_known_suffixes_select_backends(self, tmp_path):

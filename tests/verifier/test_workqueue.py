@@ -240,15 +240,6 @@ class TestQueueOrders:
 
 
 class TestRecordStreaming:
-    def test_on_record_streams_in_emission_order(self):
-        problem = encode(get_functional("LYP"), EC1)
-        config = VerifierConfig(
-            split_threshold=0.7, per_call_budget=250, global_step_budget=8000
-        )
-        seen = []
-        report = Verifier(config).verify(problem, on_record=seen.append)
-        assert seen == report.records
-
     def test_depth_offset_shifts_all_depths(self):
         problem = encode(get_functional("LYP"), EC1)
         config = VerifierConfig(
@@ -291,37 +282,3 @@ class TestSolveRoot:
         assert record.outcome is Outcome.VERIFIED
         assert children is None
 
-
-class TestSpecializedCacheBounds:
-    QUICK = VerifierConfig(
-        split_threshold=1.3, per_call_budget=150, global_step_budget=2500,
-        specialize_boxes=True,
-    )
-
-    def test_cache_cleared_per_verify(self):
-        problem = encode(get_functional("SCAN"), EC1)
-        verifier = Verifier(self.QUICK)
-        sizes = []
-        for _ in range(3):
-            verifier.verify(problem)
-            sizes.append(len(verifier._specialized_cache))
-        # each top-level verify starts from a cleared table: the size is a
-        # per-run quantity, not a campaign accumulator
-        assert sizes[0] == sizes[1] == sizes[2]
-
-    def test_cache_insertions_respect_the_bound(self):
-        from repro.verifier.verifier import _SPECIALIZED_CACHE_MAX
-
-        problem = encode(get_functional("SCAN"), EC1)
-        verifier = Verifier(self.QUICK)
-        # fill the table as a pathological campaign would, then trigger a
-        # genuine insert through _specialized: the oldest entry is evicted
-        for i in range(_SPECIALIZED_CACHE_MAX):
-            verifier._specialized_cache[("sentinel", i)] = object()
-        sub = Box.from_bounds(
-            {"rs": (0.1, 5.0), "s": (0.0, 5.0), "alpha": (1.5, 5.0)}
-        )
-        out = verifier._specialized(problem.negation, sub)
-        assert out is not problem.negation  # the guard folded: real insert
-        assert len(verifier._specialized_cache) <= _SPECIALIZED_CACHE_MAX
-        assert ("sentinel", 0) not in verifier._specialized_cache
