@@ -36,7 +36,7 @@ from ..expr.nodes import Expr
 from .box import Box
 from .constraint import Conjunction
 from .interval import EMPTY, Interval
-from .tape import CompiledConjunction, MultiTape, Tape, tape_for
+from .tape import _VECTOR_MIN, _VECTOR_MIN_BWD, CompiledConjunction, MultiTape, Tape, tape_for
 
 
 def enclosure(expr: Expr, box: Box) -> Interval:
@@ -150,7 +150,7 @@ class HC4Contractor:
         return Box(out)
 
     def contract_batch(
-        self, boxes: list[Box], rounds: int = 2
+        self, boxes: list[Box], rounds: int = 2, columns: np.ndarray | None = None
     ) -> tuple[list[Box], np.ndarray]:
         """Contract a whole batch of boxes with the batched tape executors.
 
@@ -175,6 +175,12 @@ class HC4Contractor:
         the per-column revise/backward counts, matching what the
         equivalent sequence of per-box :meth:`contract` calls would
         record.
+
+        ``columns``, an optional ``(2, len(boxes))`` integer array, counts
+        per box the kernel columns it took up: row 0 where a tape call ran
+        its scalar per-column executor (narrower than ``_VECTOR_MIN``
+        forward or ``_VECTOR_MIN_BWD`` backward), row 1 where it ran the
+        NumPy kernels.
         """
         n_boxes = len(boxes)
         if n_boxes == 0:
@@ -193,7 +199,7 @@ class HC4Contractor:
                 cols = np.nonzero(active & alive)[0]
                 if cols.size == 0:
                     break
-                self._revise_batch(i, tape, cols, var_lo, var_hi, alive, changed)
+                self._revise_batch(i, tape, cols, var_lo, var_hi, alive, changed, columns)
             active &= alive & changed
             ever_changed |= changed
             if not active.any():
@@ -206,6 +212,7 @@ class HC4Contractor:
         if multi is not None:
             cols = np.nonzero(allsat)[0]
             if cols.size:
+                _count_columns(columns, cols, _VECTOR_MIN)
                 sub_lo = {name: arr[cols] for name, arr in var_lo.items()}
                 sub_hi = {name: arr[cols] for name, arr in var_hi.items()}
                 lo_mat, hi_mat = multi.load_batch_arrays(sub_lo, sub_hi, cols.size)
@@ -221,6 +228,7 @@ class HC4Contractor:
                 cols = np.nonzero(allsat)[0]
                 if cols.size == 0:
                     break
+                _count_columns(columns, cols, _VECTOR_MIN)
                 sub_lo = {name: arr[cols] for name, arr in var_lo.items()}
                 sub_hi = {name: arr[cols] for name, arr in var_hi.items()}
                 lo_mat, hi_mat = tape.load_batch_arrays(sub_lo, sub_hi, cols.size)
@@ -258,9 +266,11 @@ class HC4Contractor:
         var_hi: dict[str, np.ndarray],
         alive: np.ndarray,
         changed: np.ndarray,
+        columns: np.ndarray | None,
     ) -> None:
         """One batched HC4-revise of atom ``i`` over the columns ``cols``."""
         self.stats.forward_passes += int(cols.size)
+        _count_columns(columns, cols, _VECTOR_MIN)
         sub_lo = {name: arr[cols] for name, arr in var_lo.items()}
         sub_hi = {name: arr[cols] for name, arr in var_hi.items()}
         lo_mat, hi_mat = tape.load_batch_arrays(sub_lo, sub_hi, cols.size)
@@ -285,6 +295,7 @@ class HC4Contractor:
         bhi[root] = delta  # intersect root with the allowed set
         ok = tape.backward_batch(blo, bhi)
         bcols = cols[sub]
+        _count_columns(columns, bcols, _VECTOR_MIN_BWD)
         narrowed_lo = {}
         narrowed_hi = {}
         for name, slot in tape.var_slots:
@@ -322,3 +333,9 @@ class HC4Contractor:
             if not los[root] <= his[root] or his[root] > self.delta:
                 return False
         return True
+
+
+def _count_columns(columns: np.ndarray | None, cols: np.ndarray, vector_min: int) -> None:
+    """Count one tape call over ``cols``: scalar below ``vector_min`` columns."""
+    if columns is not None:
+        columns[0 if cols.size < vector_min else 1, cols] += 1

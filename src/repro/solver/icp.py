@@ -16,16 +16,22 @@ the core of dReal (Gao, Kong & Clarke, CADE 2013):
 * otherwise bisect the widest dimension and recurse;
 * an exhausted worklist proves ``UNSAT`` (the condition is *verified* on
   the domain);
-* exceeding the step/time budget reports ``TIMEOUT``, mirroring the paper's
+* exceeding the step budget reports ``TIMEOUT``, mirroring the paper's
   two-hour dReal limit.
+
+One call may decide several *roots* (:meth:`ICPSolver.solve_many`): each
+keeps its own worklist, budget and stats, while their boxes share the
+batched kernel calls.  Algorithm 1 uses this for sibling boxes.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .box import Box
 from .constraint import Conjunction
@@ -43,38 +49,16 @@ class SolverStatus(Enum):
 class Budget:
     """Resource limits for one solver call.
 
-    ``max_steps`` bounds the number of boxes processed (deterministic and
-    platform-independent; the default is calibrated so that the
-    PBE/LYP/AM05/VWN-class formulas finish while SCAN-class formulas --
-    >1000 operations per residual -- exhaust it, reproducing the timeout
-    column of Table I).  ``max_seconds`` optionally adds a wall-clock bound
-    like the paper's two-hour dReal limit.
+    ``max_steps`` bounds the number of boxes processed per root
+    (deterministic and platform-independent; the default is calibrated so
+    that the PBE/LYP/AM05/VWN-class formulas finish while SCAN-class
+    formulas -- >1000 operations per residual -- exhaust it, reproducing
+    the timeout column of Table I).  There is deliberately no wall-clock
+    bound: an outcome that depends on host load could not be reused
+    across runs, stores or batched sibling solves.
     """
 
     max_steps: int = 20_000
-    max_seconds: float | None = None
-
-    def start(self) -> "_BudgetClock":
-        return _BudgetClock(self)
-
-
-@dataclass
-class _BudgetClock:
-    budget: Budget
-    steps: int = 0
-    t0: float = field(default_factory=time.monotonic)
-
-    def tick(self) -> bool:
-        """Consume one step; return False when the budget is exhausted."""
-        self.steps += 1
-        if self.steps > self.budget.max_steps:
-            return False
-        if (
-            self.budget.max_seconds is not None
-            and time.monotonic() - self.t0 > self.budget.max_seconds
-        ):
-            return False
-        return True
 
 
 @dataclass
@@ -83,6 +67,9 @@ class SolverStats:
     boxes_pruned: int = 0
     boxes_split: int = 0
     probe_hits: int = 0
+    #: this root's share of its call's wall time: every round's time is
+    #: split over the roots by their columns in it, so the shares of one
+    #: multi-root call sum to the call's wall time
     elapsed_seconds: float = 0.0
     #: frontier-loop counters: batches of boxes pulled from the worklist,
     #: boxes the batched contraction pruned, and boxes settled as
@@ -90,6 +77,14 @@ class SolverStats:
     batches: int = 0
     batch_pruned: int = 0
     batch_certain: int = 0
+    #: dispatch counters: solver calls (counted on a call's first root),
+    #: roots solved, and this root's kernel columns that ran the tapes'
+    #: scalar per-column executors (narrower than ``_VECTOR_MIN`` /
+    #: ``_VECTOR_MIN_BWD``) or their NumPy kernels
+    calls: int = 0
+    roots: int = 0
+    scalar_columns: int = 0
+    vector_columns: int = 0
 
     def merge(self, other: "SolverStats") -> None:
         """Accumulate another call's counters (the verifier's per-run
@@ -102,6 +97,10 @@ class SolverStats:
         self.batches += other.batches
         self.batch_pruned += other.batch_pruned
         self.batch_certain += other.batch_certain
+        self.calls += other.calls
+        self.roots += other.roots
+        self.scalar_columns += other.scalar_columns
+        self.vector_columns += other.vector_columns
 
     def as_attrs(self) -> dict:
         """JSON-safe span attributes: batched vs scalar dispatch and
@@ -114,6 +113,10 @@ class SolverStats:
             "batches": self.batches,
             "batch_pruned": self.batch_pruned,
             "batch_certain": self.batch_certain,
+            "calls": self.calls,
+            "roots": self.roots,
+            "scalar_columns": self.scalar_columns,
+            "vector_columns": self.vector_columns,
         }
 
 
@@ -167,12 +170,20 @@ class ICPSolver:
         ``"bfs"`` (default) pulls up to ``batch_size`` boxes FIFO per
         iteration; ``"dfs"`` pops one box at a time LIFO (ablation knob).
     batch_size:
-        Upper bound on the number of boxes per frontier batch.  Each batch
+        Upper bound on the number of boxes per frontier batch, summed over
+        the roots of a multi-root call (:meth:`solve_many`).  Each batch
         is contracted *wholesale* by the batched tape executors
         (:meth:`HC4Contractor.contract_batch`: vectorised forward and
         HC4-backward passes), leaving per-box work to probing, splitting
         and the optional Newton contractor.  A pure performance knob:
         results are bit-identical for every batch size.
+
+    A multi-root call runs in *rounds*: each round concatenates the next
+    boxes of every unfinished root into one batch, capped at
+    ``batch_size`` columns (which bounds the endpoint matrices, and so
+    peak memory, however many roots there are), and hands the contracted
+    columns back to their roots.  A root whose level does not fit the
+    cap continues it in the next round, still in FIFO order.
     """
 
     def __init__(
@@ -226,37 +237,55 @@ class ICPSolver:
         self, formula: Conjunction, domain: Box, budget: Budget | None = None
     ) -> SolverResult:
         """Decide satisfiability of ``formula`` within ``domain``."""
-        budget = budget or Budget()
-        clock = budget.start()
-        stats = SolverStats()
+        return self.solve_many(formula, [domain], budget)[0]
+
+    def solve_many(
+        self, formula: Conjunction, domains: list[Box], budget: Budget | None = None
+    ) -> list[SolverResult]:
+        """Decide ``formula`` on each of ``domains`` in one multi-root call.
+
+        Result ``i`` equals ``solve(formula, domains[i], budget)`` --
+        status, model and per-box counters; ``budget`` bounds each root on
+        its own.  The roots share every kernel call (see
+        :meth:`_solve_frontier`), which is what makes this cheaper than
+        solving them one by one.
+        """
+        max_steps = (budget or Budget()).max_steps
         t0 = time.monotonic()
         contractor = self._contractor_for(formula)
         newton = self._newton_for(formula) if self.use_newton else None
-
-        missing = formula.free_var_names() - set(domain.names)
-        if missing:
-            raise ValueError(f"domain does not bind variables: {sorted(missing)}")
-
-        return self._solve_frontier(formula, domain, contractor, newton, clock, stats, t0)
+        needed = formula.free_var_names()
+        for domain in domains:
+            missing = needed - set(domain.names)
+            if missing:
+                raise ValueError(f"domain does not bind variables: {sorted(missing)}")
+        return self._solve_frontier(formula, domains, contractor, newton, max_steps, t0)
 
     def _solve_frontier(
-        self, formula, domain: Box, contractor, newton, clock, stats, t0
-    ) -> SolverResult:
-        """Frontier loop: contract whole batches, per-box work on survivors.
+        self, formula, domains: list[Box], contractor, newton, max_steps: int, t0: float
+    ) -> list[SolverResult]:
+        """Frontier loop over several roots: contract whole batches, per-box
+        work on survivors.
 
-        BFS pulls up to ``batch_size`` boxes FIFO per iteration and
-        contracts them wholesale with the batched tape executors
-        (:meth:`HC4Contractor.contract_batch`), which also decides
-        certainly-sat for every surviving box in the same sweep.  Only
+        Every root keeps its own worklist, step count and stats.  A round
+        pulls each unfinished root's next boxes -- FIFO under BFS, one
+        LIFO box under DFS -- in root order, until the round holds
+        ``batch_size`` boxes; a root whose level does not fit continues it
+        next round.  The round's boxes are contracted wholesale with the
+        batched tape executors (:meth:`HC4Contractor.contract_batch`),
+        which also decides certainly-sat for every surviving box in the
+        same sweep, and the results are handed back root by root.  Only
         probing, the precision check, splitting and the optional Newton
         contractor remain per box.  The batched contraction is
-        bit-identical to per-box :meth:`~HC4Contractor.contract` and the
-        boxes are visited in FIFO order, so results, models and per-box
-        stats match a classic pop-one-box BFS loop exactly.
+        bit-identical per column whatever the batch holds, and each root
+        visits its boxes in the order of a classic pop-one-box loop, so
+        every root's status, model and per-box stats match a solo call.
+        A root takes no more boxes than it has steps left: the step after
+        the last one reports TIMEOUT without contracting anything.
 
         The ablation knobs run through the same loop: ``search="dfs"``
-        pops LIFO batches of one box, and with contraction off each box is
-        passed through uncontracted and decided by a per-box
+        pops LIFO batches of one box per root, and with contraction off
+        each box is passed through uncontracted and decided by a per-box
         :meth:`~HC4Contractor.certainly_sat`.
         """
         # BFS keeps refinement uniform: un-prunable regions exhaust the
@@ -267,68 +296,103 @@ class ICPSolver:
         # Newton narrows them further and no contraction means no verdicts,
         # so either case re-decides per box
         decide_per_box = newton is not None or not self.use_contraction
-        stack: deque[Box] = deque([domain])
-        while stack:
-            if lifo:
-                batch = [stack.pop()]
-            else:
-                take = min(self.batch_size, len(stack))
-                batch = [stack.popleft() for _ in range(take)]
-            stats.batches += 1
+        frontiers = [deque([domain]) for domain in domains]
+        stats = [SolverStats(roots=1) for _ in domains]
+        if stats:
+            stats[0].calls = 1
+        results: list[SolverResult | None] = [None] * len(domains)
+
+        def finished(r: int) -> bool:
+            if results[r] is None:
+                if not frontiers[r]:
+                    results[r] = SolverResult(SolverStatus.UNSAT, None, stats[r])
+                elif stats[r].boxes_processed >= max_steps:
+                    results[r] = SolverResult(SolverStatus.TIMEOUT, None, stats[r])
+            return results[r] is not None
+
+        live = [r for r in range(len(domains)) if not finished(r)]
+        t_mark = t0
+        while live:
+            batch: list[Box] = []
+            segments: list[tuple[int, int, int]] = []
+            for r in live:
+                room = self.batch_size - len(batch)
+                if room == 0:
+                    break
+                frontier = frontiers[r]
+                start = len(batch)
+                if lifo:
+                    batch.append(frontier.pop())
+                else:
+                    take = min(room, len(frontier), max_steps - stats[r].boxes_processed)
+                    batch.extend(frontier.popleft() for _ in range(take))
+                segments.append((r, start, len(batch)))
+            columns = np.zeros((2, len(batch)), dtype=np.int64)
             if self.use_contraction:
                 contracted, allsat = contractor.contract_batch(
-                    batch, rounds=self.contraction_rounds
+                    batch, rounds=self.contraction_rounds, columns=columns
                 )
             else:
                 contracted, allsat = batch, None
-            for j, original in enumerate(batch):
-                if not clock.tick():
-                    stats.elapsed_seconds = time.monotonic() - t0
-                    return SolverResult(SolverStatus.TIMEOUT, None, stats)
-                stats.boxes_processed += 1
+            for r, start, stop in segments:
+                st = stats[r]
+                st.batches += 1
+                frontier = frontiers[r]
+                for j in range(start, stop):
+                    st.boxes_processed += 1
 
-                if original.is_empty():
-                    stats.boxes_pruned += 1
-                    continue
-
-                box = contracted[j]
-                if box.is_empty():
-                    stats.batch_pruned += 1
-                    stats.boxes_pruned += 1
-                    continue
-
-                if newton is not None:
-                    box = newton.contract(box)
-                    if box.is_empty():
-                        stats.boxes_pruned += 1
+                    if batch[j].is_empty():
+                        st.boxes_pruned += 1
                         continue
 
-                if self.use_probing:
-                    probe = box.midpoint()
-                    if formula.holds_at(probe):
-                        stats.probe_hits += 1
-                        stats.elapsed_seconds = time.monotonic() - t0
-                        return SolverResult(SolverStatus.DELTA_SAT, probe, stats)
+                    box = contracted[j]
+                    if box.is_empty():
+                        st.batch_pruned += 1
+                        st.boxes_pruned += 1
+                        continue
 
-                if box.max_width() <= self.precision:
-                    # cannot prune, cannot split: delta-SAT by delta-completeness
-                    stats.elapsed_seconds = time.monotonic() - t0
-                    return SolverResult(SolverStatus.DELTA_SAT, box.midpoint(), stats)
+                    if newton is not None:
+                        box = newton.contract(box)
+                        if box.is_empty():
+                            st.boxes_pruned += 1
+                            continue
 
-                if decide_per_box:
-                    certainly = contractor.certainly_sat(box)
-                else:
-                    certainly = bool(allsat[j])
+                    if self.use_probing:
+                        probe = box.midpoint()
+                        if formula.holds_at(probe):
+                            st.probe_hits += 1
+                            results[r] = SolverResult(SolverStatus.DELTA_SAT, probe, st)
+                            break
+
+                    if box.max_width() <= self.precision:
+                        # cannot prune, cannot split: delta-SAT by delta-completeness
+                        results[r] = SolverResult(SolverStatus.DELTA_SAT, box.midpoint(), st)
+                        break
+
+                    if decide_per_box:
+                        certainly = contractor.certainly_sat(box)
+                    else:
+                        certainly = bool(allsat[j])
+                        if certainly:
+                            st.batch_certain += 1
                     if certainly:
-                        stats.batch_certain += 1
-                if certainly:
-                    stats.elapsed_seconds = time.monotonic() - t0
-                    return SolverResult(SolverStatus.DELTA_SAT, box.midpoint(), stats)
+                        results[r] = SolverResult(SolverStatus.DELTA_SAT, box.midpoint(), st)
+                        break
 
-                left, right = box.split()
-                stats.boxes_split += 1
-                stack.append(left)
-                stack.append(right)
-
-        stats.elapsed_seconds = time.monotonic() - t0
-        return SolverResult(SolverStatus.UNSAT, None, stats)
+                    lower, upper = box.split()
+                    st.boxes_split += 1
+                    frontier.append(lower)
+                    frontier.append(upper)
+                st.scalar_columns += int(columns[0, start:stop].sum())
+                st.vector_columns += int(columns[1, start:stop].sum())
+            # the round's wall time, shared out by columns
+            now = time.monotonic()
+            per_column = (now - t_mark) / len(batch)
+            for r, start, stop in segments:
+                stats[r].elapsed_seconds += per_column * (stop - start)
+            t_mark = now
+            live = [r for r in live if not finished(r)]
+        if stats:
+            # setup and a round-free call: charged to the first root
+            stats[0].elapsed_seconds += time.monotonic() - t_mark
+        return results

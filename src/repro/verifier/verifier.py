@@ -27,6 +27,23 @@ consumption and indices -- ``tests/verifier/test_workqueue.py`` pins
 this), while ``"widest"`` is a priority order that spends the global
 budget on the widest unknown boxes first.  Records accumulate in the
 returned report; the campaign store checkpoints whole cells, not records.
+
+Sibling batching (``"dfs"`` order, with a solver that has
+:meth:`~repro.solver.icp.ICPSolver.solve_many`): when a box is popped, it
+and the siblings popped after it are solved in one multi-root call, so
+the solver's kernels see their frontiers side by side instead of one
+narrow frontier at a time.  The *zero-waste rule* decides which siblings
+join: in dfs order sibling k runs only after the whole subtrees of
+siblings 0..k-1, and :func:`subtree_bound` caps how many boxes each of
+those subtrees can solve, so sibling k joins only while the global steps
+left minus ``per_call_budget`` times those bounds still cover a full
+``per_call_budget``.  Then its sequential budget is known to be exactly
+``per_call_budget``: every batched result is the one the one-box run
+would compute, none is wasted or re-solved, and steps are charged when
+each sibling is popped.  A batched box popped with a different budget
+raises instead of changing the tree.  Duck-typed solvers with only
+``solve`` and the ``"widest"`` order (whose budget is not consumed
+sibling by sibling) keep one-box calls.
 """
 
 from __future__ import annotations
@@ -38,7 +55,7 @@ from dataclasses import dataclass
 
 from ..expr.evaluator import evaluate
 from ..solver.box import Box
-from ..solver.icp import Budget, ICPSolver, SolverStats, SolverStatus
+from ..solver.icp import Budget, ICPSolver, SolverResult, SolverStats, SolverStatus
 from .encoder import CompiledProblem, EncodedProblem
 from .regions import Outcome, RegionRecord, VerificationReport
 
@@ -57,7 +74,6 @@ class VerifierConfig:
 
     split_threshold: float = 0.05
     per_call_budget: int = 400
-    per_call_seconds: float | None = None
     global_step_budget: int | None = 200_000
     delta: float = 1e-5
     precision: float = 1e-3
@@ -85,10 +101,6 @@ class VerifierConfig:
         if self.per_call_budget < 1:
             raise ValueError(
                 f"per_call_budget must be >= 1, got {self.per_call_budget}"
-            )
-        if self.per_call_seconds is not None and not self.per_call_seconds > 0:
-            raise ValueError(
-                f"per_call_seconds must be > 0 or None, got {self.per_call_seconds}"
             )
         # 0 is a meaningful degenerate budget (everything times out
         # immediately); only negatives are nonsense
@@ -119,7 +131,7 @@ class VerifierConfig:
         return (
             self.split_threshold,
             self.per_call_budget,
-            self.per_call_seconds,
+            None,  # the removed per_call_seconds slot: keeps stored keys valid
             self.global_step_budget,
             self.delta,
             self.precision,
@@ -136,21 +148,17 @@ class VerifierConfig:
             batch_size=self.batch_size,
         )
 
-    def make_budget(self) -> Budget:
-        return Budget(
-            max_steps=self.per_call_budget, max_seconds=self.per_call_seconds
-        )
-
 
 class _WorkQueue:
     """Explicit scheduling queue replacing Algorithm 1's call stack.
 
-    Entries are ``(box, depth, parent record)``; every box additionally
-    carries its width as the scheduling priority.  ``"dfs"`` is a LIFO
-    that, with children pushed in reverse split order, replays the
-    recursive pre-order traversal exactly.  ``"widest"`` is a max-heap on
-    width (ties: shallowest first, then FIFO): the widest (least
-    resolved) unknown boxes are solved first.
+    Entries are ``(box, depth, parent record, pre-solved result)``; every
+    box additionally carries its width as the scheduling priority.
+    ``"dfs"`` is a LIFO that, with children pushed in reverse split order,
+    replays the recursive pre-order traversal exactly.  ``"widest"`` is a
+    max-heap on width (ties: shallowest first, then FIFO): the widest
+    (least resolved) unknown boxes are solved first; its entries are
+    never pre-solved.
     """
 
     __slots__ = ("order", "_stack", "_heap", "_seq")
@@ -159,13 +167,13 @@ class _WorkQueue:
         if order not in ("dfs", "widest"):
             raise ValueError(f"unknown queue_order {order!r} (use 'dfs' or 'widest')")
         self.order = order
-        self._stack: list[tuple[Box, int, RegionRecord | None]] = []
+        self._stack: list[tuple[Box, int, RegionRecord | None, SolverResult | None]] = []
         self._heap: list[tuple[float, int, int, Box, RegionRecord | None]] = []
         self._seq = 0
 
     def push(self, box: Box, depth: int, parent: RegionRecord | None) -> None:
         if self.order == "dfs":
-            self._stack.append((box, depth, parent))
+            self._stack.append((box, depth, parent, None))
         else:
             heapq.heappush(self._heap, (-box.max_width(), depth, self._seq, box, parent))
             self._seq += 1
@@ -177,19 +185,60 @@ class _WorkQueue:
             # reversed so the LIFO pops them in split order, exactly as the
             # recursion descended
             for child in reversed(children):
-                self._stack.append((child, depth, parent))
+                self._stack.append((child, depth, parent, None))
         else:
             for child in children:
                 self.push(child, depth, parent)
 
-    def pop(self) -> tuple[Box, int, RegionRecord | None]:
+    def pop(self) -> tuple[Box, int, RegionRecord | None, SolverResult | None]:
         if self.order == "dfs":
             return self._stack.pop()
         _, depth, _, box, parent = heapq.heappop(self._heap)
-        return box, depth, parent
+        return box, depth, parent, None
+
+    def next_siblings(self, parent: RegionRecord) -> list[Box]:
+        """The boxes ``dfs`` pops next under ``parent``, in pop order."""
+        out = []
+        for box, _, entry_parent, _ in reversed(self._stack):
+            if entry_parent is not parent:
+                break
+            out.append(box)
+        return out
+
+    def attach(self, results: list[SolverResult]) -> None:
+        """Store pre-solved results on the next ``len(results)`` entries."""
+        stack = self._stack
+        for i, result in enumerate(results, 1):
+            box, depth, parent, _ = stack[-i]
+            stack[-i] = (box, depth, parent, result)
 
     def __bool__(self) -> bool:
         return bool(self._stack) or bool(self._heap)
+
+
+def subtree_bound(box: Box, threshold: float) -> float:
+    """Upper bound on the boxes Algorithm 1 can solve under ``box``, itself
+    included.
+
+    Every split halves each dimension and keeps the (at most 2^n) children
+    at least ``threshold`` wide, so a level exists only while the halved
+    maximum width stays at or above the threshold.  Each halving adds a
+    few ulps of the largest endpoint as slack, since the computed
+    midpoint may round either way; an unbounded box gives ``inf``.
+    """
+    width = box.max_width()
+    reach = max((max(abs(iv.lo), abs(iv.hi)) for iv in box.intervals), default=0.0)
+    if not math.isfinite(width) or not math.isfinite(reach):
+        return math.inf
+    slack = 4.0 * math.ulp(reach)
+    fan = 2 ** len(box)
+    level = total = 1
+    while True:
+        width = width / 2.0 + slack
+        if width < threshold:
+            return total
+        level *= fan
+        total += level
 
 
 class Verifier:
@@ -236,12 +285,23 @@ class Verifier:
         # -- the work-queue loop (Algorithm 1, de-recursed) -------------------
         threshold = self.config.split_threshold
         queue = _WorkQueue(self.config.queue_order)
+        # sibling batching needs the dfs order's sibling-by-sibling budget
+        # and a solver with the multi-root call (duck-typed solvers that
+        # only have solve() keep one-box calls)
+        batch_siblings = queue.order == "dfs" and hasattr(self.solver, "solve_many")
         queue.push(domain, depth_offset, None)
         while queue:
-            box, depth, parent = queue.pop()
+            box, depth, parent, presolved = queue.pop()
             if box.max_width() < threshold:  # Alg. 1, lines 1-2
                 continue
-            record = self._solve_box(problem, box, depth, report)
+            if (
+                presolved is None
+                and batch_siblings
+                and parent is not None
+                and self._steps_left >= self.config.per_call_budget
+            ):
+                presolved = self._solve_siblings(problem, box, parent, queue)
+            record = self._solve_box(problem, box, depth, report, presolved)
             if parent is not None:
                 parent.children.append(record.index)
             if self._should_split(record.outcome):
@@ -252,6 +312,42 @@ class Verifier:
         report.elapsed_seconds = time.monotonic() - t_start
         report.budget_exhausted = self._steps_left <= 0
         return report
+
+    def _solve_siblings(
+        self, problem, box: Box, parent: RegionRecord, queue: _WorkQueue
+    ) -> SolverResult | None:
+        """Solve ``box`` and the siblings popped after it in one multi-root
+        call; return ``box``'s result, or None to solve it on its own.
+
+        The zero-waste rule: in dfs order sibling k runs only after the
+        whole subtrees of the siblings before it, each of which spends at
+        most ``per_call_budget`` steps on each of its ``subtree_bound``
+        boxes.  So while ``steps_left - sum(per_call_budget *
+        subtree_bound(i) for i < k) >= per_call_budget``, sibling k's
+        sequential budget is known to be exactly ``per_call_budget``, and
+        its result can be computed now.  Every result computed here is
+        used, nothing is re-solved, and the steps are charged when each
+        sibling is popped, as in the one-box run.  The caller checks
+        ``steps_left >= per_call_budget`` first, so an exhausted budget
+        costs nothing here.
+        """
+        budget = self.config.per_call_budget
+        threshold = self.config.split_threshold
+        roots = [box]
+        spare = self._steps_left
+        for sibling in queue.next_siblings(parent):
+            if spare != math.inf:
+                spare -= budget * subtree_bound(roots[-1], threshold)
+                if spare < budget:
+                    break
+            roots.append(sibling)
+        if len(roots) == 1:
+            return None
+        results = self.solver.solve_many(
+            problem.negation, roots, Budget(max_steps=budget)
+        )
+        queue.attach(results[1:])
+        return results[0]
 
     def solve_root(
         self,
@@ -307,20 +403,25 @@ class Verifier:
         box: Box,
         depth: int,
         report: VerificationReport,
+        presolved: SolverResult | None = None,
     ) -> RegionRecord:
         index = len(report.records)
-
-        if self._steps_left <= 0:
+        if presolved is not None:
+            if self._steps_left < self.config.per_call_budget:
+                # a broken subtree bound must not silently change the tree
+                raise RuntimeError(
+                    f"pre-solved box popped with {self._steps_left} global steps "
+                    f"left, fewer than per_call_budget={self.config.per_call_budget}"
+                )
+            result = presolved
+        elif self._steps_left <= 0:
             # global campaign budget exhausted: everything left times out
             record = RegionRecord(index, depth, box, Outcome.TIMEOUT)
             report.records.append(record)
             return record
-
-        budget = Budget(
-            max_steps=int(min(self.config.per_call_budget, self._steps_left)),
-            max_seconds=self.config.per_call_seconds,
-        )
-        result = self.solver.solve(problem.negation, box, budget)
+        else:
+            budget = Budget(max_steps=int(min(self.config.per_call_budget, self._steps_left)))
+            result = self.solver.solve(problem.negation, box, budget)
         self.stats_totals.merge(result.stats)
         steps = result.stats.boxes_processed
         self._steps_left -= steps

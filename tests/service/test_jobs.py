@@ -60,12 +60,14 @@ class TestSpecValidation:
     @pytest.mark.parametrize(
         "kind, key",
         [("verify", "solver_backend"), ("verify", "vector_min"),
-         ("verify", "specialize_boxes"), ("numerics", "solver_backend")],
+         ("verify", "specialize_boxes"), ("verify", "per_call_seconds"),
+         ("numerics", "solver_backend")],
     )
     def test_removed_solver_knobs_are_unknown_keys(self, kind, key):
         # the solver and the verifier have one execution path each;
         # configs still naming the old backend/crossover/per-box
-        # specialisation knobs fail like any other unknown key
+        # specialisation/wall-clock budget knobs fail like any other
+        # unknown key
         payload = {"kind": kind, "config": {key: "batch"}}
         if kind == "verify":
             payload.update(functional="PBE", condition="EC1")

@@ -353,7 +353,7 @@ def solve_per_box(
     else:
         contractor = HC4Contractor(formula, delta=solver.delta)
     newton = NewtonContractor(formula, delta=solver.delta) if solver.use_newton else None
-    clock = (budget or Budget()).start()
+    max_steps = (budget or Budget()).max_steps
     stats = SolverStats()
     t0 = time.monotonic()
 
@@ -363,7 +363,7 @@ def solve_per_box(
 
     stack: deque[Box] = deque([domain])
     while stack:
-        if not clock.tick():
+        if stats.boxes_processed >= max_steps:
             return done(SolverStatus.TIMEOUT)
         box = stack.pop() if solver.search == "dfs" else stack.popleft()
         stats.boxes_processed += 1

@@ -17,7 +17,6 @@ from repro.pb import GridSpec, PBChecker
 from repro.solver import Atom, Box, Budget, Conjunction, ICPSolver
 from repro.verifier.regions import Outcome
 from repro.verifier.verifier import VerifierConfig
-from repro.verifier.encoder import encode
 
 X = Var("x", nonneg=True)
 
@@ -58,15 +57,6 @@ class TestSolverDegenerateInputs:
         box = Box.from_bounds({"x": (0.0, 4.0)})
         result = ICPSolver().solve(formula, box, Budget(max_steps=1000))
         assert result.is_unsat
-
-    def test_wall_clock_budget(self):
-        # an effectively-zero wall clock forces a timeout on a hard formula
-        problem = encode(get_functional("SCAN"), get_condition("EC3"))
-        result = ICPSolver().solve(
-            problem.negation, problem.domain,
-            Budget(max_steps=10**9, max_seconds=1e-9),
-        )
-        assert result.is_timeout
 
     def test_invalid_precision_rejected(self):
         with pytest.raises(ValueError):

@@ -17,12 +17,6 @@ class TestConfig:
         assert solver.delta == 1e-3
         assert solver.precision == 1e-2
 
-    def test_make_budget(self):
-        config = VerifierConfig(per_call_budget=77, per_call_seconds=1.5)
-        budget = config.make_budget()
-        assert budget.max_steps == 77
-        assert budget.max_seconds == 1.5
-
     def test_frozen(self):
         config = VerifierConfig()
         with pytest.raises(AttributeError):
