@@ -37,6 +37,11 @@ the scalar evaluator (:func:`repro.expr.evaluator.evaluate`) raises
   comparison still orders the operands correctly.  A NaN guard *operand*
   makes the comparison False (else branch) here, while the scalar
   evaluator raises -- a deliberate divergence.
+* Sums of three or more terms are correctly rounded (``_fsum``), so they
+  equal the scalar evaluator's ``math.fsum``; a left-to-right
+  ``a + b + c`` cancels ``1 + 1e308 - 1e308`` to 0 where ``fsum`` gives
+  1, which flips an Ite guard.  Where ``fsum`` raises (``inf - inf``,
+  intermediate overflow) the kernel sums left to right.
 * ``Pow`` values (and hence guard *operands* containing ``Pow``) may
   differ from the scalar evaluator by an ulp: small integer exponents
   lower to multiplication chains and larger ones to ``np.power``, while
@@ -58,6 +63,12 @@ from typing import Callable
 import numpy as np
 
 from .nodes import Add, Const, Expr, Func, Ite, Mul, Pow, Var
+
+#: version stamp of the compiled kernels' value semantics.  Folded into
+#: the numerics cell keys (hazard witnesses and sensitivity maxima are
+#: kernel values), so store entries computed under other rounding miss
+#: cleanly.  v1: sums of three or more terms are correctly rounded.
+CODEGEN_SEMANTICS_VERSION = 1
 
 _FUNC_TEMPLATES = {
     "exp": "np.exp({0})",
@@ -84,6 +95,102 @@ def _lambertw_real(x):
 def _erf(x):
     from scipy.special import erf
     return erf(x)
+
+
+def _two_sum(a, b):
+    """Knuth's error-free sum: ``hi = fl(a + b)`` and ``hi + lo == a + b``."""
+    hi = a + b
+    b_virtual = hi - a
+    a_virtual = hi - b_virtual
+    return hi, (a - a_virtual) + (b - b_virtual)
+
+
+#: elements per block of :func:`_fsum`: its temporaries stay in cache
+_FSUM_BLOCK = 16384
+
+
+def _fsum(*terms):
+    """Elementwise ``math.fsum``: the correctly rounded sum of ``terms``.
+
+    Kernel and scalar evaluator thus return the same value for n-ary
+    sums.  Large arrays go block by block along the first axis, so the
+    temporaries stay in cache instead of streaming through memory.
+    """
+    terms = np.broadcast_arrays(*(np.asarray(t, dtype=float) for t in terms))
+    shape = terms[0].shape
+    if not shape or terms[0].size <= _FSUM_BLOCK:
+        return _fsum_block(terms)
+    rows = max(1, _FSUM_BLOCK * shape[0] // terms[0].size)
+    out = np.empty(shape)
+    for i in range(0, shape[0], rows):
+        out[i:i + rows] = _fsum_block([t[i:i + rows] for t in terms])
+    return out
+
+
+def _fsum_block(terms):
+    """:func:`_fsum` on one block.
+
+    A compensated left-to-right sum settles almost every element: when
+    adding up the cascade's rounding errors ``err`` loses nothing,
+    ``total + err`` is the exact sum, so one IEEE add of the two rounds
+    it correctly, ties included.  The rest -- non-finite results, and
+    the rare element whose errors do not add exactly -- go through
+    :func:`_fsum_expansion`.
+    """
+    total, err = _two_sum(terms[0], terms[1])
+    exact = True
+    for t in terms[2:]:
+        total, q = _two_sum(total, t)
+        err, lost = _two_sum(err, q)
+        exact = exact & (lost == 0.0)
+    r = total + err
+    sure = np.isfinite(r) & exact
+    if sure.all():
+        return r
+    unsure = ~sure
+    r = np.asarray(r)  # 0-d inputs come back as NumPy scalars
+    r[unsure] = _fsum_expansion([t[unsure] for t in terms])
+    return r
+
+
+def _fsum_expansion(terms):
+    """``math.fsum`` elementwise on 1-d arrays, transcribed from CPython.
+
+    Shewchuk's grow-expansion, then the partials are rounded from the top
+    with the half-even fix-up.  Partials that come out zero stay in their
+    slot instead of being dropped; a zero partial changes no later step.
+    Where ``math.fsum`` returns no finite value (a NaN or infinite term,
+    intermediate overflow) this sums left to right, so the kernel stays
+    total.
+    """
+    partials: list[np.ndarray] = []
+    for x in terms:
+        for i, p in enumerate(partials):
+            x, partials[i] = _two_sum(x, p)
+        partials.append(x)
+    hi = partials[-1]
+    lo = np.zeros_like(hi)
+    inexact = np.zeros(hi.shape, dtype=bool)  # the top-down sum broke off
+    below = np.zeros_like(hi)  # first nonzero partial under the break
+    for p in reversed(partials[:-1]):
+        below = np.where(inexact & (below == 0.0), p, below)
+        total = hi + p
+        rest = p - (total - hi)
+        live = ~inexact
+        hi = np.where(live, total, hi)
+        lo = np.where(live, rest, lo)
+        inexact |= rest != 0.0
+    # half-even rounding across partials: the remainder below the break
+    # pushes a tie at ``lo`` away from ``hi``
+    twice = lo * 2.0
+    bumped = hi + twice
+    same_sign = ((lo < 0.0) & (below < 0.0)) | ((lo > 0.0) & (below > 0.0))
+    tie = same_sign & (bumped - hi == twice)
+    exact = np.where(tie, bumped, hi)
+    plain = terms[0]
+    for t in terms[1:]:
+        plain = plain + t
+    return np.where(np.isfinite(exact), exact, plain)
 
 
 def compile_numpy(
@@ -127,7 +234,9 @@ def compile_numpy(
             continue
         name = fresh()
         if isinstance(node, Add):
-            rhs = " + ".join(memo[id(a)] for a in node.args)
+            terms = [memo[id(a)] for a in node.args]
+            # two terms: one IEEE add is already the correctly rounded sum
+            rhs = " + ".join(terms) if len(terms) <= 2 else f"_fsum({', '.join(terms)})"
         elif isinstance(node, Mul):
             rhs = " * ".join(f"({memo[id(a)]})" for a in node.args)
         elif isinstance(node, Pow):
@@ -167,7 +276,7 @@ def compile_numpy(
         f"    _res = np.asarray({result}, dtype=float)\n"
         f"    return np.broadcast_to(_res, np.broadcast_shapes({', '.join(shapes)})).copy()\n"
     )
-    namespace = {"np": np, "_lambertw_real": _lambertw_real, "_erf": _erf}
+    namespace = {"np": np, "_lambertw_real": _lambertw_real, "_erf": _erf, "_fsum": _fsum}
     exec(compile(source, f"<repro-kernel-{id(expr)}>", "exec"), namespace)
     kernel = namespace["_kernel"]
     kernel.__source__ = source

@@ -45,6 +45,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+from ..expr.codegen import CODEGEN_SEMANTICS_VERSION
 from ..functionals.base import Functional
 from ..functionals.registry import all_functionals, get_functional
 from ..obs.metrics import REGISTRY
@@ -229,6 +230,8 @@ def cell_content_key(
             # (e.g. pow mult-chains) miss cleanly instead of serving
             # payloads computed under the old endpoint arithmetic
             KERNEL_SEMANTICS_VERSION,
+            # and the NumPy kernels' (e.g. correctly rounded n-ary sums)
+            CODEGEN_SEMANTICS_VERSION,
             tape_for(expr).fingerprint(),
             bounds,
             functional.name,

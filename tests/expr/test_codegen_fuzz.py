@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.expr import builder as b
@@ -58,7 +58,8 @@ def _kernel_value(expr, env):
 # ---------------------------------------------------------------------------
 #
 # Guard operands use only ops whose scalar and kernel lowerings round
-# identically (2-ary add, multiplication chains), so whenever the scalar
+# identically (sums, correctly rounded on both sides, and multiplication
+# chains), so whenever the scalar
 # evaluator reaches a verdict the kernel must reach the *same branch* --
 # bitwise, no tolerance.  Branch bodies are distinct integer constants, so
 # a wrong branch is a loud, exact mismatch.
@@ -125,6 +126,9 @@ class TestIteBranchSelection:
     @settings(max_examples=hyp_examples(200),
               deadline=None)
     @given(ite_indicator_exprs(), ENV_VALUES, ENV_VALUES)
+    # a left-to-right kernel sum cancels 1 + 1e308 - 1e308 to 0 (else
+    # branch) where the scalar fsum keeps the 1 (then branch)
+    @example(b.ite(b.const(0.0).lt(b.add(1.0, X, Y)), 1.0, -1.0), 1e308, -1e308)
     def test_kernel_selects_same_branch_as_scalar(self, expr, x, y):
         env = {"x": x, "y": y}
         scalar = evaluate(expr, env)
@@ -142,13 +146,37 @@ class TestIteBranchSelection:
         assert (math.isnan(tape) and math.isnan(tree)) or tape == tree
 
 
+class TestSumRounding:
+    """n-ary sums: the kernel's ``_fsum`` is ``math.fsum``, bit for bit."""
+
+    @settings(max_examples=hyp_examples(300),
+              deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([1.0, -1.0, 1e16, -1e16, 1e-16, 2.0**-53, 1e308, -1e308]),
+        ),
+        min_size=3, max_size=6,
+    ))
+    # the remainder below the top partials breaks a rounding tie upward
+    @example([1e-16, 1.0, 1e16])
+    def test_nary_sum_is_fsum(self, terms):
+        try:
+            expected = math.fsum(terms)
+        except OverflowError:
+            return  # intermediate overflow: the scalar evaluator refuses
+        names = tuple(Var(f"t{i}") for i in range(len(terms)))
+        kernel = compile_numpy(b.add(*names), arg_order=names)
+        assert float(kernel(*terms)) == expected
+
+
 # ---------------------------------------------------------------------------
 # part 2: smooth-value agreement (no Ite, moderate magnitudes)
 # ---------------------------------------------------------------------------
 #
 # Full operator mix including partial operations at their domain edges.
-# Sums associate differently (math.fsum vs left-to-right), so agreement
-# is up to tolerance; NaN from the scalar evaluator again means no claim.
+# Transcendentals and powers round differently, so agreement is up to
+# tolerance; NaN from the scalar evaluator again means no claim.
 
 def _build(op, *args):
     """Apply a builder op, degrading to the first argument when the
@@ -190,6 +218,10 @@ class TestSmoothValueAgreement:
     @settings(max_examples=hyp_examples(300),
               deadline=None)
     @given(smooth_exprs(), SMOOTH_ENV, SMOOTH_ENV)
+    # the base is x after exact cancellation; a left-to-right kernel sum
+    # loses x and returns 0**-1 = inf
+    @example(b.pow_(b.add(1.0, X, b.mul(-1.0, b.add(1.0, X))), -1.0),
+             1.175494351e-38, 0.0)
     def test_kernel_matches_scalar_where_scalar_defined(self, expr, x, y):
         env = {"x": x, "y": y}
         scalar = evaluate(expr, env)

@@ -120,6 +120,19 @@ class TestContentKeys:
             f, "fc", "hazards", "branch", NumericsConfig(batch_size=7)
         )
 
+    def test_key_stamps_kernel_value_semantics(self, monkeypatch):
+        # sensitivity maxima are NumPy-kernel values: a change to how the
+        # kernels round (e.g. n-ary sums) must turn stored cells into misses
+        from repro.numerics import campaign
+
+        f = get_functional("Wigner")
+        before = cell_content_key(f, "fc", "sensitivity", "-", NumericsConfig())
+        monkeypatch.setattr(
+            campaign, "CODEGEN_SEMANTICS_VERSION",
+            campaign.CODEGEN_SEMANTICS_VERSION + 1,
+        )
+        assert cell_content_key(f, "fc", "sensitivity", "-", NumericsConfig()) != before
+
     def test_key_differs_per_cell_address(self):
         f = get_functional("PZ81")
         config = NumericsConfig()
