@@ -87,109 +87,6 @@ def test_batched_frontier_matches_per_box_oracle():
     )
 
 
-def test_campaign_work_stealing_beats_static_chunks():
-    """Acceptance check: the campaign engine's dynamic work-stealing must
-    beat static chunk partitioning >= 1.2x wall-clock on a skewed
-    multi-pair workload at >= 4 workers.
-
-    The workload is the skew the old drivers handled worst: one
-    SCAN-sized pair (LYP EC1, pre-split into 16 subdomain units) next to
-    pairs that verify at the root.  The static baseline dispatches each
-    cell as one pre-assigned chunk -- whichever worker draws the
-    expensive cell drags the whole campaign -- while the stealing run dispatches unit-granularity
-    chunks that idle workers pull from the shared queue.  Both runs share
-    one warm process pool and must produce bit-identical stitched
-    reports.
-    """
-    import pytest
-
-    from repro.verifier.campaign import run_campaign
-    from repro.verifier.verifier import VerifierConfig
-
-    workers = 4
-    if (os.cpu_count() or 1) < workers:
-        pytest.skip("work-stealing wall-clock gate needs >= 4 CPUs")
-
-    config = VerifierConfig(
-        split_threshold=0.04, per_call_budget=150, global_step_budget=24_000
-    )
-    pairs = [
-        ("LYP", "EC1"),      # expensive: deep split tree over 16 units
-        ("VWN RPA", "EC1"),  # trivial: verified at the root
-        ("Wigner", "EC1"),
-        ("VWN RPA", "EC2"),
-        ("Wigner", "EC2"),
-    ]
-
-    from concurrent.futures import ProcessPoolExecutor
-
-    def best_of(unit_chunk_size, pool, repeats=2):
-        best, result = float("inf"), None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            result = run_campaign(
-                pairs,
-                config,
-                presplit_levels=2,
-                unit_chunk_size=unit_chunk_size,
-                executor=pool,
-            )
-            best = min(best, time.perf_counter() - t0)
-        return best, result
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # warm the pool (fork + import cost must not skew either mode)
-        for _ in pool.map(abs, range(workers)):
-            pass
-        t_static, r_static = best_of(unit_chunk_size=64, pool=pool)  # chunk = cell
-        t_steal, r_steal = best_of(unit_chunk_size=1, pool=pool)
-
-    for key, static_report in r_static.items():
-        assert static_report.identical_to(r_steal.reports[key]), key
-
-    ratio = t_static / t_steal
-    print(
-        f"\ncampaign wall-clock: static chunks {t_static*1e3:.0f} ms, "
-        f"work-stealing {t_steal*1e3:.0f} ms, speedup {ratio:.2f}x"
-    )
-    record_bench(
-        "campaign_steal",
-        static_ms=t_static * 1e3,
-        steal_ms=t_steal * 1e3,
-        speedup=ratio,
-        workers=workers,
-    )
-    assert ratio >= 1.2, (
-        f"work-stealing only {ratio:.2f}x faster than static chunking"
-    )
-
-
-def test_campaign_work_stealing_correctness_any_cpu():
-    """CPU-count-independent half of the gate: stealing-granularity
-    scheduling must reproduce the static partition's reports exactly
-    (the wall-clock half skips below 4 CPUs)."""
-    from repro.verifier.campaign import run_campaign
-    from repro.verifier.verifier import VerifierConfig
-
-    # unlimited global budget: with finite budgets the spill path divides
-    # the remainder per child (deterministic, but a different policy than
-    # the DFS-shared budget), so exact equality is only pinned budget-free
-    config = VerifierConfig(
-        split_threshold=0.3, per_call_budget=150, global_step_budget=None
-    )
-    pairs = [("LYP", "EC1"), ("VWN RPA", "EC1")]
-    static = run_campaign(
-        pairs, config, presplit_levels=1, unit_chunk_size=64, max_workers=2
-    )
-    stealing = run_campaign(
-        pairs, config, presplit_levels=1, unit_chunk_size=1, max_workers=2,
-        steal_depth=2,
-    )
-    assert set(static.reports) == set(stealing.reports)
-    for key, report in static.items():
-        assert report.identical_to(stealing.reports[key]), key
-
-
 def _split_domain(domain, width):
     boxes = [domain]
     while len(boxes) < width:

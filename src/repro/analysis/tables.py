@@ -99,7 +99,6 @@ def run_table_one(
     store=None,
     resume: bool = False,
     on_cell=None,
-    policy=None,
 ) -> TableOne:
     """Run the verification campaign and assemble Table I.
 
@@ -125,7 +124,6 @@ def run_table_one(
         store=store,
         resume=resume,
         on_cell=on_cell,
-        policy=policy,
     )
     table.reports.update(result.reports)
     return table
@@ -141,7 +139,6 @@ def run_table_campaign(
     store=None,
     resume: bool = False,
     on_cell=None,
-    policy=None,
 ) -> CampaignResult:
     """The raw campaign behind Table I/II: reports for every applicable pair."""
     if verbose and on_cell is None:
@@ -154,7 +151,6 @@ def run_table_campaign(
         store=store,
         resume=resume,
         on_cell=on_cell,
-        policy=policy,
     )
 
 

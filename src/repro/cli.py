@@ -10,7 +10,7 @@ writing Python:
 ``pb``                  the Pederson-Burke grid check on one pair
 ``compare``             PB vs XCVerifier consistency for one pair (Table II cell)
 ``table1`` / ``table2`` the paper's full tables (quick budgets by default)
-``campaign``            arbitrary pair sets on the work-stealing scheduler
+``campaign``            arbitrary pair sets on the shared-pool campaign engine
 ``numerics``            Section VI-C analyses: continuity, hazards, sensitivity
 ``serve``               the resident verification service (HTTP job server)
 ``submit``              submit a job to a running service and await it
@@ -29,12 +29,10 @@ record per line; the process ``run_id`` joins log records, trace spans
 and service audit entries.  All of it is purely observational: tables,
 reports and store contents are byte-identical with tracing on or off.
 
-Campaign commands accept ``--adaptive``: scheduling decisions (dispatch
-order, per-pair split depth) are then driven by a cost model learned
-from the ``--store`` timing history (cold-start structural prior
-without one) -- a pure perf knob, results stay bit-identical.
-``repro stats STORE`` prints the same timing aggregates the model
-learns from.
+Campaign cells run one per pool task: each is one run of Algorithm 1
+over the pair's whole domain, so ``--workers`` changes only how many
+cells run at once, never what a cell contains.  ``repro stats STORE``
+prints the per-pair timing aggregates of a store.
 
 ``table1``, ``table2`` and ``campaign`` accept ``--store PATH`` (persist
 every completed cell immediately; ``.jsonl`` selects the append-only
@@ -151,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_camp = sub.add_parser(
         "campaign",
-        help="run an arbitrary pair set on the work-stealing campaign engine",
+        help="run an arbitrary pair set on the shared-pool campaign engine",
     )
     p_camp.add_argument("--budget", type=int, default=250, help="ICP steps per solver call")
     p_camp.add_argument(
@@ -161,16 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threshold", type=float, default=0.05, help="split threshold t of Algorithm 1"
     )
     p_camp.add_argument(
-        "--levels", type=int, default=0,
-        help="pre-split every pair's domain this many levels for fan-out",
-    )
-    p_camp.add_argument(
-        "--steal-depth", type=int, default=0,
-        help="spill splits above this depth back to the shared queue",
-    )
-    p_camp.add_argument(
         "--order", choices=("dfs", "widest"), default="dfs",
-        help="work-queue discipline inside each unit",
+        help="work-queue discipline inside each cell",
     )
     p_camp.add_argument(
         "--json", dest="json_path", default=None,
@@ -202,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(single-pair mode; campaigns always run both semantics)",
     )
     # campaign mode: sweep whole functional families on the shared
-    # work-stealing pool, persisting cells to the content-hash store
+    # process pool, persisting cells to the content-hash store
     p_num.add_argument(
         "--all", action="store_true",
         help="campaign mode: sweep every registered functional "
@@ -236,11 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="serve cells already in --store (matched by content hash) "
         "instead of recomputing them",
-    )
-    p_num.add_argument(
-        "--adaptive", action=argparse.BooleanOptionalAction, default=None,
-        help="cost-model-driven dispatch order (campaign mode; "
-        "bit-identical perf knob)",
     )
     _add_trace_arg(p_num)
 
@@ -364,8 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_stats.add_argument(
         "store_path",
-        help="an existing campaign store (*.jsonl / *.sqlite) -- the same "
-        "timing history --adaptive learns its cost model from",
+        help="an existing campaign store (*.jsonl / *.sqlite)",
     )
 
     from .statan import all_rule_ids
@@ -479,13 +463,6 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
         "--resume", action="store_true",
         help="serve cells already in --store (matched by content hash) "
         "instead of recomputing them",
-    )
-    parser.add_argument(
-        "--adaptive", action=argparse.BooleanOptionalAction, default=False,
-        help="cost-model-driven scheduling: dispatch longest-predicted "
-        "pairs first and tune split depth per pair, learned from the "
-        "--store timing history (cold-start prior without one); pure "
-        "perf knob, results stay bit-identical",
     )
 
 
@@ -680,21 +657,6 @@ def _check_nonnegative(*flags: tuple[str, int | None]) -> None:
             raise _UsageError(f"{flag} must be >= 0, got {value}")
 
 
-def _build_policy(args):
-    """The scheduling policy for ``--adaptive`` runs (else ``None``).
-
-    The cost model warms from the ``--store`` timing history; without a
-    store (or before its first run) it predicts from the structural
-    prior, which still front-loads SCAN-sized pairs.  Purely advisory:
-    predictions order and split work, they never enter content keys.
-    """
-    if not getattr(args, "adaptive", False):
-        return None
-    from .verifier.costmodel import CostModel, SchedulingPolicy
-
-    return SchedulingPolicy(model=CostModel.from_store(args.store_path))
-
-
 def _check_store_path(path) -> None:
     """Reject unknown store suffixes up front with a usage error, before
     any compute happens (open_store itself raises only when the store is
@@ -779,7 +741,6 @@ def _cmd_table1(args) -> int:
         max_workers=args.workers,
         store=args.store_path,
         resume=args.resume,
-        policy=_build_policy(args),
     )
     table = table_one_from_reports(result.reports, functionals, conditions)
     print(table.render())
@@ -813,7 +774,6 @@ def _cmd_table2(args) -> int:
         max_workers=args.workers,
         store=args.store_path,
         resume=args.resume,
-        policy=_build_policy(args),
     )
     checker = PBChecker(spec=GridSpec(n_rs=args.points, n_s=args.points))
     table = run_table_two(
@@ -832,9 +792,6 @@ def _cmd_campaign(args) -> int:
     from .verifier.campaign import run_campaign
 
     functionals, conditions = _resolve_campaign_slice(args)
-    _check_nonnegative(
-        ("--levels", args.levels), ("--steal-depth", args.steal_depth)
-    )
     config = VerifierConfig(
         split_threshold=args.threshold,
         per_call_budget=args.budget,
@@ -849,12 +806,9 @@ def _cmd_campaign(args) -> int:
         pairs,
         config,
         max_workers=args.workers,
-        presplit_levels=args.levels,
-        steal_depth=args.steal_depth,
         store=args.store_path,
         resume=args.resume,
         on_cell=print_cell,
-        policy=_build_policy(args),
     )
     _print_campaign_counts(result)
     if args.json_path:
@@ -890,7 +844,6 @@ def _cmd_numerics(args) -> int:
         ("--resume", args.resume or None),
         ("--workers", args.workers or None),
         ("--components", args.components),
-        ("--adaptive", args.adaptive),
     ]
     offending = [flag for flag, value in campaign_only if value is not None]
     if offending:
@@ -1003,7 +956,6 @@ def _cmd_numerics_campaign(args) -> int:
         store=args.store_path,
         resume=args.resume,
         on_cell=on_cell,
-        policy=_build_policy(args),
     )
     table = table_three_from_cells(result.cells)
     print(table.render())
@@ -1030,15 +982,14 @@ def _cmd_numerics_campaign(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    """Print the per-pair timing aggregates a store's cost model sees.
+    """Print the per-pair timing aggregates of a store's verify cells.
 
-    Rows are sorted by total elapsed descending -- the top row is what
-    ``--adaptive`` dispatches first on a warm store.
+    Rows are sorted by total elapsed descending, so the costliest pair
+    comes first; ties keep (functional, condition) order.
     """
     import os
 
-    from .verifier.costmodel import aggregate_timings
-    from .verifier.store import open_store
+    from .verifier.store import aggregate_timings, open_store
 
     _check_store_path(args.store_path)
     # open_store creates missing files; a stats query must not

@@ -15,7 +15,7 @@ the exact machinery PR 3 built for the verifier:
   ``continuity``, ``hazards`` under both ``branch_aware`` semantics
   (scalar-evaluator reachability vs the compiled kernel's ``np.where``
   both-branches semantics), and ``sensitivity`` condition-number maps;
-* cells are scheduled over the **same shared work-pulling pool**
+* each cell is one chunk on the **same shared work-pulling pool**
   (:func:`repro.verifier.campaign.drive_chunks`) the verification
   campaign uses -- an ``executor`` can literally be shared between a
   Table I run and a numerics sweep -- and hazard-formula solves inside
@@ -405,33 +405,28 @@ def cell_condition_id(key: CellKey) -> str:
 
 
 def _numerics_worker(args):
-    """Run one chunk of analysis cells in a worker process.
+    """Run one analysis cell in a worker process.
 
-    Returns the ``(key, payload)`` list -- with a third dispatch-args
-    element (a pickled :class:`~repro.obs.trace.SpanContext`), the worker
-    additionally records one pid-stamped ``cell`` span per analysis cell
-    under a ``chunk`` span and returns ``(results, records)`` for the
-    parent's absorb to reattach to the trace.
+    ``args`` is ``(config, key)``; returns the cell's payload.  With a
+    third dispatch-args element (a pickled
+    :class:`~repro.obs.trace.SpanContext`) the worker additionally
+    records a pid-stamped ``cell`` span under a ``chunk`` span and
+    returns ``(payload, records)`` for the parent to reattach to the
+    trace.
     """
-    config, items = args[0], args[1]
-    recorder = SpanRecorder(args[2]) if len(args) > 2 else None
-    out = []
-    if recorder is None:
-        for key in items:
-            functional = get_functional(key[0])
-            out.append((key, run_numerics_cell(functional, *key[1:], config)))
-        return out
-    chunk_span = recorder.begin("chunk", "chunk", cells=len(items))
-    for key in items:
-        functional = get_functional(key[0])
-        with recorder.span(
-            f"cell:{key[0]}/{cell_condition_id(key)}", "cell", parent=chunk_span,
-            functional=key[0], component=key[1], check=key[2], semantics=key[3],
-        ):
-            payload = run_numerics_cell(functional, *key[1:], config)
-        out.append((key, payload))
+    config, key = args[0], args[1]
+    functional = get_functional(key[0])
+    if len(args) == 2:
+        return run_numerics_cell(functional, *key[1:], config)
+    recorder = SpanRecorder(args[2])
+    chunk_span = recorder.begin("chunk", "chunk")
+    with recorder.span(
+        f"cell:{key[0]}/{cell_condition_id(key)}", "cell", parent=chunk_span,
+        functional=key[0], component=key[1], check=key[2], semantics=key[3],
+    ):
+        payload = run_numerics_cell(functional, *key[1:], config)
     recorder.finish(chunk_span)
-    return out, recorder.records
+    return payload, recorder.records
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +481,10 @@ def run_numerics_campaign(
     checks: Iterable[str] = CHECKS,
     config: NumericsConfig | None = None,
     max_workers: int | None = 0,
-    unit_chunk_size: int = 1,
     store: CampaignStore | str | os.PathLike | None = None,
     resume: bool = False,
     executor=None,
     on_cell: Callable[[CellKey, dict, bool], None] | None = None,
-    policy=None,
     tracer=None,
 ) -> NumericsCampaignResult:
     """Sweep the Section VI-C analyses over whole functional families.
@@ -502,12 +495,7 @@ def run_numerics_campaign(
     deterministically ordered; ``store``/``resume`` persist and serve
     cells by content hash; ``executor`` shares an existing process pool
     (e.g. with a verification campaign -- the caller keeps ownership).
-    ``policy`` (a :class:`~repro.verifier.costmodel.SchedulingPolicy`)
-    dispatches cells longest-predicted-first -- analysis payloads carry
-    no timings by design (they are compared bit-exactly against the
-    sequential path), so numerics predictions come from the model's
-    structural prior; the reordering is a pure permutation and every
-    payload stays bit-identical.  ``tracer`` (default: the ambient
+    Each cell is one chunk.  ``tracer`` (default: the ambient
     :func:`~repro.obs.trace.current_tracer`) emits the same span shape
     as the verification campaign -- a ``campaign`` span, per-chunk
     ``dispatch`` spans and worker-side ``chunk``/``cell`` spans -- and
@@ -517,9 +505,7 @@ def run_numerics_campaign(
     already persisted.
     """
     config = config or NumericsConfig()
-    CampaignConfig(  # loud one-line validation, shared with run_campaign
-        max_workers=max_workers, unit_chunk_size=unit_chunk_size
-    )
+    CampaignConfig(max_workers=max_workers)  # loud one-line validation
     if functionals is None:
         resolved = list(all_functionals())
     else:
@@ -581,44 +567,27 @@ def run_numerics_campaign(
                         continue
             work.append(key)
 
-        if policy is not None and policy.adaptive_order:
-            # longest-predicted-first over the prior (pure permutation:
-            # chunk composition is unchanged at unit_chunk_size=1, and a
-            # stable sort keeps canonical order between equal predictions)
-            predicted = {
-                key: policy.model.predict_cell(by_name[key[0]], *key[1:])
-                for key in work
-            }
-            work = policy.order(work, predicted)
-
-        def absorb(_tag, worker_out):
-            if isinstance(worker_out, tuple):
-                worker_out, span_records = worker_out
+        def absorb(key, payload):
+            if isinstance(payload, tuple):
+                payload, span_records = payload
                 tracer.emit_records(span_records)
-            for key, payload in worker_out:
-                result.cells[key] = payload
-                result.computed.append(key)
-                _CELLS_COUNTER.inc(result="computed")
-                content_key = result.cell_keys.get(key)
-                if store is not None and content_key is not None:
-                    store.put_payload(
-                        content_key,
-                        payload,
-                        functional=key[0],
-                        condition_id=cell_condition_id(key),
-                    )
-                if on_cell is not None:
-                    on_cell(key, payload, False)
-            return []
+            result.cells[key] = payload
+            result.computed.append(key)
+            _CELLS_COUNTER.inc(result="computed")
+            content_key = result.cell_keys.get(key)
+            if store is not None and content_key is not None:
+                store.put_payload(
+                    content_key,
+                    payload,
+                    functional=key[0],
+                    condition_id=cell_condition_id(key),
+                )
+            if on_cell is not None:
+                on_cell(key, payload, False)
 
-        size = max(1, unit_chunk_size)
-        chunks = [
-            (group[0], (config, group))
-            for group in (work[i : i + size] for i in range(0, len(work), size))
-        ]
-        _CHUNKS_COUNTER.inc(len(chunks))
+        _CHUNKS_COUNTER.inc(len(work))
         drive_chunks(
-            chunks,
+            [(key, (config, key)) for key in work],
             _numerics_worker,
             absorb,
             max_workers=max_workers,

@@ -20,9 +20,8 @@ already has:
   stamped with the worker pid, returned alongside the chunk result and
   re-emitted into the sink by the parent's absorb.  Because every
   record names its own parent span, reassembly is insensitive to
-  completion order: out-of-order chunk results and work-stealing
-  re-enqueues interleave records in the file, and the tree is rebuilt
-  from the ids (:func:`repro.obs.export.span_tree`).
+  completion order: out-of-order chunk results interleave records in
+  the file, and the tree is rebuilt from the ids (:func:`repro.obs.export.span_tree`).
 
 ``CLOCK_MONOTONIC`` is shared across processes on Linux, so parent and
 worker timestamps land on one timeline without offset negotiation (see

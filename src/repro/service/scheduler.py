@@ -503,12 +503,11 @@ class VerificationScheduler:
             )
             return report_to_payload(result.reports[(fname, cid)])
         # numerics: the same worker function run_numerics_campaign dispatches
-        args = (cell.config, [cell.address])
+        args = (cell.config, cell.address)
         if self._pool is not None:
-            out = self._pool.submit(_numerics_worker, args).result()
+            payload = self._pool.submit(_numerics_worker, args).result()
         else:
-            out = _numerics_worker(args)
-        (_key, payload), = out
+            payload = _numerics_worker(args)
         self._store.put_payload(
             cell.content_key,
             payload,

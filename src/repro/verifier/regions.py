@@ -69,7 +69,7 @@ class VerificationReport:
     elapsed_seconds: float = 0.0
     budget_exhausted: bool = False
     #: wall-clock cold workers spent setting up the problem's solver
-    #: (feeds the campaign cost model); ~0.0 when the per-worker compile
+    #: (``repro stats`` reports it); ~0.0 when the per-worker compile
     #: cache was warm.  A timing, not an outcome: excluded from
     #: :meth:`identical_to` like ``elapsed_seconds``.
     compile_seconds: float = 0.0
@@ -96,8 +96,8 @@ class VerificationReport:
         True iff both reports carry the same records in the same order --
         boxes compared on exact endpoints, plus outcomes, models, child
         links, per-record and total step counts, and the exhaustion flag.
-        This is the equivalence the campaign engine's stitching guarantees
-        against the sequential verifier; wall-clock (``elapsed_seconds``,
+        This is the equivalence the campaign engine guarantees between
+        pooled and in-process runs; wall-clock (``elapsed_seconds``,
         ``compile_seconds``) is deliberately excluded.  The differential test corpus asserts
         field-by-field for readable failures; gates that only need the
         verdict use this.

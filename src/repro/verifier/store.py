@@ -34,9 +34,11 @@ in :func:`open_store`:
 from __future__ import annotations
 
 import json
+import math
 import sqlite3
 import threading
 import time
+from dataclasses import dataclass
 from typing import Iterator
 
 from ..obs.jsonl import JsonlWriter, iter_jsonl
@@ -47,8 +49,10 @@ from .regions import Outcome, RegionRecord, VerificationReport
 __all__ = [
     "CampaignStore",
     "JsonlStore",
+    "PairTiming",
     "STORE_SUFFIXES",
     "SqliteStore",
+    "aggregate_timings",
     "iter_reports",
     "open_store",
     "report_to_payload",
@@ -196,15 +200,15 @@ class CampaignStore:
     def iter_timings(self) -> Iterator[dict]:
         """Yield one timing row per stored *verify* cell, in store order.
 
-        This is the query API the cost model (:mod:`.costmodel`) and
-        ``repro stats`` learn from: every verification report carries
+        This is the query ``repro stats`` reads (through
+        :func:`aggregate_timings`): every verification report carries
         ``elapsed_seconds`` and ``compile_seconds``, and the row exposes
         them alongside the pair identity without materialising full
         :class:`VerificationReport` objects (a timing scan over a
         thousand-cell store must not rebuild a thousand region trees).
-        Analysis-cell payloads (``"kind"``-tagged) carry no timings by
-        design -- they are compared bit-exactly against the sequential
-        path -- and are skipped.
+        Analysis-cell payloads and any other ``"kind"``-tagged record
+        carry no timings -- analysis cells are compared bit-exactly
+        against the sequential path -- and are skipped.
         """
         for key in self.keys():
             payload = self.get_payload(key)
@@ -234,6 +238,54 @@ class CampaignStore:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+@dataclass(frozen=True)
+class PairTiming:
+    """Aggregate of one (functional, condition) pair's stored cells."""
+
+    count: int
+    total_seconds: float
+    mean_seconds: float
+    p99_seconds: float
+    compile_seconds: float
+    total_solver_steps: int
+
+    @property
+    def compile_share(self) -> float:
+        """Fraction of wall time spent compiling (0 when nothing ran)."""
+        if self.total_seconds <= 0.0:
+            return 0.0
+        return min(1.0, self.compile_seconds / self.total_seconds)
+
+
+def aggregate_timings(rows) -> dict[tuple[str, str], PairTiming]:
+    """Fold :meth:`CampaignStore.iter_timings` rows into per-pair stats.
+
+    Sums run in store order and the p99 (nearest rank) over a sorted
+    copy, so the result is a pure function of the store contents -- two
+    processes reading the same file produce bit-identical aggregates.
+    """
+    elapsed: dict[tuple[str, str], list[float]] = {}
+    compile_s: dict[tuple[str, str], float] = {}
+    steps: dict[tuple[str, str], int] = {}
+    for row in rows:
+        key = (row["functional"], row["condition"])
+        elapsed.setdefault(key, []).append(row["elapsed_seconds"])
+        compile_s[key] = compile_s.get(key, 0.0) + row["compile_seconds"]
+        steps[key] = steps.get(key, 0) + row["total_solver_steps"]
+    out: dict[tuple[str, str], PairTiming] = {}
+    for key, values in elapsed.items():
+        ascending = sorted(values)
+        out[key] = PairTiming(
+            count=len(values),
+            total_seconds=math.fsum(values),
+            mean_seconds=math.fsum(values) / len(values),
+            p99_seconds=ascending[max(1, math.ceil(0.99 * len(values))) - 1],
+            compile_seconds=compile_s[key],
+            total_solver_steps=steps[key],
+        )
+    return out
 
 
 class SqliteStore(CampaignStore):

@@ -78,7 +78,6 @@ class VerifierConfig:
     delta: float = 1e-5
     precision: float = 1e-3
     split_on_counterexample: bool = True
-    split_on_timeout: bool = True
     #: boxes per frontier batch of the solver (see :class:`ICPSolver`): a
     #: bit-identical perf knob, excluded from :meth:`semantic_key`
     batch_size: int = 256
@@ -136,7 +135,7 @@ class VerifierConfig:
             self.delta,
             self.precision,
             self.split_on_counterexample,
-            self.split_on_timeout,
+            True,  # the removed split_on_timeout slot: keeps stored keys valid
             False,  # the removed specialize_boxes slot: keeps stored keys valid
             self.queue_order,
         )
@@ -247,10 +246,10 @@ class Verifier:
     def __init__(self, config: VerifierConfig | None = None, solver: ICPSolver | None = None):
         self.config = config or VerifierConfig()
         self.solver = solver or self.config.make_solver()
-        #: solver-internals totals of the last verify()/solve_root() run:
+        #: solver-internals totals of the last verify() run:
         #: contract/classify outcomes and batched-kernel dispatch counts,
         #: summed over every solver call -- the campaign worker surfaces
-        #: them as per-unit span attributes (see repro.obs.trace)
+        #: them as solve-span attributes (see repro.obs.trace)
         self.stats_totals = SolverStats()
 
     def verify(
@@ -262,9 +261,9 @@ class Verifier:
     ) -> VerificationReport:
         """Run Algorithm 1 on one encoded (or tape-compiled) pair.
 
-        ``depth_offset`` shifts recorded depths, so a scheduler handing out
-        subdomains of a pre-split domain gets records whose depths match
-        the equivalent single-domain run.
+        ``depth_offset`` shifts recorded depths, so a run over a subdomain
+        records the depths its boxes would have in a run over the whole
+        domain.
         """
         functional_name, condition_id = self._problem_names(problem)
         domain = domain if domain is not None else problem.domain
@@ -349,38 +348,6 @@ class Verifier:
         queue.attach(results[1:])
         return results[0]
 
-    def solve_root(
-        self,
-        problem: EncodedProblem | CompiledProblem,
-        box: Box,
-        depth: int = 0,
-    ) -> tuple[RegionRecord | None, list[Box] | None]:
-        """Solve exactly one box and report whether it would split.
-
-        This is the campaign scheduler's *spill* primitive: instead of
-        descending locally, a worker solves the root of its work unit and
-        hands the split children back for re-enqueueing on the shared
-        queue.  Returns ``(record, children)``; ``record`` is None when the
-        box is below the split threshold (Algorithm 1 lines 1-2 -- nothing
-        to solve), ``children`` is None when the verdict is terminal.
-        All 2^n children are returned, sub-threshold ones included: the
-        campaign divides the remaining budget by their count.
-        """
-        if box.max_width() < self.config.split_threshold:
-            return None, None
-        self.stats_totals = SolverStats()
-        self._steps_left = (
-            self.config.global_step_budget
-            if self.config.global_step_budget is not None
-            else math.inf
-        )
-        scratch = VerificationReport(
-            functional_name="", condition_id="", domain=box, records=[]
-        )
-        record = self._solve_box(problem, box, depth, scratch)
-        children = box.split_all() if self._should_split(record.outcome) else None
-        return record, children
-
     def _problem_names(
         self, problem: EncodedProblem | CompiledProblem
     ) -> tuple[str, str]:
@@ -393,8 +360,6 @@ class Verifier:
             return False
         if outcome is Outcome.COUNTEREXAMPLE:
             return self.config.split_on_counterexample
-        if outcome is Outcome.TIMEOUT:
-            return self.config.split_on_timeout
         return True
 
     def _solve_box(

@@ -2,10 +2,9 @@
 
 The load-bearing guarantees:
 
-* **reassembly** -- pooled workers complete out of order and steal
-  re-enqueues split cells, yet the span records (each naming its own
-  parent) rebuild into exactly one tree that lints clean, with one cell
-  span per computed cell;
+* **reassembly** -- pooled workers complete out of order, yet the span
+  records (each naming its own parent) rebuild into exactly one tree
+  that lints clean, with one cell span per computed cell;
 * **non-perturbation** -- tracing must never change results: reports and
   rendered tables are identical with tracing on and off;
 * **crash discipline** -- an interrupted campaign leaves a partial trace
@@ -18,13 +17,12 @@ import pytest
 
 from repro.analysis.tables import run_table_one
 from repro.numerics import run_numerics_campaign
-from repro.obs.export import lint_trace, load_trace, span_tree
+from repro.obs.export import lint_trace, load_trace
 from repro.obs.trace import TraceSink, Tracer, activate_tracer
 from repro.verifier.campaign import run_campaign
 from repro.verifier.verifier import VerifierConfig
 
 FAST = VerifierConfig(split_threshold=0.7, per_call_budget=250, global_step_budget=8000)
-UNLIMITED = VerifierConfig(split_threshold=0.7, per_call_budget=250, global_step_budget=None)
 PAIRS = [("LYP", "EC1"), ("VWN RPA", "EC1"), ("Wigner", "EC1")]
 
 
@@ -72,20 +70,6 @@ class TestVerifierCampaignTrace:
             assert dispatch["cat"] == "dispatch"
             assert ids[dispatch["parent"]]["cat"] == "cell"
 
-    def test_steal_reenqueue_keeps_one_tree(self, tmp_path):
-        # steal splits LYP into spilled units: several dispatch/chunk spans
-        # under one cell span, all still rooted in the single campaign span
-        result, (header, spans) = traced_campaign(
-            tmp_path, [("LYP", "EC1")], UNLIMITED, max_workers=2, steal_depth=2
-        )
-        assert lint_trace(header, spans) == []
-        cats = spans_by_cat(spans)
-        assert len(cats["cell"]) == 1
-        assert len(cats["dispatch"]) > 1  # root unit + spilled re-enqueues
-        assert len(cats["chunk"]) == len(cats["dispatch"])
-        roots, _ = span_tree(spans)
-        assert len(roots) == 1 and roots[0]["cat"] == "campaign"
-
     def test_solver_spans_carry_compile_and_stats(self, tmp_path):
         from repro.verifier.campaign import _WORKER_CACHE
 
@@ -103,18 +87,22 @@ class TestVerifierCampaignTrace:
         assert solve["attrs"]["boxes_processed"] > 0
 
     def test_stitch_and_store_put_spans_under_each_cell(self, tmp_path):
+        # a cell is one worker report, so nothing is stitched: each cell
+        # span holds its one dispatch and then the store write
         store = tmp_path / "store.jsonl"
         result, (header, spans) = traced_campaign(
             tmp_path, PAIRS, FAST, max_workers=2, store=store
         )
         assert lint_trace(header, spans) == []
         cats = spans_by_cat(spans)
+        assert "stitch" not in cats
         for cell in cats["cell"]:
             key = (cell["attrs"]["functional"], cell["attrs"]["condition"])
-            kids = {s["name"]: s for s in spans if s["parent"] == cell["span"]}
-            stitch, put = kids["stitch"], kids["store_put"]
-            assert stitch["attrs"]["records"] == len(result.reports[key].records)
-            assert stitch["ts"] + stitch["dur"] <= put["ts"]
+            kids = [s for s in spans if s["parent"] == cell["span"]]
+            assert sorted(s["cat"] for s in kids) == ["dispatch", "store"]
+            dispatch, put = sorted(kids, key=lambda s: s["ts"])
+            assert cell["attrs"]["regions"] == len(result.reports[key].records)
+            assert dispatch["ts"] + dispatch["dur"] <= put["ts"]
             assert put["ts"] + put["dur"] <= cell["ts"] + cell["dur"]
         # a fresh JSONL store holds exactly the bytes the spans report
         puts = [s for s in spans if s["name"] == "store_put"]

@@ -61,13 +61,13 @@ class TestSpecValidation:
         "kind, key",
         [("verify", "solver_backend"), ("verify", "vector_min"),
          ("verify", "specialize_boxes"), ("verify", "per_call_seconds"),
-         ("numerics", "solver_backend")],
+         ("verify", "split_on_timeout"), ("numerics", "solver_backend")],
     )
     def test_removed_solver_knobs_are_unknown_keys(self, kind, key):
         # the solver and the verifier have one execution path each;
         # configs still naming the old backend/crossover/per-box
-        # specialisation/wall-clock budget knobs fail like any other
-        # unknown key
+        # specialisation/wall-clock budget/no-split-on-timeout knobs fail
+        # like any other unknown key
         payload = {"kind": kind, "config": {key: "batch"}}
         if kind == "verify":
             payload.update(functional="PBE", condition="EC1")
@@ -153,21 +153,18 @@ class TestCellTasks:
         assert task.address == ("Wigner", "EC1")
         assert task.content_key == pair_content_key("Wigner", "EC1", spec.vconfig)
 
-    def test_verify_keys_match_campaign_store_keys(self):
+    def test_verify_keys_match_campaign_store_keys(self, tmp_path):
         """The key a job coalesces on is the key run_campaign files under."""
         spec = spec_from_payload(
             {"kind": "verify", "functional": "Wigner", "condition": "EC1",
              "config": TINY}
         )
         (task,) = spec.cell_tasks()
+        # run_campaign only derives keys with a store attached
         result = run_campaign([("Wigner", "EC1")], spec.vconfig, max_workers=0,
-                              store=None)
-        # run_campaign only derives keys with a store attached; derive the
-        # campaign side explicitly and require exact equality
+                              store=tmp_path / "keys.jsonl")
         assert result.reports  # the campaign ran
-        assert task.content_key == pair_content_key(
-            "Wigner", "EC1", spec.vconfig, presplit_levels=0, steal_depth=0
-        )
+        assert task.content_key == result.cell_keys[("Wigner", "EC1")]
 
     def test_numerics_keys_match_cell_content_key(self):
         config = NumericsConfig(n_base_points=4, bisection_steps=8)

@@ -221,12 +221,12 @@ class TestCampaignCommand:
         assert main(["campaign", "--functionals", "LYP", "--conditions", "EC5"]) == 1
         assert "no applicable" in capsys.readouterr().err
 
-    def test_campaign_steal_depth_and_order(self, capsys):
+    def test_campaign_order_widest(self, capsys):
         rc = main(
             [
                 "campaign", "--functionals", "LYP", "--conditions", "EC1",
                 "--budget", "100", "--global-budget", "1500",
-                "--steal-depth", "1", "--order", "widest",
+                "--order", "widest",
             ]
         )
         assert rc == 0
@@ -439,6 +439,42 @@ class TestStats:
         assert "Wigner" in out and "EC1" in out and "EC2" in out
         assert "2 pairs, 2 cells" in out
 
+    def test_stats_output_pinned_with_sched_plan_records(self, capsys, tmp_path):
+        # the exact bytes `repro stats` prints, from a store that also holds
+        # a "sched-plan" record (older adaptive runs wrote them; stats skips
+        # every kind-tagged record)
+        from repro.verifier.store import SCHEMA_VERSION, open_store
+
+        path = str(tmp_path / "pinned.jsonl")
+        cells = [
+            ("LYP", "EC1", 0.5, 0.1, 40),
+            ("LYP", "EC1", 0.25, 0.0, 40),
+            ("Wigner", "EC2", 0.125, 0.0625, 3),
+            ("VWN RPA", "EC1", 0.5, 0.0, 7),
+            ("PBE", "EC2", 0.5, 0.5, 9),
+        ]
+        with open_store(path) as store:
+            for i, (f, c, elapsed, compile_s, steps) in enumerate(cells):
+                store.put_payload(f"cell-{i}", {
+                    "v": SCHEMA_VERSION, "functional": f, "condition": c,
+                    "elapsed_seconds": elapsed, "compile_seconds": compile_s,
+                    "total_solver_steps": steps, "records": [],
+                })
+            store.put_payload("sched-plan:cell-0", {
+                "v": SCHEMA_VERSION, "kind": "sched-plan",
+                "presplit_levels": 1, "steal_depth": 2,
+            })
+        assert main(["stats", path]) == 0
+        assert capsys.readouterr().out == (
+            "functional   condition cells   total_s    mean_s     p99_s compile%\n"
+            "-------------------------------------------------------------------\n"
+            "LYP          EC1           2     0.750    0.3750    0.5000    13.3%\n"
+            "PBE          EC2           1     0.500    0.5000    0.5000   100.0%\n"
+            "VWN RPA      EC1           1     0.500    0.5000    0.5000     0.0%\n"
+            "Wigner       EC2           1     0.125    0.1250    0.1250    50.0%\n"
+            "4 pairs, 5 cells, 1.875s total elapsed\n"
+        )
+
     def test_stats_missing_store(self, capsys, tmp_path):
         missing = str(tmp_path / "nope.jsonl")
         assert main(["stats", missing]) == 1
@@ -467,16 +503,13 @@ class TestKnobValidation:
         "argv, flag",
         [
             (["campaign", "--functionals", "Wigner", "--conditions", "EC1",
-              "--levels", "-1"], "--levels"),
-            (["campaign", "--functionals", "Wigner", "--conditions", "EC1",
-              "--steal-depth", "-2"], "--steal-depth"),
-            (["campaign", "--functionals", "Wigner", "--conditions", "EC1",
               "--workers", "-4"], "--workers"),
             (["verify", "-f", "Wigner", "-c", "EC1", "--batch-size", "-8"],
              "--batch-size"),
             (["numerics", "--functionals", "Wigner", "--check", "hazards",
               "--workers", "-1"], "--workers"),
         ],
+        ids=["argv2---workers", "argv3---batch-size", "argv4---workers"],
     )
     def test_negative_knobs_rejected_loudly(self, capsys, argv, flag):
         assert main(argv) == 1
@@ -487,58 +520,31 @@ class TestKnobValidation:
     def test_zero_values_accepted(self, capsys):
         rc = main(
             ["campaign", "--functionals", "Wigner", "--conditions", "EC1",
-             "--budget", "100", "--global-budget", "500",
-             "--levels", "0", "--steal-depth", "0", "--workers", "0"]
+             "--budget", "100", "--global-budget", "500", "--workers", "0"]
         )
         assert rc == 0
         assert "1 cells computed" in capsys.readouterr().out
 
-
-class TestAdaptiveFlag:
-    def test_adaptive_campaign_matches_static(self, capsys, tmp_path):
-        args = [
-            "campaign", "--functionals", "LYP,Wigner", "--conditions", "EC1",
-            "--budget", "100", "--global-budget", "1500",
-        ]
-        assert main(args) == 0
-        static_out = capsys.readouterr().out
-        store = str(tmp_path / "warm.jsonl")
-        assert main(args + ["--store", store]) == 0
-        capsys.readouterr()
-        # warm store: the model now orders by observed cost
-        assert main(args + ["--adaptive"]) == 0
-        adaptive_out = capsys.readouterr().out
-        assert adaptive_out == static_out
-
-    def test_adaptive_store_resume_bit_identical(self, capsys, tmp_path):
-        store = str(tmp_path / "adaptive.jsonl")
-        json_a = str(tmp_path / "a.json")
-        json_b = str(tmp_path / "b.json")
-        args = [
-            "campaign", "--functionals", "LYP,Wigner", "--conditions", "EC1",
-            "--budget", "100", "--global-budget", "1500",
-            "--workers", "2", "--adaptive", "--store", store,
-        ]
-        assert main(args + ["--json", json_a]) == 0
-        capsys.readouterr()
-        assert main(args + ["--resume", "--json", json_b]) == 0
-        out = capsys.readouterr().out
-        assert "0 cells computed, 2 from store" in out
-        with open(json_a) as a, open(json_b) as b:
-            assert a.read() == b.read()
-
-    def test_adaptive_numerics_campaign(self, capsys):
-        rc = main(
-            ["numerics", "--functionals", "LYP,Wigner",
-             "--check", "continuity", "--adaptive"]
-        )
-        assert rc == 0
-        assert "Table III" in capsys.readouterr().out
-
-    def test_adaptive_rejected_in_single_pair_numerics(self, capsys):
-        rc = main(["numerics", "-f", "PBE", "--adaptive"])
-        assert rc == 1
-        assert "--adaptive" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "--levels", "1"],
+            ["campaign", "--steal-depth", "1"],
+            ["campaign", "--adaptive"],
+            ["table1", "--adaptive"],
+            ["table2", "--adaptive"],
+            ["numerics", "--all", "--adaptive"],
+        ],
+        ids=["campaign-levels", "campaign-steal-depth", "campaign-adaptive",
+             "table1-adaptive", "table2-adaptive", "numerics-adaptive"],
+    )
+    def test_removed_scheduling_flags_exit_2(self, capsys, argv):
+        # scripts still passing the deleted scheduling flags must fail
+        # loudly rather than have them silently ignored
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestTraceFlag:

@@ -91,13 +91,16 @@ class TestVerifierDegenerateConfigs:
         assert report.budget_exhausted
 
     def test_single_call_config(self):
-        # threshold just under the domain width: exactly one solver call
+        # threshold just under the domain width (4.9999): the root is
+        # solved, and its children (half as wide) are below the threshold,
+        # so none is queued whatever the root's outcome -- exactly one
+        # solver call
         config = VerifierConfig(
             split_threshold=4.9, per_call_budget=50, global_step_budget=100,
-            split_on_timeout=False,
         )
         report = verify_pair(get_functional("VWN RPA"), get_condition("EC1"), config)
         assert len(report.records) == 1
+        assert 0 < report.total_solver_steps <= config.per_call_budget
 
 
 class TestPBDegenerateGrids:

@@ -1,20 +1,27 @@
-"""Tests for the work-stealing campaign engine.
+"""Tests for the campaign engine.
 
 The load-bearing property is *bit-identity with the sequential verifier*:
-however the scheduler cuts a cell into units -- pre-splits, runtime
-spills, pools of any width -- the stitched report must carry the same
-records, indices, depths, child links, models and step counts the plain
-in-process run produces.
+each cell is one ``Verifier.verify`` run, in-process or on a pool of any
+width, and its report must carry the same records, indices, depths,
+child links, models and step counts the plain in-process run produces.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.conditions import EC1
 from repro.functionals import get_functional
 from repro.solver.box import Box
-from repro.verifier.campaign import dedupe_pairs, run_campaign
+from repro.verifier.campaign import (
+    CampaignConfig,
+    dedupe_pairs,
+    effective_workers,
+    run_campaign,
+)
 from repro.verifier.encoder import encode
 from repro.verifier.verifier import Verifier, VerifierConfig
 
@@ -37,10 +44,12 @@ def sequential(config, name, condition=EC1):
     return Verifier(config).verify(encode(get_functional(name), condition))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 class TestInProcessEquivalence:
-    def test_cells_match_sequential_exactly(self):
+    def test_cells_match_sequential_exactly(self, workers):
         result = run_campaign(
-            [("LYP", "EC1"), ("VWN RPA", "EC1"), ("PBE", "EC2")], FAST, max_workers=1
+            [("LYP", "EC1"), ("VWN RPA", "EC1"), ("PBE", "EC2")], FAST,
+            max_workers=workers,
         )
         for (fname, cid), report in result.items():
             from repro.conditions import get_condition
@@ -48,69 +57,78 @@ class TestInProcessEquivalence:
             assert_reports_identical(
                 sequential(FAST, fname, get_condition(cid)), report
             )
-        assert result.computed == [("LYP", "EC1"), ("VWN RPA", "EC1"), ("PBE", "EC2")]
+        # pooled cells complete in any order; in-process ones in submission order
+        assert sorted(result.computed) == sorted(
+            [("LYP", "EC1"), ("VWN RPA", "EC1"), ("PBE", "EC2")]
+        )
+        if workers == 1:
+            assert result.computed == [("LYP", "EC1"), ("VWN RPA", "EC1"), ("PBE", "EC2")]
         assert not result.interrupted
 
-    def test_budget_exhaustion_matches_sequential(self):
+    def test_budget_exhaustion_matches_sequential(self, workers):
         tight = VerifierConfig(
             split_threshold=0.15, per_call_budget=200, global_step_budget=300
         )
-        result = run_campaign([("PBE", "EC1")], tight, max_workers=1)
+        # a lone cell runs in-process unless a pool is handed in, so the
+        # pooled case passes its own executor
+        if workers == 1:
+            result = run_campaign([("PBE", "EC1")], tight, max_workers=1)
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                result = run_campaign([("PBE", "EC1")], tight, executor=pool)
         report = result.reports[("PBE", "EC1")]
         assert report.budget_exhausted
         assert_reports_identical(sequential(tight, "PBE"), report)
-
-
-class TestStealDepth:
-    @pytest.mark.parametrize("steal_depth", [1, 2, 3])
-    def test_spilled_splits_stitch_back_identically(self, steal_depth):
-        oracle = sequential(UNLIMITED, "LYP")
-        result = run_campaign(
-            [("LYP", "EC1")], UNLIMITED, max_workers=1, steal_depth=steal_depth
-        )
-        assert_reports_identical(oracle, result.reports[("LYP", "EC1")])
-
-    def test_spill_with_pool_matches_too(self):
-        oracle = sequential(UNLIMITED, "LYP")
-        result = run_campaign(
-            [("LYP", "EC1")], UNLIMITED, max_workers=2, steal_depth=2
-        )
-        assert_reports_identical(oracle, result.reports[("LYP", "EC1")])
-
-    def test_terminal_root_spills_nothing(self):
-        # VWN RPA EC1 verifies at the root: steal_depth must not change that
-        oracle = sequential(FAST, "VWN RPA")
-        result = run_campaign([("VWN RPA", "EC1")], FAST, max_workers=1, steal_depth=3)
-        assert_reports_identical(oracle, result.reports[("VWN RPA", "EC1")])
 
 
 class TestPooledScheduling:
     def test_pool_results_identical_to_in_process(self):
         pairs = [("LYP", "EC1"), ("VWN RPA", "EC1"), ("Wigner", "EC1")]
         seq = run_campaign(pairs, FAST, max_workers=1)
-        par = run_campaign(pairs, FAST, max_workers=2, steal_depth=1)
+        par = run_campaign(pairs, FAST, max_workers=2)
         assert set(seq.reports) == set(par.reports)
         for key in seq.reports:
             assert_reports_identical(seq.reports[key], par.reports[key])
 
     def test_shared_executor_is_not_shut_down(self):
-        from concurrent.futures import ProcessPoolExecutor
-
         with ProcessPoolExecutor(max_workers=2) as pool:
-            first = run_campaign([("LYP", "EC1")], FAST, executor=pool, steal_depth=1)
+            first = run_campaign([("LYP", "EC1")], FAST, executor=pool)
             second = run_campaign([("Wigner", "EC1")], FAST, executor=pool)
             # the pool survives both campaigns (owned by the caller)
             assert pool.submit(int, 7).result() == 7
         assert ("LYP", "EC1") in first.reports
         assert ("Wigner", "EC1") in second.reports
 
-    def test_presplit_levels_match_domain_parallel_semantics(self):
-        functional, condition = get_functional("LYP"), EC1
-        result = run_campaign(
-            [(functional, condition)], FAST, max_workers=1, presplit_levels=1
-        )
-        top = [r for r in result.reports[("LYP", "EC1")].records if r.depth == 1]
-        assert len(top) == 4  # 2-D domain, one forced split level
+    def test_effective_workers(self):
+        assert effective_workers(0) == 1
+        assert effective_workers(1) == 1
+        assert effective_workers(7) == 7
+        assert effective_workers(None) == (os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            assert effective_workers(None, pool) == 2
+
+
+class TestCampaignConfigValidation:
+    """Loud knob validation on the engine side (the CLI layer is tested
+    in test_cli)."""
+
+    def test_rejects_negative_max_workers(self):
+        with pytest.raises(ValueError, match="max_workers must be >= 0"):
+            CampaignConfig(max_workers=-1)
+
+    def test_accepts_boundary_values(self):
+        CampaignConfig(max_workers=0)
+        CampaignConfig(max_workers=None)
+
+    def test_run_campaign_validates_before_any_work(self):
+        with pytest.raises(ValueError, match="max_workers"):
+            run_campaign([("LYP", "EC1")], FAST, max_workers=-2)
+
+    def test_numerics_campaign_validates_too(self):
+        from repro.numerics.campaign import run_numerics_campaign
+
+        with pytest.raises(ValueError, match="max_workers"):
+            run_numerics_campaign(["Wigner"], max_workers=-1)
 
 
 class TestDedupe:
@@ -171,18 +189,6 @@ class TestStoreIntegration:
             [("Wigner", "EC1")], FAST, max_workers=1, store=store, resume=False
         )
         assert rerun.computed == [("Wigner", "EC1")]
-
-    def test_scheduling_policy_is_part_of_the_key(self, tmp_path):
-        # presplit/steal change how the global budget is divided across
-        # units -- report *contents* differ -- so a store written under one
-        # policy must miss under another (regression: the key once covered
-        # only the verifier config, serving pre-split reports to plain runs)
-        store = tmp_path / "store.sqlite"
-        run_campaign([("LYP", "EC1")], FAST, max_workers=1, store=store,
-                     presplit_levels=1)
-        plain = run_campaign([("LYP", "EC1")], FAST, max_workers=1, store=store)
-        assert plain.computed == [("LYP", "EC1")]  # miss, not a stale hit
-        assert_reports_identical(sequential(FAST, "LYP"), plain.reports[("LYP", "EC1")])
 
     def test_subdomain_task_hashes_by_domain(self, tmp_path):
         # same pair, different domain: separate cells in the store by key

@@ -2,13 +2,14 @@
 
 ``Box.split_all`` builds children through the trusted constructor, the
 verifier queues only children at or above the split threshold, records
-pickle positionally, stitching reuses a first tree unit's records and the
-store decodes boxes without re-sorting.  None of it may change one bit of
+pickle positionally and the store decodes boxes without re-sorting.  None of it may change one bit of
 a region tree: every test here compares against the pre-fast-path
 behaviour or against a second route to the same report.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -58,35 +59,17 @@ def test_widest_queue_order_matches_old_split_path(monkeypatch):
     assert new.identical_to(Verifier(config).verify(problem))
 
 
-def test_solve_root_returns_sub_threshold_children_too(scan_problem):
-    # the campaign divides a spilled unit's budget by the child count, so
-    # solve_root must hand back all 2^n children even when every one of
-    # them is below the threshold
-    domain = scan_problem.domain
-    box = domain.split_all()[0]
-    while not box.max_width() < 2 * SCAN_CONFIG.split_threshold:
-        box = box.split_all()[0]
-    config = VerifierConfig(split_threshold=SCAN_CONFIG.split_threshold, per_call_budget=40)
-    record, children = Verifier(config).solve_root(scan_problem, box)
-    assert record is not None and children is not None
-    assert len(children) == 2 ** len(box.names)
-    assert all(c.max_width() < config.split_threshold for c in children)
-    assert children == old_split_all(box)
-
-
-@pytest.mark.parametrize(
-    "knobs", [{"steal_depth": 1}, {"presplit_levels": 1}], ids=["steal1", "presplit1"]
-)
-def test_pooled_campaign_stitches_identically(knobs):
-    # records cross the worker -> parent pickle boundary in the pooled run;
-    # the presplit case also exercises the reuse of the first tree unit's
-    # records at index offset 0
+def test_pooled_campaign_matches_in_process():
+    # the 37,449 records cross the worker -> parent pickle boundary in the
+    # pooled run (a lone cell stays in-process unless a pool is handed in)
     pair = [("SCAN", "EC1")]
-    local = run_campaign(pair, SCAN_CONFIG, max_workers=0, **knobs)
-    pooled = run_campaign(pair, SCAN_CONFIG, max_workers=2, **knobs)
+    local = run_campaign(pair, SCAN_CONFIG, max_workers=0)
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        pooled = run_campaign(pair, SCAN_CONFIG, executor=pool)
     report = pooled.reports[("SCAN", "EC1")]
+    assert len(report.records) == 37_449
     assert report.identical_to(local.reports[("SCAN", "EC1")])
-    # both runs share the stitcher, so check its tree invariants directly
+    # identical_to compares the two runs, so check the tree invariants directly
     records = report.records
     assert [r.index for r in records] == list(range(len(records)))
     for r in records:

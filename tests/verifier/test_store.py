@@ -13,8 +13,11 @@ from repro.solver.box import Box
 from repro.verifier.encoder import compile_problem, encode
 from repro.verifier.regions import Outcome, RegionRecord, VerificationReport
 from repro.verifier.store import (
+    SCHEMA_VERSION,
     JsonlStore,
+    PairTiming,
     SqliteStore,
+    aggregate_timings,
     iter_reports,
     open_store,
     report_from_payload,
@@ -156,6 +159,83 @@ class TestJsonlCrashRobustness:
             store.put("c", _tricky_report())
         with open_store(path) as store:
             assert sorted(store.keys()) == ["a", "b", "c"]
+
+
+class TestTimings:
+    """``iter_timings`` rows and their per-pair aggregates (``repro stats``)."""
+
+    def rows(self):
+        return [
+            {"functional": "LYP", "condition": "EC1", "elapsed_seconds": e,
+             "compile_seconds": 0.1, "total_solver_steps": 10}
+            for e in (0.4, 0.2, 0.6)
+        ] + [
+            {"functional": "Wigner", "condition": "EC1", "elapsed_seconds": 0.01,
+             "compile_seconds": 0.0, "total_solver_steps": 2},
+        ]
+
+    def test_per_pair_stats(self):
+        timings = aggregate_timings(self.rows())
+        lyp = timings[("LYP", "EC1")]
+        assert lyp.count == 3
+        assert lyp.total_seconds == pytest.approx(1.2)
+        assert lyp.mean_seconds == pytest.approx(0.4)
+        assert lyp.p99_seconds == 0.6  # nearest-rank over [0.2, 0.4, 0.6]
+        assert lyp.compile_seconds == pytest.approx(0.3)
+        assert lyp.total_solver_steps == 30
+        assert lyp.compile_share == pytest.approx(0.3 / 1.2)
+        assert timings[("Wigner", "EC1")].count == 1
+
+    def test_compile_share_clamped_and_empty_safe(self):
+        zero = PairTiming(
+            count=1, total_seconds=0.0, mean_seconds=0.0,
+            p99_seconds=0.0, compile_seconds=0.0, total_solver_steps=0,
+        )
+        assert zero.compile_share == 0.0
+        assert aggregate_timings([]) == {}
+
+    def test_numerics_cells_do_not_enter_the_timings(self, tmp_path):
+        from repro.numerics.campaign import run_numerics_campaign
+        from repro.verifier.campaign import run_campaign
+
+        path = tmp_path / "mixed.jsonl"
+        run_campaign([("Wigner", "EC1")], FAST, max_workers=0, store=path)
+        run_numerics_campaign(
+            ["Wigner"], components=("fc",), checks=("continuity",),
+            max_workers=0, store=path,
+        )
+        with open_store(path) as store:
+            rows = list(store.iter_timings())
+        assert [(r["functional"], r["condition"]) for r in rows] == [("Wigner", "EC1")]
+        assert rows[0]["elapsed_seconds"] >= 0.0
+        assert rows[0]["region_count"] >= 1
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
+    def test_stores_with_sched_plan_records_still_resume(self, tmp_path, suffix):
+        # older adaptive runs pinned their split plans in the store as
+        # "sched-plan" records; such stores must keep serving every cell
+        # and keep their timings readable
+        from repro.verifier.campaign import run_campaign
+
+        pairs = [("Wigner", "EC1"), ("VWN RPA", "EC1")]
+        path = tmp_path / f"legacy{suffix}"
+        first = run_campaign(pairs, FAST, max_workers=0, store=path)
+        with open_store(path) as store:
+            for key in first.cell_keys.values():
+                store.put_payload(
+                    "sched-plan:" + key,
+                    {"v": SCHEMA_VERSION, "kind": "sched-plan",
+                     "presplit_levels": 0, "steal_depth": 0},
+                )
+        again = run_campaign(pairs, FAST, max_workers=0, store=path)
+        assert sorted(again.store_hits) == sorted(pairs)
+        assert again.computed == []
+        for key in pairs:
+            assert again.reports[key].identical_to(first.reports[key])
+        with open_store(path) as store:
+            timings = aggregate_timings(store.iter_timings())
+            assert len(dict(iter_reports(store))) == 2
+        assert sorted(timings) == sorted(pairs)
 
 
 class TestContentKeys:

@@ -55,8 +55,6 @@ def recursive_oracle(config: VerifierConfig, problem, domain=None):
             and not config.split_on_counterexample
         ):
             return
-        if record.outcome is Outcome.TIMEOUT and not config.split_on_timeout:
-            return
         for child in box.split_all():
             visit(child, depth + 1, record)
 
@@ -108,7 +106,7 @@ CORPUS = [
         "PBE", EC1, None,
         VerifierConfig(split_threshold=0.15, per_call_budget=200, global_step_budget=300),
     ),
-    # no-split ablations
+    # no-split ablation
     (
         "LYP", EC1, {"rs": (1.0, 3.0), "s": (2.0, 4.0)},
         VerifierConfig(
@@ -116,12 +114,10 @@ CORPUS = [
             split_on_counterexample=False,
         ),
     ),
+    # per-call timeouts split until the global budget runs out
     (
         "PBE", EC1, None,
-        VerifierConfig(
-            split_threshold=0.5, per_call_budget=5, global_step_budget=100,
-            split_on_timeout=False,
-        ),
+        VerifierConfig(split_threshold=0.5, per_call_budget=5, global_step_budget=100),
     ),
 ]
 
@@ -249,36 +245,3 @@ class TestRecordStreaming:
         shifted = Verifier(config).verify(problem, depth_offset=3)
         assert [r.depth + 3 for r in base.records] == [r.depth for r in shifted.records]
         assert [r.outcome for r in base.records] == [r.outcome for r in shifted.records]
-
-
-class TestSolveRoot:
-    def test_solve_root_matches_first_record(self):
-        problem = encode(get_functional("LYP"), EC1)
-        config = VerifierConfig(
-            split_threshold=0.7, per_call_budget=250, global_step_budget=8000
-        )
-        full = Verifier(config).verify(problem)
-        record, children = Verifier(config).solve_root(problem, problem.domain)
-        root = full.records[0]
-        assert record.box == root.box
-        assert record.outcome == root.outcome
-        assert record.model == root.model
-        assert record.solver_steps == root.solver_steps
-        assert children is not None and len(children) == 4  # 2-D split_all
-        assert children == problem.domain.split_all()
-
-    def test_solve_root_below_threshold(self):
-        problem = encode(get_functional("LYP"), EC1)
-        config = VerifierConfig(split_threshold=100.0)
-        record, children = Verifier(config).solve_root(problem, problem.domain)
-        assert record is None and children is None
-
-    def test_solve_root_terminal_has_no_children(self):
-        problem = encode(get_functional("VWN RPA"), EC1)
-        config = VerifierConfig(
-            split_threshold=0.7, per_call_budget=250, global_step_budget=8000
-        )
-        record, children = Verifier(config).solve_root(problem, problem.domain)
-        assert record.outcome is Outcome.VERIFIED
-        assert children is None
-
