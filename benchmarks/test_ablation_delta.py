@@ -1,8 +1,7 @@
 """E8 -- ablation: delta, budget, and contractor sensitivity.
 
 Probes the knobs Section VI-A discusses: how solver precision/weakening
-and budget interact with verification coverage, and how much the HC4
-contractor contributes over pure bisection.
+and budget interact with verification coverage.
 """
 
 from __future__ import annotations
@@ -66,26 +65,3 @@ def test_delta_controls_spurious_models():
     if r_tight.status is SolverStatus.DELTA_SAT:
         assert not problem.negation.holds_at(r_tight.model)
 
-
-def test_contractor_vs_bisection(benchmark):
-    """HC4 pruning beats pure bisection by orders of magnitude (steps)."""
-    lyp = get_functional("LYP")
-    problem = encode(lyp, EC1)
-    domain = Box.from_bounds({"rs": (1.0, 3.0), "s": (0.0, 1.0)})  # verified region
-
-    def run():
-        hc4 = ICPSolver(use_probing=False, use_contraction=True)
-        bisect = ICPSolver(use_probing=False, use_contraction=False)
-        r1 = hc4.solve(problem.negation, domain, Budget(max_steps=50_000))
-        r2 = bisect.solve(problem.negation, domain, Budget(max_steps=50_000))
-        return r1, r2
-
-    r1, r2 = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(
-        f"\nHC4: {r1.status.value} in {r1.stats.boxes_processed} steps; "
-        f"bisection: {r2.status.value} in {r2.stats.boxes_processed} steps"
-    )
-    assert r1.status is SolverStatus.UNSAT
-    assert r1.stats.boxes_processed * 5 < r2.stats.boxes_processed or (
-        r2.status is SolverStatus.TIMEOUT
-    )

@@ -24,7 +24,7 @@ from __future__ import annotations
 from repro.conditions import EC1
 from repro.functionals import get_functional
 from repro.solver.box import Box
-from repro.solver.contractor import enclosure
+from repro.solver.tape import tape_for
 from repro.verifier import encode, verify_pair
 from repro.verifier.regions import Outcome
 from repro.verifier.verifier import VerifierConfig
@@ -53,8 +53,8 @@ def test_enclosure_width_across_alpha_one(benchmark):
 
     def widths():
         return (
-            enclosure(SCAN.fc(), box).width(),
-            enclosure(RSCAN.fc(), box).width(),
+            tape_for(SCAN.fc()).enclosure(box).width(),
+            tape_for(RSCAN.fc()).enclosure(box).width(),
         )
 
     scan_w, rscan_w = benchmark.pedantic(widths, rounds=1, iterations=1)

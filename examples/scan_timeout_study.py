@@ -52,7 +52,7 @@ def per_step_cost() -> None:
         if "alpha" in problem.domain.names:
             bounds["alpha"] = (1.0, 2.0)
         box = Box.from_bounds(bounds)
-        solver = ICPSolver(use_probing=False)
+        solver = ICPSolver()
         t0 = time.perf_counter()
         result = solver.solve(problem.negation, box, Budget(max_steps=300))
         dt = time.perf_counter() - t0

@@ -91,9 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--delta", type=float, default=1e-5, help="solver delta-weakening")
     p_verify.add_argument(
-        "--newton", action="store_true", help="enable the interval-Newton contractor"
-    )
-    p_verify.add_argument(
         "--batch-size", type=int, default=256,
         help="boxes per frontier batch (bit-identical; perf knob)",
     )
@@ -386,10 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
         '"EC1,EC6" (default: the full catalog)',
     )
     p_check.add_argument(
-        "--derivatives", action="store_true",
-        help="also verify the derivative tapes of each pair (slower)",
-    )
-    p_check.add_argument(
         "--json", dest="json_path", default=None, metavar="PATH",
         help="write the machine-readable report here ('-' = stdout)",
     )
@@ -566,7 +559,6 @@ def _cmd_list(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .verifier import VerifierConfig, Verifier, ascii_map, encode
-    from .solver.icp import ICPSolver
 
     functional, condition = _resolve_pair(args)
     _check_nonnegative(("--batch-size", args.batch_size))
@@ -575,11 +567,6 @@ def _cmd_verify(args) -> int:
         per_call_budget=args.budget,
         global_step_budget=args.global_budget,
         delta=args.delta,
-    )
-    solver = ICPSolver(
-        delta=config.delta,
-        precision=config.precision,
-        use_newton=args.newton,
         batch_size=args.batch_size,
     )
     from .obs.trace import current_tracer
@@ -588,7 +575,7 @@ def _cmd_verify(args) -> int:
         f"solve:{functional.name}/{condition.cid}", "solve",
         functional=functional.name, condition=condition.cid,
     ):
-        report = Verifier(config, solver=solver).verify(encode(functional, condition))
+        report = Verifier(config).verify(encode(functional, condition))
     print(report.summary())
     bbox = report.counterexample_bbox()
     if bbox is not None:
@@ -1051,7 +1038,6 @@ def _cmd_check(args) -> int:
             deep=args.deep,
             functionals=functionals,
             conditions=conditions,
-            derivatives=args.derivatives,
         )
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -234,8 +234,7 @@ def specialize(expr: Expr, box) -> Expr:
     point of the box), so unreachable Ite branches -- and any hazards or
     complexity they carry -- disappear from the expression.
     """
-    from ..solver.contractor import enclosure
-    from ..solver.tape import COND_CODE, decide_cond  # shared decision logic
+    from ..solver.tape import COND_CODE, decide_cond, tape_for  # shared decision logic
 
     pins = {}
     for name in box.names:
@@ -247,7 +246,7 @@ def specialize(expr: Expr, box) -> Expr:
         if isinstance(node, Var) and node.name in pins:
             return b.as_expr(pins[node.name])
         if isinstance(node, Ite):
-            gap = enclosure(b.sub(node.cond.lhs, node.cond.rhs), box)
+            gap = tape_for(b.sub(node.cond.lhs, node.cond.rhs)).enclosure(box)
             decided = decide_cond(COND_CODE[node.cond.op], gap)
             if decided is True:
                 return node.then

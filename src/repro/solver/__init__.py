@@ -8,23 +8,22 @@ Subpackages:
 * :mod:`repro.solver.tape` -- the tape-compiled interval VM (flat SSA
   instruction tapes for the forward/backward/point executors),
 * :mod:`repro.solver.contractor` -- HC4-revise forward/backward contractor,
-* :mod:`repro.solver.newton` -- first-order mean-value (interval Newton)
-  contractor,
-* :mod:`repro.solver.icp` -- the branch-and-prune decision procedure.
+* :mod:`repro.solver.icp` -- the branch-and-prune decision procedure: one
+  algorithm, batched HC4 contraction, midpoint probing and breadth-first
+  bisection.
 """
 
 from .interval import EMPTY, Interval, REALS, make, point
 from .box import Box
 from .constraint import Atom, Conjunction, negate_condition
 from .tape import CompiledAtom, CompiledConjunction, Tape, compile_expr, tape_for
-from .contractor import HC4Contractor, enclosure
-from .newton import NewtonContractor
+from .contractor import HC4Contractor
 from .icp import Budget, ICPSolver, SolverResult, SolverStats, SolverStatus
 
 __all__ = [
     "EMPTY", "Interval", "REALS", "make", "point",
     "Box", "Atom", "Conjunction", "negate_condition",
     "CompiledAtom", "CompiledConjunction", "Tape", "compile_expr", "tape_for",
-    "HC4Contractor", "enclosure", "NewtonContractor",
+    "HC4Contractor",
     "Budget", "ICPSolver", "SolverResult", "SolverStats", "SolverStatus",
 ]

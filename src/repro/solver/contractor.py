@@ -32,16 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..expr.nodes import Expr
 from .box import Box
 from .constraint import Conjunction
 from .interval import EMPTY, Interval
 from .tape import _VECTOR_MIN, _VECTOR_MIN_BWD, CompiledConjunction, MultiTape, Tape, tape_for
-
-
-def enclosure(expr: Expr, box: Box) -> Interval:
-    """Interval enclosure of ``expr`` over ``box`` (tape-compiled)."""
-    return tape_for(expr).enclosure(box)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +97,13 @@ class HC4Contractor:
         return self._multi or None
 
     def contract(self, box: Box, rounds: int = 2) -> Box:
-        """Iterate HC4-revise over all atoms up to ``rounds`` fixpoint rounds."""
+        """Iterate HC4-revise over all atoms up to ``rounds`` fixpoint rounds.
+
+        The per-box reference for :meth:`contract_batch`: the solver runs
+        only the batched path, and the test oracles
+        (``tests/solver/oracles.py:solve_per_box``,
+        ``test_contract_batch_matches_contract``) compare it against this.
+        """
         for _ in range(max(1, rounds)):
             changed = False
             for i in range(len(self._tapes)):
@@ -119,6 +119,7 @@ class HC4Contractor:
         return box
 
     def _revise(self, i: int, box: Box) -> Box:
+        """One HC4-revise of atom ``i`` on ``box`` (see :meth:`contract`)."""
         self.stats.forward_passes += 1
         tape = self._tapes[i]
         los = self._los[i]
@@ -324,7 +325,11 @@ class HC4Contractor:
         changed[bcols[ok & atom_changed]] = True
 
     def certainly_sat(self, box: Box) -> bool:
-        """True if every atom holds on the *whole* box (within delta)."""
+        """True if every atom holds on the *whole* box (within delta).
+
+        The per-box reference for :meth:`contract_batch`'s certainly-sat
+        verdicts; used by the test oracles, not by the solver.
+        """
         for i, tape in enumerate(self._tapes):
             los = self._los[i]
             his = self._his[i]

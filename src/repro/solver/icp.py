@@ -36,7 +36,6 @@ import numpy as np
 from .box import Box
 from .constraint import Conjunction
 from .contractor import HC4Contractor
-from .newton import NewtonContractor
 
 
 class SolverStatus(Enum):
@@ -151,31 +150,13 @@ class ICPSolver:
     precision:
         Minimal box width; boxes narrower than this are not split further
         and yield delta-SAT with their midpoint as the model.
-    contraction_rounds:
-        Fixpoint rounds of the HC4 contractor per box.
-    use_probing:
-        Evaluate the exact formula at box midpoints to short-circuit to a
-        *valid* model quickly (dReal similarly finds models early; disabling
-        this is an ablation knob).
-    use_contraction:
-        Disable to fall back to pure bisection (ablation knob; dramatically
-        slower, used to quantify the value of HC4 pruning).
-    use_newton:
-        Additionally apply the first-order mean-value contractor
-        (:class:`~repro.solver.newton.NewtonContractor`) after HC4 on each
-        box.  Pays off on derivative-heavy residuals where HC4's
-        syntax-directed pruning stalls; costs one symbolic derivative per
-        (atom, variable) up front plus extra interval sweeps per box.
-    search:
-        ``"bfs"`` (default) pulls up to ``batch_size`` boxes FIFO per
-        iteration; ``"dfs"`` pops one box at a time LIFO (ablation knob).
     batch_size:
         Upper bound on the number of boxes per frontier batch, summed over
         the roots of a multi-root call (:meth:`solve_many`).  Each batch
         is contracted *wholesale* by the batched tape executors
         (:meth:`HC4Contractor.contract_batch`: vectorised forward and
-        HC4-backward passes), leaving per-box work to probing, splitting
-        and the optional Newton contractor.  A pure performance knob:
+        HC4-backward passes), leaving per-box work to probing and
+        splitting.  A pure performance knob:
         results are bit-identical for every batch size.
 
     A multi-root call runs in *rounds*: each round concatenates the next
@@ -190,26 +171,14 @@ class ICPSolver:
         self,
         delta: float = 1e-5,
         precision: float = 1e-4,
-        contraction_rounds: int = 2,
-        use_probing: bool = True,
-        use_contraction: bool = True,
-        use_newton: bool = False,
-        search: str = "bfs",
         batch_size: int = 256,
     ):
         if precision <= 0.0:
             raise ValueError("precision must be positive")
-        if search not in ("bfs", "dfs"):
-            raise ValueError("search must be 'bfs' or 'dfs'")
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         self.delta = delta
         self.precision = precision
-        self.contraction_rounds = contraction_rounds
-        self.use_probing = use_probing
-        self.use_contraction = use_contraction
-        self.use_newton = use_newton
-        self.search = search
         self.batch_size = batch_size
         # contractors are pure functions of the formula; reuse across the
         # many solver calls Algorithm 1 makes for the same condition.
@@ -217,20 +186,12 @@ class ICPSolver:
         # id(formula): ids are recycled after garbage collection, which
         # could silently serve a stale contractor for a different formula.
         self._contractors: dict[object, HC4Contractor] = {}
-        self._newtons: dict[object, NewtonContractor] = {}
 
     def _contractor_for(self, formula: Conjunction) -> HC4Contractor:
         contractor = self._contractors.get(formula)
         if contractor is None:
             contractor = HC4Contractor(formula, delta=self.delta)
             self._contractors[formula] = contractor
-        return contractor
-
-    def _newton_for(self, formula: Conjunction) -> NewtonContractor:
-        contractor = self._newtons.get(formula)
-        if contractor is None:
-            contractor = NewtonContractor(formula, delta=self.delta)
-            self._newtons[formula] = contractor
         return contractor
 
     def solve(
@@ -253,49 +214,37 @@ class ICPSolver:
         max_steps = (budget or Budget()).max_steps
         t0 = time.monotonic()
         contractor = self._contractor_for(formula)
-        newton = self._newton_for(formula) if self.use_newton else None
         needed = formula.free_var_names()
         for domain in domains:
             missing = needed - set(domain.names)
             if missing:
                 raise ValueError(f"domain does not bind variables: {sorted(missing)}")
-        return self._solve_frontier(formula, domains, contractor, newton, max_steps, t0)
+        return self._solve_frontier(formula, domains, contractor, max_steps, t0)
 
     def _solve_frontier(
-        self, formula, domains: list[Box], contractor, newton, max_steps: int, t0: float
+        self, formula, domains: list[Box], contractor, max_steps: int, t0: float
     ) -> list[SolverResult]:
         """Frontier loop over several roots: contract whole batches, per-box
         work on survivors.
 
         Every root keeps its own worklist, step count and stats.  A round
-        pulls each unfinished root's next boxes -- FIFO under BFS, one
-        LIFO box under DFS -- in root order, until the round holds
-        ``batch_size`` boxes; a root whose level does not fit continues it
-        next round.  The round's boxes are contracted wholesale with the
-        batched tape executors (:meth:`HC4Contractor.contract_batch`),
-        which also decides certainly-sat for every surviving box in the
-        same sweep, and the results are handed back root by root.  Only
-        probing, the precision check, splitting and the optional Newton
-        contractor remain per box.  The batched contraction is
-        bit-identical per column whatever the batch holds, and each root
-        visits its boxes in the order of a classic pop-one-box loop, so
-        every root's status, model and per-box stats match a solo call.
-        A root takes no more boxes than it has steps left: the step after
-        the last one reports TIMEOUT without contracting anything.
-
-        The ablation knobs run through the same loop: ``search="dfs"``
-        pops LIFO batches of one box per root, and with contraction off
-        each box is passed through uncontracted and decided by a per-box
-        :meth:`~HC4Contractor.certainly_sat`.
+        pulls each unfinished root's next boxes FIFO, in root order, until
+        the round holds ``batch_size`` boxes; a root whose level does not
+        fit continues it next round.  FIFO (breadth-first) keeps refinement
+        uniform: un-prunable regions exhaust the budget (timeout) instead
+        of diving to a precision box and reporting a spurious delta-SAT.
+        The round's boxes are contracted wholesale with the batched tape
+        executors (:meth:`HC4Contractor.contract_batch`), which also
+        decides certainly-sat for every surviving box in the same sweep,
+        and the results are handed back root by root.  Only probing, the
+        precision check and splitting remain per box.  The batched
+        contraction is bit-identical per column whatever the batch holds,
+        and each root visits its boxes in the order of a classic
+        pop-one-box loop, so every root's status, model and per-box stats
+        match a solo call.  A root takes no more boxes than it has steps
+        left: the step after the last one reports TIMEOUT without
+        contracting anything.
         """
-        # BFS keeps refinement uniform: un-prunable regions exhaust the
-        # budget (timeout) instead of diving to a precision box and
-        # reporting a spurious delta-SAT; DFS is kept as an ablation knob.
-        lifo = self.search == "dfs"
-        # the batch's certainly-sat verdicts hold for the contracted boxes;
-        # Newton narrows them further and no contraction means no verdicts,
-        # so either case re-decides per box
-        decide_per_box = newton is not None or not self.use_contraction
         frontiers = [deque([domain]) for domain in domains]
         stats = [SolverStats(roots=1) for _ in domains]
         if stats:
@@ -321,19 +270,11 @@ class ICPSolver:
                     break
                 frontier = frontiers[r]
                 start = len(batch)
-                if lifo:
-                    batch.append(frontier.pop())
-                else:
-                    take = min(room, len(frontier), max_steps - stats[r].boxes_processed)
-                    batch.extend(frontier.popleft() for _ in range(take))
+                take = min(room, len(frontier), max_steps - stats[r].boxes_processed)
+                batch.extend(frontier.popleft() for _ in range(take))
                 segments.append((r, start, len(batch)))
             columns = np.zeros((2, len(batch)), dtype=np.int64)
-            if self.use_contraction:
-                contracted, allsat = contractor.contract_batch(
-                    batch, rounds=self.contraction_rounds, columns=columns
-                )
-            else:
-                contracted, allsat = batch, None
+            contracted, allsat = contractor.contract_batch(batch, columns=columns)
             for r, start, stop in segments:
                 st = stats[r]
                 st.batches += 1
@@ -351,31 +292,19 @@ class ICPSolver:
                         st.boxes_pruned += 1
                         continue
 
-                    if newton is not None:
-                        box = newton.contract(box)
-                        if box.is_empty():
-                            st.boxes_pruned += 1
-                            continue
-
-                    if self.use_probing:
-                        probe = box.midpoint()
-                        if formula.holds_at(probe):
-                            st.probe_hits += 1
-                            results[r] = SolverResult(SolverStatus.DELTA_SAT, probe, st)
-                            break
+                    probe = box.midpoint()
+                    if formula.holds_at(probe):
+                        st.probe_hits += 1
+                        results[r] = SolverResult(SolverStatus.DELTA_SAT, probe, st)
+                        break
 
                     if box.max_width() <= self.precision:
                         # cannot prune, cannot split: delta-SAT by delta-completeness
                         results[r] = SolverResult(SolverStatus.DELTA_SAT, box.midpoint(), st)
                         break
 
-                    if decide_per_box:
-                        certainly = contractor.certainly_sat(box)
-                    else:
-                        certainly = bool(allsat[j])
-                        if certainly:
-                            st.batch_certain += 1
-                    if certainly:
+                    if allsat[j]:
+                        st.batch_certain += 1
                         results[r] = SolverResult(SolverStatus.DELTA_SAT, box.midpoint(), st)
                         break
 

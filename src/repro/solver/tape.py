@@ -1,8 +1,8 @@
 """Tape-compiled interval VM for the solver hot path.
 
-The HC4 contractor, the mean-value Newton contractor and point probing all
-used to re-walk hash-consed expression DAGs for every box, paying per node
-for an ``isinstance`` dispatch chain and two ``dict[id(node)]`` lookups.
+The HC4 contractor and point probing both used to re-walk hash-consed
+expression DAGs for every box, paying per node for an ``isinstance``
+dispatch chain and two ``dict[id(node)]`` lookups.
 This module linearizes each residual DAG *once* into a flat SSA instruction
 tape and re-runs the three executors off that tape:
 
@@ -615,9 +615,10 @@ class Tape:
         """Run the forward instructions over fully loaded slot arrays."""
         _run_forward_ops(self._fwd, los, his)
 
-    # -- batched interval forward pass --------------------------------------
     def enclosure(self, box) -> Interval:
-        """Interval enclosure of the compiled expression over ``box``."""
+        """Interval enclosure of the compiled expression over ``box``
+        (box specialisation's guard decisions; the per-box reference of
+        :meth:`enclosure_batch`)."""
         n = self.n_slots
         los = [0.0] * n  # forward_arrays re-initialises from the templates
         his = [0.0] * n
@@ -1965,30 +1966,17 @@ def stable_digest(obj) -> str:
 # ---------------------------------------------------------------------------
 
 class CompiledAtom:
-    """A normalised inequality atom ``residual op 0`` compiled to a tape.
+    """A normalised inequality atom ``residual op 0`` compiled to a tape."""
 
-    Optionally carries tapes of the residual's partial derivatives (needed
-    only by the Newton contractor).
-    """
+    __slots__ = ("tape", "op")
 
-    __slots__ = ("tape", "op", "deriv_tapes")
-
-    def __init__(self, tape: Tape, op: str, deriv_tapes: dict[str, Tape] | None = None):
+    def __init__(self, tape: Tape, op: str):
         self.tape = tape
         self.op = op
-        self.deriv_tapes = deriv_tapes
 
     @classmethod
-    def from_atom(cls, atom, derivatives: bool = False) -> "CompiledAtom":
-        tape = tape_for(atom.residual)
-        deriv_tapes = None
-        if derivatives:
-            from ..expr.derivative import derivative
-            from ..expr.nodes import Var
-            deriv_tapes = {}
-            for var in sorted(atom.residual.free_vars(), key=lambda v: v.name):
-                deriv_tapes[var.name] = tape_for(derivative(atom.residual, var))
-        return cls(tape, atom.op, deriv_tapes)
+    def from_atom(cls, atom) -> "CompiledAtom":
+        return cls(tape_for(atom.residual), atom.op)
 
     def holds_at(self, point: dict[str, float], tol: float = 0.0) -> bool:
         """Exact floating-point check at a point (NaN counts as failure)."""
@@ -1998,22 +1986,15 @@ class CompiledAtom:
         return cond_holds(COND_CODE[self.op], value, tol)
 
     def fingerprint(self) -> str:
-        """Stable content hash of the atom (tape + relation + derivatives)."""
-        deriv = (
-            None
-            if self.deriv_tapes is None
-            else [
-                (name, self.deriv_tapes[name].fingerprint())
-                for name in sorted(self.deriv_tapes)
-            ]
-        )
-        return stable_digest(("atom", self.tape.fingerprint(), self.op, deriv))
+        """Stable content hash of the atom (tape + relation)."""
+        # None: the removed derivative-tape slot, keeps stored keys valid
+        return stable_digest(("atom", self.tape.fingerprint(), self.op, None))
 
     def __getstate__(self):
-        return (self.tape, self.op, self.deriv_tapes)
+        return (self.tape, self.op)
 
     def __setstate__(self, state):
-        self.tape, self.op, self.deriv_tapes = state
+        self.tape, self.op = state
 
 
 class CompiledConjunction:
@@ -2031,10 +2012,8 @@ class CompiledConjunction:
         self.atoms = tuple(atoms)
 
     @classmethod
-    def from_conjunction(cls, formula, derivatives: bool = False) -> "CompiledConjunction":
-        return cls(
-            tuple(CompiledAtom.from_atom(a, derivatives=derivatives) for a in formula.atoms)
-        )
+    def from_conjunction(cls, formula) -> "CompiledConjunction":
+        return cls(tuple(CompiledAtom.from_atom(a) for a in formula.atoms))
 
     def holds_at(self, point: dict[str, float], tol: float = 0.0) -> bool:
         return all(atom.holds_at(point, tol=tol) for atom in self.atoms)

@@ -32,7 +32,6 @@ def run_check(
     deep: int = 0,
     functionals=None,
     conditions=None,
-    derivatives: bool = False,
     allowlist_path=None,
     guards=None,
 ) -> Report:
@@ -44,7 +43,6 @@ def run_check(
     raise ``ValueError``).
     ``deep``: TAPE108 domain-refinement depth (axis halvings).
     ``functionals``/``conditions``: slice the tape corpus by name.
-    ``derivatives``: also compile and check derivative tapes.
     """
     known = all_rule_ids()
     if rules is not None:
@@ -84,7 +82,6 @@ def run_check(
             functionals=functionals,
             conditions=conditions,
             deep=deep,
-            derivatives=derivatives,
             guards=guards,
             rules=tape_selected,
             report=report,

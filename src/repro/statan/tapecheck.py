@@ -674,8 +674,6 @@ def check_problem(
     for i, atom in enumerate(compiled.negation.atoms):
         run(atom.tape, f"atom{i}")
         atom_tapes.append(atom.tape)
-        for name, dtape in sorted((atom.deriv_tapes or {}).items()):
-            run(dtape, f"atom{i}/d_{name}")
     run(compiled.psi_lhs, "psi_lhs")
     run(compiled.psi_rhs, "psi_rhs")
     if rules is None or "TAPE110" in rules:
@@ -691,7 +689,6 @@ def check_corpus(
     functionals=None,
     conditions=None,
     deep: int = 0,
-    derivatives: bool = False,
     guards=None,
     rules=None,
     report: Report | None = None,
@@ -701,9 +698,7 @@ def check_corpus(
 
     findings: list[Finding] = []
     for functional, condition in corpus_pairs(functionals, conditions):
-        compiled = compile_problem(
-            encode(functional, condition), derivatives=derivatives
-        )
+        compiled = compile_problem(encode(functional, condition))
         findings.extend(check_problem(
             compiled, f"{functional.name}/{condition.cid}",
             deep=deep, guards=guards, rules=rules, report=report,

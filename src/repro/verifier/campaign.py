@@ -281,7 +281,8 @@ class _Cell:
 #: Content addressing makes the reuse sound: the tapes' stable content hash
 #: (two unpickled copies of the same problem hash identically) names the
 #: problem, and the solver key pins every config field
-#: :meth:`VerifierConfig.make_solver` consumes.
+#: :meth:`VerifierConfig.make_solver` consumes -- ``delta``, ``precision``
+#: and ``batch_size``, the solver's full parameter set.
 _WORKER_CACHE: dict = {}
 _WORKER_CACHE_MAX = 64
 

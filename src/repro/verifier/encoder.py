@@ -154,20 +154,14 @@ class CompiledProblem:
             setattr(self, name, value)
 
 
-def compile_problem(problem: EncodedProblem, derivatives: bool = False) -> CompiledProblem:
-    """Compile an encoded problem into picklable tapes.
-
-    ``derivatives=True`` additionally compiles per-variable derivative
-    tapes, required if the consuming solver enables the Newton contractor.
-    """
+def compile_problem(problem: EncodedProblem) -> CompiledProblem:
+    """Compile an encoded problem into picklable tapes."""
     from ..solver.tape import CompiledConjunction, tape_for
 
     return CompiledProblem(
         functional_name=problem.functional.name,
         condition_id=problem.condition.cid,
-        negation=CompiledConjunction.from_conjunction(
-            problem.negation, derivatives=derivatives
-        ),
+        negation=CompiledConjunction.from_conjunction(problem.negation),
         psi_lhs=tape_for(problem.psi.lhs),
         psi_rhs=tape_for(problem.psi.rhs),
         psi_op=problem.psi.op,

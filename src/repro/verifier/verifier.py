@@ -256,15 +256,8 @@ class Verifier:
         self,
         problem: EncodedProblem | CompiledProblem,
         domain: Box | None = None,
-        *,
-        depth_offset: int = 0,
     ) -> VerificationReport:
-        """Run Algorithm 1 on one encoded (or tape-compiled) pair.
-
-        ``depth_offset`` shifts recorded depths, so a run over a subdomain
-        records the depths its boxes would have in a run over the whole
-        domain.
-        """
+        """Run Algorithm 1 on one encoded (or tape-compiled) pair."""
         functional_name, condition_id = self._problem_names(problem)
         domain = domain if domain is not None else problem.domain
         report = VerificationReport(
@@ -288,7 +281,7 @@ class Verifier:
         # and a solver with the multi-root call (duck-typed solvers that
         # only have solve() keep one-box calls)
         batch_siblings = queue.order == "dfs" and hasattr(self.solver, "solve_many")
-        queue.push(domain, depth_offset, None)
+        queue.push(domain, 0, None)
         while queue:
             box, depth, parent, presolved = queue.pop()
             if box.max_width() < threshold:  # Alg. 1, lines 1-2

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.expr.evaluator import evaluate
 from repro.functionals import get_functional, paper_functionals
 from repro.solver.box import Box
-from repro.solver.contractor import enclosure
+from repro.solver.tape import tape_for
 
 from tests.support import hyp_examples
 
@@ -84,7 +84,7 @@ def test_enclosure_contains_point_value(name, rs, s, w):
         for n, v in env.items()
     }
     box = Box.from_bounds(bounds)
-    enc = enclosure(f.fc(), box)
+    enc = tape_for(f.fc()).enclosure(box)
     assert not enc.is_empty()
     assert enc.lo <= value <= enc.hi
 
@@ -105,7 +105,7 @@ def test_scan_enclosure_contains_point_value(rs, s, alpha, w):
         n: (max(1e-4 if n == "rs" else 0.0, v - w), min(5.0, v + w))
         for n, v in env.items()
     }
-    enc = enclosure(f.fc(), Box.from_bounds(bounds))
+    enc = tape_for(f.fc()).enclosure(Box.from_bounds(bounds))
     assert enc.lo <= value <= enc.hi
 
 

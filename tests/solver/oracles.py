@@ -15,7 +15,7 @@ against:
 * :func:`solve_per_box` -- the classic pop-one-box branch-and-prune loop,
   driving either contractor one box at a time.  Its results, models and
   processed/pruned/split/probe counts are what the frontier loop must
-  reproduce for every search order, ablation knob, batch size and budget.
+  reproduce for every batch size and budget.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.solver.constraint import Conjunction
 from repro.solver.contractor import ContractionStats, HC4Contractor
 from repro.solver.icp import Budget, ICPSolver, SolverResult, SolverStats, SolverStatus
 from repro.solver.interval import EMPTY, Interval, make, point
-from repro.solver.newton import NewtonContractor
 from repro.solver.tape import (
     COND_CODE,
     CompiledConjunction,
@@ -342,17 +341,18 @@ def solve_per_box(
     budget: Budget | None = None,
     executor: str = "tape",
 ) -> SolverResult:
-    """Classic pop-one-box loop with ``solver``'s knobs.
+    """Classic pop-one-box loop (FIFO, HC4, probe, bisect) with
+    ``solver``'s delta and precision.
 
     ``executor="tape"`` contracts each box with the production
-    :class:`HC4Contractor` one box at a time; ``"walk"`` uses
+    :class:`HC4Contractor` one box at a time (:meth:`~HC4Contractor.contract`
+    and :meth:`~HC4Contractor.certainly_sat`); ``"walk"`` uses
     :class:`WalkContractor`.  ``solver.batch_size`` is ignored.
     """
     if executor == "walk":
         contractor = WalkContractor(formula, delta=solver.delta)
     else:
         contractor = HC4Contractor(formula, delta=solver.delta)
-    newton = NewtonContractor(formula, delta=solver.delta) if solver.use_newton else None
     max_steps = (budget or Budget()).max_steps
     stats = SolverStats()
     t0 = time.monotonic()
@@ -361,34 +361,26 @@ def solve_per_box(
         stats.elapsed_seconds = time.monotonic() - t0
         return SolverResult(status, model, stats)
 
-    stack: deque[Box] = deque([domain])
-    while stack:
+    worklist: deque[Box] = deque([domain])
+    while worklist:
         if stats.boxes_processed >= max_steps:
             return done(SolverStatus.TIMEOUT)
-        box = stack.pop() if solver.search == "dfs" else stack.popleft()
+        box = worklist.popleft()
         stats.boxes_processed += 1
 
         if box.is_empty():
             stats.boxes_pruned += 1
             continue
 
-        if solver.use_contraction:
-            box = contractor.contract(box, rounds=solver.contraction_rounds)
-            if box.is_empty():
-                stats.boxes_pruned += 1
-                continue
+        box = contractor.contract(box)
+        if box.is_empty():
+            stats.boxes_pruned += 1
+            continue
 
-        if newton is not None:
-            box = newton.contract(box)
-            if box.is_empty():
-                stats.boxes_pruned += 1
-                continue
-
-        if solver.use_probing:
-            probe = box.midpoint()
-            if formula.holds_at(probe):
-                stats.probe_hits += 1
-                return done(SolverStatus.DELTA_SAT, probe)
+        probe = box.midpoint()
+        if formula.holds_at(probe):
+            stats.probe_hits += 1
+            return done(SolverStatus.DELTA_SAT, probe)
 
         if box.max_width() <= solver.precision:
             # cannot prune, cannot split: delta-SAT by delta-completeness
@@ -399,8 +391,8 @@ def solve_per_box(
 
         left, right = box.split()
         stats.boxes_split += 1
-        stack.append(left)
-        stack.append(right)
+        worklist.append(left)
+        worklist.append(right)
 
     return done(SolverStatus.UNSAT)
 

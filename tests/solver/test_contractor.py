@@ -8,7 +8,8 @@ from repro.expr import builder as b
 from repro.expr.nodes import Var
 from repro.solver.box import Box
 from repro.solver.constraint import Atom, Conjunction
-from repro.solver.contractor import HC4Contractor, enclosure
+from repro.solver.contractor import HC4Contractor
+from repro.solver.tape import tape_for
 
 from .oracles import interval_eval
 
@@ -26,42 +27,42 @@ def contract(expr_rel, bounds, delta=0.0, rounds=3):
 class TestForwardEnclosure:
     def test_linear(self):
         box = Box.from_bounds({"x": (0.0, 1.0)})
-        out = enclosure(b.add(b.mul(2.0, X), 1.0), box)
+        out = tape_for(b.add(b.mul(2.0, X), 1.0)).enclosure(box)
         assert out.lo == pytest.approx(1.0, abs=1e-12)
         assert out.hi == pytest.approx(3.0, abs=1e-12)
 
     def test_nonlinear(self):
         box = Box.from_bounds({"x": (-1.0, 2.0)})
-        out = enclosure(b.pow_(X, 2.0), box)
+        out = tape_for(b.pow_(X, 2.0)).enclosure(box)
         assert out.lo == 0.0
         assert out.hi >= 4.0
 
     def test_transcendental(self):
         box = Box.from_bounds({"x": (0.0, 1.0)})
-        out = enclosure(b.exp(X), box)
+        out = tape_for(b.exp(X)).enclosure(box)
         assert out.contains(1.0) and out.contains(math.e)
 
     def test_containment_on_samples(self):
         expr = b.exp(-X) * b.log(1.0 + Y**2) + b.atan(X * Y)
         box = Box.from_bounds({"x": (-1.0, 1.0), "y": (0.5, 2.0)})
-        out = enclosure(expr, box)
+        out = tape_for(expr).enclosure(box)
         from repro.expr.evaluator import evaluate
         for pt in box.sample_grid(5):
             assert out.contains(evaluate(expr, pt))
 
     def test_ite_decided_condition(self):
         e = b.ite(X.ge(0.0), b.const(1.0), b.const(-1.0))
-        assert enclosure(e, Box.from_bounds({"x": (1.0, 2.0)})).contains(1.0)
-        assert enclosure(e, Box.from_bounds({"x": (-2.0, -1.0)})).contains(-1.0)
+        assert tape_for(e).enclosure(Box.from_bounds({"x": (1.0, 2.0)})).contains(1.0)
+        assert tape_for(e).enclosure(Box.from_bounds({"x": (-2.0, -1.0)})).contains(-1.0)
 
     def test_ite_undecided_hull(self):
         e = b.ite(X.ge(0.0), b.const(1.0), b.const(-1.0))
-        out = enclosure(e, Box.from_bounds({"x": (-1.0, 1.0)}))
+        out = tape_for(e).enclosure(Box.from_bounds({"x": (-1.0, 1.0)}))
         assert out.contains(1.0) and out.contains(-1.0)
 
     def test_unbound_variable_raises(self):
         with pytest.raises(KeyError):
-            enclosure(X + Y, Box.from_bounds({"x": (0.0, 1.0)}))
+            tape_for(X + Y).enclosure(Box.from_bounds({"x": (0.0, 1.0)}))
 
     def test_interval_eval_returns_all_nodes(self):
         e = b.exp(X) + 1.0

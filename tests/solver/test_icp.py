@@ -83,14 +83,16 @@ class TestDecisions:
 
 class TestBudget:
     def test_timeout_reported(self):
-        # hard feasibility boundary + tiny budget
+        # hard feasibility boundary + tiny budget; no midpoint probe lands
+        # in the thin band
         f = formula((b.sin(X) * b.cos(Y)).ge(0.9999999))
-        res = ICPSolver(use_probing=False).solve(
+        res = ICPSolver().solve(
             f,
             Box.from_bounds({"x": (0, 10), "y": (0, 10)}),
             Budget(max_steps=3),
         )
         assert res.status is SolverStatus.TIMEOUT
+        assert res.stats.probe_hits == 0
 
     def test_step_accounting(self):
         f = formula(X.ge(100.0))
@@ -107,37 +109,22 @@ class TestBudget:
 class TestKnobs:
     def test_probing_short_circuits(self):
         f = formula(X.le(10.0))
-        fast = ICPSolver(use_probing=True).solve(f, Box.from_bounds({"x": (0, 1)}))
+        fast = ICPSolver().solve(f, Box.from_bounds({"x": (0, 1)}))
         assert fast.stats.probe_hits == 1
 
     def test_no_probing_still_sat(self):
-        f = formula(X.le(10.0))
-        res = ICPSolver(use_probing=False).solve(f, Box.from_bounds({"x": (0, 1)}))
+        # HC4 narrows x <= 0 to [0, delta]; its midpoint misses the exact
+        # atom, so the precision check answers delta-SAT without a probe hit
+        f = formula(X.le(0.0))
+        res = ICPSolver().solve(f, Box.from_bounds({"x": (0, 1)}))
         assert res.status is SolverStatus.DELTA_SAT
-
-    def test_contraction_ablation_more_steps(self):
-        f = formula(b.exp(X).le(1e-6))
-        domain = Box.from_bounds({"x": (-30.0, 30.0)})
-        with_hc4 = ICPSolver(use_probing=False, use_contraction=True)
-        without = ICPSolver(use_probing=False, use_contraction=False)
-        r1 = with_hc4.solve(f, domain)
-        r2 = without.solve(f, domain, Budget(max_steps=100_000))
-        assert r1.status is r2.status is SolverStatus.DELTA_SAT
-        assert r1.stats.boxes_processed <= r2.stats.boxes_processed
-
-    def test_dfs_and_bfs_agree_on_status(self):
-        f = formula((X**2 + Y**2).le(1.0), (X + Y).ge(3.0))
-        domain = Box.from_bounds({"x": (-2, 2), "y": (-2, 2)})
-        assert (
-            ICPSolver(search="dfs").solve(f, domain).status
-            is ICPSolver(search="bfs").solve(f, domain).status
-        )
+        assert res.stats.probe_hits == 0
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError):
             ICPSolver(precision=0.0)
         with pytest.raises(ValueError):
-            ICPSolver(search="random")
+            ICPSolver(batch_size=0)
 
     def test_contractor_cache_reused(self):
         solver = ICPSolver()

@@ -103,14 +103,3 @@ def test_contraction_preserves_sampled_solutions(atom):
     for pt in POINTS:
         if f.holds_at(pt):
             assert contracted.contains_point(pt), f"contraction lost {pt}"
-
-
-@given(atom=quadratic_atoms(), data=st.data())
-@settings(max_examples=hyp_examples(40), deadline=None)
-def test_search_order_does_not_change_verdict(atom, data):
-    f = Conjunction.of(atom)
-    r_bfs = ICPSolver(search="bfs").solve(f, DOMAIN, Budget(max_steps=4000))
-    r_dfs = ICPSolver(search="dfs").solve(f, DOMAIN, Budget(max_steps=4000))
-    decided = {SolverStatus.UNSAT, SolverStatus.DELTA_SAT}
-    if r_bfs.status in decided and r_dfs.status in decided:
-        assert r_bfs.status is r_dfs.status

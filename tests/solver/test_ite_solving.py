@@ -12,7 +12,7 @@ from repro.expr import builder as b
 from repro.expr.nodes import Var
 from repro.solver.box import Box
 from repro.solver.constraint import Atom, Conjunction
-from repro.solver.contractor import enclosure
+from repro.solver.tape import tape_for
 from repro.solver.icp import Budget, ICPSolver, SolverStatus
 
 X = Var("x")
@@ -23,23 +23,23 @@ PIECEWISE = b.ite(X.lt(1.0), b.pow_(X, 2.0), b.sub(b.mul(2.0, X), 1.0))
 
 class TestEnclosures:
     def test_decided_below(self):
-        enc = enclosure(PIECEWISE, Box.from_bounds({"x": (-0.5, 0.5)}))
+        enc = tape_for(PIECEWISE).enclosure(Box.from_bounds({"x": (-0.5, 0.5)}))
         assert enc.lo >= -1e-12 and enc.hi <= 0.25 + 1e-9
 
     def test_decided_above(self):
-        enc = enclosure(PIECEWISE, Box.from_bounds({"x": (2.0, 3.0)}))
+        enc = tape_for(PIECEWISE).enclosure(Box.from_bounds({"x": (2.0, 3.0)}))
         assert enc.lo == pytest.approx(3.0, abs=1e-9)
         assert enc.hi == pytest.approx(5.0, abs=1e-9)
 
     def test_undecided_takes_hull(self):
-        enc = enclosure(PIECEWISE, Box.from_bounds({"x": (0.5, 2.0)}))
+        enc = tape_for(PIECEWISE).enclosure(Box.from_bounds({"x": (0.5, 2.0)}))
         # hull of [0.25, 4] (quadratic part) and [0, 3] (linear part)
         assert enc.contains(0.25) and enc.contains(3.0)
 
     def test_point_containment_across_switch(self):
         from repro.expr.evaluator import evaluate
         box = Box.from_bounds({"x": (0.0, 2.0)})
-        enc = enclosure(PIECEWISE, box)
+        enc = tape_for(PIECEWISE).enclosure(box)
         for xv in (0.0, 0.5, 0.999, 1.0, 1.5, 2.0):
             assert enc.contains(evaluate(PIECEWISE, {"x": xv}))
 

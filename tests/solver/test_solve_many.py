@@ -74,15 +74,10 @@ def sub_box(draw):
     roots=st.lists(sub_box(), min_size=0, max_size=6),
     steps=st.integers(1, 300),
     batch_size=st.sampled_from([1, 2, 7, 24, 256]),
-    search=st.sampled_from(["bfs", "dfs"]),
-    probing=st.booleans(),
 )
 @settings(max_examples=hyp_examples(60), deadline=None)
-def test_solve_many_equals_per_root_solve(f, roots, steps, batch_size, search, probing):
-    solver = ICPSolver(
-        delta=1e-9, precision=1e-3, batch_size=batch_size, search=search,
-        use_probing=probing,
-    )
+def test_solve_many_equals_per_root_solve(f, roots, steps, batch_size):
+    solver = ICPSolver(delta=1e-9, precision=1e-3, batch_size=batch_size)
     assert_matches_solo(solver, f, roots, Budget(max_steps=steps))
 
 
@@ -107,7 +102,9 @@ def test_timeout_roots_beside_finishing_roots():
         Box.from_bounds({"mx": (0.0, 0.1), "my": (0.0, 0.1)}),
         Box.from_bounds({"mx": (-10.0, 0.0), "my": (0.0, 10.0)}),
     ]
-    results = assert_matches_solo(ICPSolver(use_probing=False), f, roots, Budget(max_steps=40))
+    results = assert_matches_solo(ICPSolver(), f, roots, Budget(max_steps=40))
+    # no midpoint probe lands in the band
+    assert [r.stats.probe_hits for r in results] == [0, 0, 0]
     statuses = [r.status for r in results]
     assert SolverStatus.TIMEOUT in statuses
     assert SolverStatus.UNSAT in statuses
@@ -123,15 +120,6 @@ def test_batch_size_one():
     f = formula((X**2 + Y**2).le(0.25), (X + Y).ge(0.9))
     roots = [DOMAIN, Box.from_bounds({"mx": (0.0, 1.0), "my": (0.0, 1.0)})]
     assert_matches_solo(ICPSolver(batch_size=1), f, roots, Budget(max_steps=200))
-
-
-@pytest.mark.parametrize(
-    "knobs", [{"use_newton": True}, {"use_contraction": False}, {"search": "dfs"}]
-)
-def test_ablations_share_the_loop(knobs):
-    f = formula((X**2 + Y**2).le(0.25), (X + Y).ge(0.9))
-    roots = [DOMAIN, Box.from_bounds({"mx": (0.0, 1.0), "my": (-1.0, 1.0)})]
-    assert_matches_solo(ICPSolver(**knobs), f, roots, Budget(max_steps=150))
 
 
 @pytest.fixture(scope="module")

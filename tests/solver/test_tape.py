@@ -242,28 +242,6 @@ def test_compiled_conjunction_roundtrip_through_pickle():
     assert compiled.free_var_names() == formula.free_var_names()
 
 
-def test_newton_contractor_accepts_compiled_conjunction_with_derivatives():
-    from repro.solver.newton import NewtonContractor
-
-    expr = (X - 1.0) * (X - 1.0) + Y * Y
-    formula = Conjunction.of(Atom(expr, "<="))
-    compiled = CompiledConjunction.from_conjunction(formula, derivatives=True)
-    compiled = pickle.loads(pickle.dumps(compiled))
-    box = Box.from_bounds({"x": (0.0, 2.0), "y": (-1.0, 1.0)})
-    n1 = NewtonContractor(formula, delta=1e-5).contract(box)
-    n2 = NewtonContractor(compiled, delta=1e-5).contract(box)
-    assert_boxes_identical(n1, n2)
-
-
-def test_newton_requires_derivative_tapes():
-    from repro.solver.newton import NewtonContractor
-
-    formula = Conjunction.of(Atom(X * X, "<="))
-    compiled = CompiledConjunction.from_conjunction(formula)
-    with pytest.raises(ValueError, match="derivative"):
-        NewtonContractor(compiled)
-
-
 def test_walk_backend_rejects_compiled_conjunction():
     formula = Conjunction.of(Atom(X + Y, "<="))
     compiled = CompiledConjunction.from_conjunction(formula)

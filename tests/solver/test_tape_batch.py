@@ -256,29 +256,6 @@ def test_frontier_solver_matches_tape_and_walk(seed):
     assert batch.stats.batches > 0
 
 
-@pytest.mark.parametrize("knob", ["dfs", "no-contraction", "newton"])
-def test_frontier_solver_knob_fallbacks_stay_identical(knob):
-    """The ablation knobs run through the frontier loop too; each must
-    replay the per-box loop exactly, at every batch size."""
-    rng = random.Random(42)
-    formula = Conjunction.of(Atom(random_expr(rng, depth=3), "<="))
-    box = random_box(rng)
-    budget = Budget(max_steps=120)
-    kwargs = {}
-    if knob == "dfs":
-        kwargs["search"] = "dfs"
-    elif knob == "no-contraction":
-        kwargs["use_contraction"] = False
-    else:
-        kwargs["use_newton"] = True
-    for batch_size in (1, 3, 64):
-        solver = ICPSolver(delta=1e-5, precision=1e-2, batch_size=batch_size, **kwargs)
-        batch = solver.solve(formula, box, budget)
-        for executor in ("tape", "walk"):
-            oracle = solve_per_box(solver, formula, box, budget, executor=executor)
-            assert_results_identical(batch, oracle)
-
-
 def test_frontier_timeout_mid_batch_matches_per_box():
     rng = random.Random(11)
     formula = Conjunction.of(Atom(random_expr(rng, depth=3), "<="))

@@ -93,12 +93,9 @@ class TestCorpusClean:
         # abstract interpretation actually covered partial-function sites
         assert report.nan_sites_safe > 0
 
-    def test_slice_with_derivatives_clean(self):
+    def test_slice_clean(self):
         report = Report()
-        findings = check_corpus(
-            functionals=["pbe"], conditions=["EC1"],
-            derivatives=True, report=report,
-        )
+        findings = check_corpus(functionals=["pbe"], conditions=["EC1"], report=report)
         assert findings == []
         assert report.pairs_checked == 1
 

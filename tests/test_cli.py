@@ -62,16 +62,6 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "legend" in out
 
-    def test_verify_with_newton(self, capsys):
-        rc = main(
-            [
-                "verify", "-f", "VWN RPA", "-c", "EC1",
-                "--global-budget", "500", "--newton",
-            ]
-        )
-        assert rc == 0
-        assert "VWN RPA/EC1" in capsys.readouterr().out
-
     def test_unknown_functional(self, capsys):
         assert main(["verify", "-f", "NOPE", "-c", "EC1"]) == 1
         assert "unknown functional" in capsys.readouterr().err
@@ -534,13 +524,16 @@ class TestKnobValidation:
             ["table1", "--adaptive"],
             ["table2", "--adaptive"],
             ["numerics", "--all", "--adaptive"],
+            ["verify", "-f", "PBE", "-c", "EC1", "--newton"],
+            ["check", "--derivatives"],
         ],
         ids=["campaign-levels", "campaign-steal-depth", "campaign-adaptive",
-             "table1-adaptive", "table2-adaptive", "numerics-adaptive"],
+             "table1-adaptive", "table2-adaptive", "numerics-adaptive",
+             "verify-newton", "check-derivatives"],
     )
     def test_removed_scheduling_flags_exit_2(self, capsys, argv):
-        # scripts still passing the deleted scheduling flags must fail
-        # loudly rather than have them silently ignored
+        # scripts still passing the deleted scheduling or solver flags
+        # must fail loudly rather than have them silently ignored
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -63,8 +63,14 @@ class TestSolverDegenerateInputs:
             ICPSolver(precision=0.0)
 
     def test_invalid_search_rejected(self):
-        with pytest.raises(ValueError):
-            ICPSolver(search="best-first")
+        # the solver runs one algorithm: the removed search-order and
+        # ablation knobs are rejected, not silently ignored
+        for knob, value in (
+            ("search", "best-first"), ("use_newton", True), ("use_contraction", False),
+            ("use_probing", False), ("contraction_rounds", 3),
+        ):
+            with pytest.raises(TypeError, match=knob):
+                ICPSolver(**{knob: value})
 
 
 class TestVerifierDegenerateConfigs:

@@ -233,15 +233,3 @@ class TestQueueOrders:
         # pattern), long before any verify() call could misqueue work
         with pytest.raises(ValueError, match="queue_order"):
             VerifierConfig(queue_order="sideways")
-
-
-class TestRecordStreaming:
-    def test_depth_offset_shifts_all_depths(self):
-        problem = encode(get_functional("LYP"), EC1)
-        config = VerifierConfig(
-            split_threshold=0.7, per_call_budget=250, global_step_budget=4000
-        )
-        base = Verifier(config).verify(problem)
-        shifted = Verifier(config).verify(problem, depth_offset=3)
-        assert [r.depth + 3 for r in base.records] == [r.depth for r in shifted.records]
-        assert [r.outcome for r in base.records] == [r.outcome for r in shifted.records]
