@@ -153,19 +153,17 @@ def test_pow_func_frontier_matches_forced_scalar(monkeypatch):
     assert_results_identical(kernel, scalar)
 
 
-def test_per_op_kernel_timings():
-    """Publish per-op forward/backward kernel timings (vector vs the
-    per-column Interval loops) into the perf artifact.
+#: frontier width of the per-op kernel timings
+KERNEL_WIDTH = 256
 
-    No speedup gate per op -- narrow rows legitimately favour the scalar
-    loops -- but each vector kernel must stay bit-identical to its
-    per-column counterpart, and at frontier width (256) the vector side
-    must not regress past the scalar loop.
-    """
+
+def _kernel_cases():
+    """Per-op (vector kernel, per-column Interval loop) pairs at
+    ``KERNEL_WIDTH`` on a fixed random row."""
     from repro.solver import kernels
     from repro.solver.interval import Interval
 
-    width = 256
+    width = KERNEL_WIDTH
     rng = np.random.default_rng(7)
     lo = np.abs(rng.normal(1.0, 0.7, width)) + 1e-3
     hi = lo + np.abs(rng.normal(0.5, 0.3, width))
@@ -181,7 +179,7 @@ def test_per_op_kernel_timings():
             return out_lo, out_hi
         return run
 
-    cases = {
+    return {
         "pow_int3": (lambda: kernels.fwd_pow_int(lo, hi, 3),
                      per_column(Interval.pow_int, 3)),
         "pow_real": (lambda: kernels.fwd_pow_real(lo, hi, 1.5),
@@ -192,29 +190,37 @@ def test_per_op_kernel_timings():
                 per_column(Interval.log)),
     }
 
-    def best_us(fn, repeats=5, iters=20):
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            for _ in range(iters):
-                fn()
-            best = min(best, (time.perf_counter() - t0) / iters)
-        return best * 1e6
 
+def _best_us(fn, repeats=5, iters=20):
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(iters):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / iters)
+    return best * 1e6
+
+
+def test_per_op_kernel_timings():
+    """Publish per-op forward/backward kernel timings (vector vs the
+    per-column Interval loops) into the perf artifact.
+
+    No timing gate -- that is the ``perf``-marked
+    :func:`test_per_op_vector_kernels_beat_per_column_loops` -- but each
+    vector kernel must stay bit-identical to its per-column counterpart.
+    """
+    width = KERNEL_WIDTH
     values = {}
-    for name, (vector_fn, scalar_fn) in cases.items():
+    for name, (vector_fn, scalar_fn) in _kernel_cases().items():
         v_lo, v_hi = vector_fn()
         s_lo, s_hi = scalar_fn()
         assert np.array_equal(v_lo, s_lo) and np.array_equal(v_hi, s_hi), name
-        t_vector = best_us(vector_fn)
-        t_scalar = best_us(scalar_fn)
+        t_vector = _best_us(vector_fn)
+        t_scalar = _best_us(scalar_fn)
         values[f"{name}_vector_us"] = t_vector
         values[f"{name}_scalar_us"] = t_scalar
         print(f"\n{name}: vector {t_vector:.1f} us, per-column {t_scalar:.1f} us "
               f"({t_scalar / t_vector:.1f}x) at width {width}")
-        assert t_vector < t_scalar, (
-            f"{name} vector kernel slower than the per-column loop at width {width}"
-        )
 
     # backward pass at op granularity: a Pow/Func-heavy tape end to end,
     # vector (vector_min=0) vs forced per-column (vector_min > width)
@@ -235,11 +241,22 @@ def test_per_op_kernel_timings():
             tape.backward_batch(blo, bhi, vector_min)
         return run
 
-    values["backward_vector_us"] = best_us(backward(0), iters=5)
-    values["backward_scalar_us"] = best_us(backward(width + 1), iters=5)
+    values["backward_vector_us"] = _best_us(backward(0), iters=5)
+    values["backward_scalar_us"] = _best_us(backward(width + 1), iters=5)
     print(f"backward pass: vector {values['backward_vector_us']:.1f} us, "
           f"per-column {values['backward_scalar_us']:.1f} us at width {width}")
     record_bench("kernel_ops", width=width, **values)
+
+
+@pytest.mark.perf
+def test_per_op_vector_kernels_beat_per_column_loops():
+    """A wall-clock gate, so ``perf``-marked: at frontier width each
+    vector kernel must not regress past its per-column loop."""
+    for name, (vector_fn, scalar_fn) in _kernel_cases().items():
+        assert _best_us(vector_fn) < _best_us(scalar_fn), (
+            f"{name} vector kernel slower than the per-column loop at width "
+            f"{KERNEL_WIDTH}"
+        )
 
 
 @pytest.mark.perf

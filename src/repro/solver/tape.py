@@ -15,13 +15,15 @@ tape and re-runs the three executors off that tape:
   reverse with each opcode's inverse semantics;
 * scalar point evaluation runs the same tape with float semantics.
 
-The VM performs exactly the same interval/float operations in exactly the
-same order as the tree-walking oracles in
-:mod:`repro.solver.contractor` and :mod:`repro.expr.evaluator`, so the two
-execution strategies agree bit for bit; the speedup comes purely from
-removing the per-node interpretation overhead.  Tapes are flat picklable
-data (ints, floats, strings, tuples), which also lets the process-parallel
-verifier ship compiled formulas to workers instead of re-encoding DAGs.
+Every instruction the VM executes performs exactly the same
+interval/float operations in the same order as the tree-walking oracles
+in ``tests/solver/oracles.py`` and :mod:`repro.expr.evaluator`, and the
+backward pass skips only inverses that provably change nothing (see
+:meth:`Tape.backward_arrays`), so the two execution strategies agree bit
+for bit.  The speedup comes from removing the per-node interpretation
+overhead and those no-op inverses.  Tapes are flat picklable data (ints,
+floats, strings, tuples), which also lets the process-parallel verifier
+ship compiled formulas to workers instead of re-encoding DAGs.
 """
 
 from __future__ import annotations
@@ -95,12 +97,19 @@ PINF = inf
 #: differential tests use to force the scalar per-column reference
 _VECTOR_MIN = 24
 
-#: the backward pass has its own, higher crossover: each reverse
-#: instruction runs ~10 ufunc calls (endpoint products, inverses,
-#: narrowing masks) against the forward pass's ~4, and the scalar
-#: per-column backward stops early on refuted columns while the vector
-#: pass keeps executing them -- measured crossover is ~30 (SCAN-class)
-#: to ~45-60 (PBE/LYP-class) columns
+#: the backward pass has its own, higher crossover.  A reverse
+#: instruction that runs costs ~10 ufunc calls (endpoint products,
+#: inverses, narrowing masks) against the forward pass's ~4, and the
+#: scalar per-column backward stops early on refuted columns while the
+#: vector pass keeps executing them.  Both passes skip a total op whose
+#: output was never narrowed, but the scalar pass decides that per column
+#: with two float compares while the vector pass pays ~5 ufunc calls to
+#: decide it and runs the whole row if any live column moved.  On
+#: first-atom residuals of the domain quartered into sub-boxes, the
+#: vector pass starts to win at ~64-96 columns (PBE/EC1, SCAN/EC5) and
+#: not below 256 (LYP/EC1); before the skip the crossover was ~30
+#: (SCAN-class) to ~45-60 (PBE/LYP-class).  The constant stays at 48, the
+#: value the skip was measured against
 _VECTOR_MIN_BWD = 48
 
 #: forward/backward array kernels in FUNC_NAMES index order; the None
@@ -534,12 +543,14 @@ class Tape:
                 fwd.append((op, out, a, b, aux))
                 scalar.append((op, out, a, b, aux))
         for op, out, a, b, aux in reversed(self.instrs):
+            # the root always counts as narrowed (the caller clipped it)
+            total = out != self.root and _is_total(op, b, aux)
             if op == OP_ADD2:
-                rev.append((OP_ADDN, out, (a, b), 0, None))
+                rev.append((OP_ADDN, out, (a, b), 0, None, total))
             elif op == OP_MUL2:
-                rev.append((OP_MULN, out, (a, b), 0, None))
+                rev.append((OP_MULN, out, (a, b), 0, None, total))
             else:
-                rev.append((op, out, a, b, aux))
+                rev.append((op, out, a, b, aux, total))
         self._fwd = fwd
         self._scalar = scalar
         self._rev = rev
@@ -738,7 +749,10 @@ class Tape:
         way.  Add/mul chains and Ite guards are vectorised with the same
         endpoint arithmetic as the scalar pass; Pow/Func inverses run the
         whole-batch kernels (per-column primitives only for exponents no
-        kernel covers).
+        kernel covers).  A total op is skipped, as in
+        :meth:`backward_arrays`, only when no *live* column's output row
+        moved off its forward enclosure; otherwise the whole row runs, a
+        no-op on the columns that did not move.
         """
         n_boxes = lo_mat.shape[1]
         alive = np.ones(n_boxes, dtype=bool)
@@ -759,7 +773,9 @@ class Tape:
     def _backward_batch_ops(
         self, lo_mat: np.ndarray, hi_mat: np.ndarray, alive: np.ndarray
     ) -> None:
-        for op, out, a, b, aux in self._rev:
+        fwd_lo = lo_mat.copy()
+        fwd_hi = hi_mat.copy()
+        for op, out, a, b, aux, total in self._rev:
             olo = lo_mat[out]
             ohi = hi_mat[out]
             # an empty stored enclosure anywhere means infeasibility, as in
@@ -767,6 +783,14 @@ class Tape:
             alive &= olo <= ohi
             if not alive.any():
                 return
+            if total:
+                # skip a total op unless some live column's output moved
+                # off its forward enclosure (see backward_arrays)
+                moved = olo != fwd_lo[out]
+                moved |= ohi != fwd_hi[out]
+                moved &= alive
+                if not moved.any():
+                    continue
 
             if op == OP_ADDN:
                 n = len(a)
@@ -930,16 +954,31 @@ class Tape:
     def backward_arrays(self, los: list, his: list) -> bool:
         """Push narrowed enclosures down the tape; False if a slot empties.
 
-        Mirrors the tree-walk ``_backward_node`` instruction for
-        instruction (including its treatment of an empty stored enclosure
-        anywhere as infeasibility), so contraction results are identical.
+        ``los``/``his`` hold a forward pass with the root already
+        intersected with the allowed set.  Every instruction the pass
+        executes mirrors the tree-walk ``_backward_node`` (including its
+        treatment of an empty stored enclosure anywhere as
+        infeasibility, checked at every instruction), so contraction
+        results are identical.  The pass skips the body of a *total* op
+        (see :func:`_is_total`) whose output slot still holds its forward
+        enclosure: the inverse of an unnarrowed output contains the whole
+        input, so intersecting with it changes nothing.  Real- and
+        variable-exponent powers, log, sqrt and lambertw always run,
+        because their inverse also clips the input to the function's
+        domain; cbrt always runs because its forward enclosure is not
+        tight enough for the cube to contain the input (see
+        :data:`_ALWAYS_RUN_FUNCS`); so does the root's instruction.
         """
         nextafter = math.nextafter
-        for op, out, a, b, aux in self._rev:
+        fwd_los = los[:]
+        fwd_his = his[:]
+        for op, out, a, b, aux, total in self._rev:
             olo = los[out]
             ohi = his[out]
             if not olo <= ohi:
                 return False
+            if total and olo == fwd_los[out] and ohi == fwd_his[out]:
+                continue  # output never narrowed: the inverse is a no-op
 
             if op == OP_ADDN:
                 n = len(a)
@@ -1803,6 +1842,34 @@ def _decide_gap(code: int, los: list, his: list, lhs: int, rhs: int) -> bool | N
     s = lhi - rlo
     ghi = PINF if (s != s or s == PINF) else math.nextafter(s, PINF)
     return _decide_f(code, glo, ghi)
+
+
+#: FUNC indices whose backward step can narrow an input on its own.  The
+#: forward enclosures of log, sqrt and lambertw clip the input to the
+#: function's domain first.  cbrt's forward value ``|x| ** (1/3)`` is off
+#: by more than its one-ulp outward rounding for huge |x| (the exponent
+#: 1/3 is not exact: cbrt(-1e308) comes out ~60 ulps high), so the cube
+#: of a clean output can still cut the input's endpoint
+_ALWAYS_RUN_FUNCS = frozenset((F_LOG, F_SQRT, F_CBRT, F_LAMBERTW))
+
+
+def _is_total(op: int, b, aux) -> bool:
+    """Whether a reverse instruction is a no-op while its output is clean.
+
+    A *total* op's forward enclosure is defined on the whole input box,
+    and its backward step returns an outward-rounded superset of the
+    inputs consistent with the output.  While the output still holds the
+    forward enclosure, that superset contains the whole input, so the
+    intersection changes nothing.  Real- and variable-exponent powers,
+    log, sqrt and lambertw clip the input to their domain, and cbrt's
+    inverse can cut a huge input (see :data:`_ALWAYS_RUN_FUNCS`); they
+    always run.
+    """
+    if op == OP_POW:
+        return aux is not None and aux[0] == "i"
+    if op == OP_FUNC:
+        return b not in _ALWAYS_RUN_FUNCS
+    return True  # add/mul chains and Ite
 
 
 def _narrow(los: list, his: list, i: int, allowed: Interval) -> bool:

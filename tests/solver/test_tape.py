@@ -16,12 +16,13 @@ import pytest
 
 from repro.expr import builder as b
 from repro.expr.evaluator import evaluate, evaluate_tree
-from repro.expr.nodes import Expr
+from repro.expr.nodes import Expr, Func
 from repro.solver.box import Box
 from repro.solver.constraint import Atom, Conjunction
 from repro.solver.contractor import HC4Contractor
+from repro.solver import tape as tape_mod
 from repro.solver.icp import Budget, ICPSolver
-from repro.solver.tape import CompiledConjunction, compile_expr, tape_for
+from repro.solver.tape import CompiledConjunction, Tape, compile_expr, tape_for
 
 from .oracles import WalkContractor, interval_eval, solve_per_box
 
@@ -271,15 +272,119 @@ def test_contractor_cache_is_not_id_keyed():
     assert len(solver._contractors) == 6
 
 
-def test_paper_functional_contraction_parity():
-    """PBE-class residual: the acceptance-criterion formula class."""
-    from repro.conditions import EC1
+#: one applicable condition per paper functional, each with sub-boxes
+#: that contract to a smaller non-empty box
+PAPER_PAIRS = (("PBE", "EC1"), ("LYP", "EC1"), ("AM05", "EC4"), ("SCAN", "EC1"),
+               ("VWN RPA", "EC3"))
+
+
+@pytest.mark.parametrize("functional, cid", PAPER_PAIRS)
+def test_paper_functional_contraction_parity(functional, cid):
+    """Paper residuals: the acceptance-criterion formula class, per box
+    and batched, over the domain split twice along every variable."""
+    from repro.conditions import get_condition
     from repro.functionals import get_functional
     from repro.verifier import encode
 
-    problem = encode(get_functional("PBE"), EC1)
-    box = Box.from_bounds({"rs": (1.0, 3.0), "s": (0.0, 2.0)})
+    problem = encode(get_functional(functional), get_condition(cid))
+    subs = [half for box in problem.domain.split_all() for half in box.split_all()]
     tape_c = HC4Contractor(problem.negation, delta=1e-5)
     walk_c = WalkContractor(problem.negation, delta=1e-5)
-    for sub in box.split_all():
-        assert_boxes_identical(tape_c.contract(sub), walk_c.contract(sub))
+    want = [walk_c.contract(sub) for sub in subs]
+    for sub, w in zip(subs, want):
+        assert_boxes_identical(tape_c.contract(sub), w)
+    got, _ = tape_c.contract_batch(subs)
+    for g, w in zip(got, want):
+        assert_boxes_identical(g, w)
+    assert any(not w.is_empty() and w != sub for sub, w in zip(subs, want))
+
+
+# ---------------------------------------------------------------------------
+# the backward pass's skip rule: domain-clipping ops always run
+# ---------------------------------------------------------------------------
+
+#: a domain-clipping node over y, one per op the backward pass must never
+#: skip; ``y`` crosses the domain boundary on CLIPPING_BOX
+CLIPPING_NODES = {
+    "pow_real": b.pow_(Y, 1.5),
+    "pow_var": b.pow_(Y, Z),
+    "log": b.log(Y),
+    "sqrt": Func("sqrt", Y),
+    "lambertw": b.lambertw(Y),
+}
+
+#: the root sum narrows x, but every clipping node's enclosure on this box
+#: (at most [0, 16]) lies inside the root's allowed 20 + delta - x, so its
+#: output slot keeps its forward value
+CLIPPING_BOX = Box.from_bounds({"x": (0.0, 30.0), "y": (-5.0, 4.0), "z": (1.0, 2.0)})
+
+
+def clipping_formula(kind: str) -> Conjunction:
+    """``node(y) + x - 20 <= 0``: only the clipping step can narrow y."""
+    return Conjunction.of(Atom(b.add(CLIPPING_NODES[kind], X, b.const(-20.0)), "<="))
+
+
+def skip_always_run_ops(tape: Tape) -> list:
+    """The tape's reverse program with every non-root op marked skippable:
+    a deliberately wrong always-run list."""
+    return [
+        (op, out, a, bb, aux, total or out != tape.root)
+        for op, out, a, bb, aux, total in tape._rev
+    ]
+
+
+@pytest.mark.parametrize("kind", sorted(CLIPPING_NODES))
+def test_clipping_op_under_clean_output_matches_walk(kind):
+    formula = clipping_formula(kind)
+    got = HC4Contractor(formula, delta=1e-5).contract(CLIPPING_BOX)
+    want = WalkContractor(formula, delta=1e-5).contract(CLIPPING_BOX)
+    assert_boxes_identical(got, want)
+    # the clipping step narrowed y: the case exercises the always-run rule
+    assert got["y"].lo > CLIPPING_BOX["y"].lo
+
+
+@pytest.mark.parametrize("kind", sorted(CLIPPING_NODES))
+def test_skipping_a_clipping_op_diverges_from_walk(kind, monkeypatch):
+    """Mutation check: with the clipping op marked skippable, the case
+    above no longer matches the walk on any executor, so the corpus
+    catches a wrong always-run list."""
+    formula = clipping_formula(kind)
+    contractor = HC4Contractor(formula, delta=1e-5)
+    tape = contractor._tapes[0]
+    monkeypatch.setattr(tape, "_rev", skip_always_run_ops(tape))
+    want = WalkContractor(formula, delta=1e-5).contract(CLIPPING_BOX)
+    got = [contractor.contract(CLIPPING_BOX)]
+    for vector_min in (0, 10**9):
+        monkeypatch.setattr(tape_mod, "_VECTOR_MIN_BWD", vector_min)
+        got.append(contractor.contract_batch([CLIPPING_BOX])[0][0])
+    for box in got:
+        assert box["y"].lo == CLIPPING_BOX["y"].lo
+        assert box["y"].lo != want["y"].lo
+
+
+#: ``cbrt(y) + x - 20 <= 0`` on a y reaching -1e308: cbrt's output stays
+#: clean, yet the cube of its forward lower bound cuts y's endpoint
+CBRT_FORMULA = Conjunction.of(Atom(b.add(b.cbrt(Y), X, b.const(-20.0)), "<="))
+CBRT_BOX = Box.from_bounds({"x": (0.0, 30.0), "y": (-1e308, 4.0)})
+
+
+def test_cbrt_of_huge_input_matches_walk(monkeypatch):
+    """cbrt is on the always-run list: every executor matches the walk,
+    and marking it skippable leaves y uncut."""
+    want = WalkContractor(CBRT_FORMULA, delta=1e-5).contract(CBRT_BOX)
+    assert want["y"].lo > CBRT_BOX["y"].lo  # the case stays live
+    contractor = HC4Contractor(CBRT_FORMULA, delta=1e-5)
+    tape = contractor._tapes[0]
+
+    def contract_all() -> list[Box]:
+        got = [contractor.contract(CBRT_BOX)]
+        for vector_min in (0, 10**9):
+            monkeypatch.setattr(tape_mod, "_VECTOR_MIN_BWD", vector_min)
+            got.append(contractor.contract_batch([CBRT_BOX])[0][0])
+        return got
+
+    for box in contract_all():
+        assert_boxes_identical(box, want)
+    monkeypatch.setattr(tape, "_rev", skip_always_run_ops(tape))
+    for box in contract_all():
+        assert box["y"].lo == CBRT_BOX["y"].lo

@@ -26,8 +26,15 @@ from repro.solver.icp import Budget, ICPSolver
 from repro.solver.interval import Interval
 from repro.solver.tape import _VECTOR_MIN, tape_for
 
-from .oracles import assert_results_identical, solve_per_box
-from .test_tape import assert_boxes_identical, random_box, random_expr
+from .oracles import WalkContractor, assert_results_identical, solve_per_box
+from .test_tape import (
+    CLIPPING_BOX,
+    CLIPPING_NODES,
+    assert_boxes_identical,
+    clipping_formula,
+    random_box,
+    random_expr,
+)
 
 #: one width per side of the vectorisation threshold, so every case runs
 #: through both the scalar fallback and the NumPy kernels
@@ -180,6 +187,26 @@ def test_contract_batch_matches_contract(seed, width):
         assert_boxes_identical(got[j], want)
         want_sat = (not want.is_empty()) and contractor.certainly_sat(want)
         assert bool(allsat[j]) == want_sat, j
+
+
+@pytest.mark.parametrize("vector_min", (0, 10**9))
+@pytest.mark.parametrize("kind", sorted(CLIPPING_NODES))
+def test_clipping_op_under_clean_output_batch_matches_walk(kind, vector_min, monkeypatch):
+    """The clipping corpus of ``test_tape.py`` through both backward
+    executors, next to a column whose y stays inside the domain and one
+    whose atom needs no backward pass."""
+    monkeypatch.setattr(tape_mod, "_VECTOR_MIN_BWD", vector_min)
+    formula = clipping_formula(kind)
+    boxes = [
+        CLIPPING_BOX,
+        Box.from_bounds({"x": (0.0, 30.0), "y": (0.5, 4.0), "z": (1.0, 2.0)}),
+        Box.from_bounds({"x": (0.0, 1.0), "y": (-5.0, 4.0), "z": (1.0, 2.0)}),
+    ]
+    got, _ = HC4Contractor(formula, delta=1e-5).contract_batch(boxes)
+    walk = WalkContractor(formula, delta=1e-5)
+    for box, g in zip(boxes, got):
+        assert_boxes_identical(g, walk.contract(box))
+    assert got[0]["y"].lo > CLIPPING_BOX["y"].lo
 
 
 def test_contract_batch_returns_original_object_when_unchanged():

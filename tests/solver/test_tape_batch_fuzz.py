@@ -19,7 +19,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.expr import builder as b
@@ -165,6 +165,7 @@ def test_fuzz_pow_boundary_exponents(seed, expo):
 
 @settings(max_examples=hyp_examples(60), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
+@example(seed=3680)  # cbrt(x) over x = [-1e308, ...]: the inverse cuts a clean input
 def test_fuzz_backward_batch_vector_kernels_bit_identical(seed):
     rng = random.Random(seed)
     tape = tape_for(pow_func_expr(rng))
