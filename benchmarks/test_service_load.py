@@ -3,10 +3,11 @@
 Two gates, both through the authed ``/v1`` path:
 
 * **Duplicate-heavy load** -- thousands of concurrent submissions whose
-  cells collapse onto four distinct content keys.  Gated: p99 submit
-  latency (client-measured AND the server's own histogram), zero cells
+  cells collapse onto four distinct content keys.  Gated: zero cells
   double-computed, zero cells lost, and the histogram invariant (bucket
-  counts sum to the request count) holding at full load.
+  counts sum to the request count) holding at full load.  The p99 submit
+  latency gate (client-measured AND the server's own histogram) is a
+  wall-clock bound, so it is a separate ``perf``-marked test.
 * **Backpressure convergence** -- a flood into a tiny high-water mark:
   submissions must be shed with 503 + Retry-After, ``submit_with_retry``
   must ride it out, and once the dust settles every distinct cell is
@@ -23,6 +24,7 @@ import os
 import threading
 import time
 
+import pytest
 from test_service_micro import record_bench
 
 CONFIG = {"per_call_budget": 100, "global_step_budget": 800}
@@ -63,15 +65,15 @@ def wait_all_jobs_done(client, timeout: float = 120.0) -> dict:
         time.sleep(0.05)
 
 
-def test_duplicate_heavy_load_p99(tmp_path):
+def _duplicate_heavy_load(tmp_path) -> tuple[float, float]:
     """>= 2000 concurrent duplicate-heavy submissions through the authed
-    /v1 path: gated p99, zero double-computes, zero lost cells."""
+    /v1 path; asserts zero double-computes, zero lost cells and the
+    histogram invariant, and returns the (client, server) p99 latency."""
     from repro.service.client import ServiceClient
     from repro.service.server import ThreadedService
 
     total = int(os.environ.get("REPRO_LOAD_SUBMISSIONS", "2000"))
     threads_n = min(32, max(4, total // 50))
-    p99_gate = float(os.environ.get("REPRO_LOAD_P99_GATE", "2.0"))
 
     with ThreadedService(
         tmp_path / "load.jsonl", max_workers=0,
@@ -165,8 +167,21 @@ def test_duplicate_heavy_load_p99(tmp_path):
         computed=cells["computed"],
         cache=cells["cache"],
         coalesced=cells["coalesced"],
-        p99_gate_s=p99_gate,
     )
+    return client_p99, server_p99
+
+
+def test_duplicate_heavy_load_p99(tmp_path):
+    """Duplicate-heavy load: zero double-computes, zero lost cells."""
+    _duplicate_heavy_load(tmp_path)
+
+
+@pytest.mark.perf
+def test_duplicate_heavy_load_p99_gate(tmp_path):
+    """Wall-clock gate: client and server p99 submit latency under
+    ``REPRO_LOAD_P99_GATE`` seconds (default 2)."""
+    p99_gate = float(os.environ.get("REPRO_LOAD_P99_GATE", "2.0"))
+    client_p99, server_p99 = _duplicate_heavy_load(tmp_path)
     assert client_p99 <= p99_gate, (
         f"client p99 {client_p99:.3f}s over the {p99_gate}s gate"
     )

@@ -91,10 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--delta", type=float, default=1e-5, help="solver delta-weakening")
     p_verify.add_argument(
-        "--batch-size", type=int, default=256,
-        help="boxes per frontier batch (bit-identical; perf knob)",
-    )
-    p_verify.add_argument(
         "--map", dest="map_resolution", type=int, default=0,
         help="print an ASCII region map at the given resolution",
     )
@@ -154,10 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_camp.add_argument(
         "--threshold", type=float, default=0.05, help="split threshold t of Algorithm 1"
-    )
-    p_camp.add_argument(
-        "--order", choices=("dfs", "widest"), default="dfs",
-        help="work-queue discipline inside each cell",
     )
     p_camp.add_argument(
         "--json", dest="json_path", default=None,
@@ -270,18 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--audit-log", dest="audit_path", default=None,
         help="append-only JSONL audit log of submissions and auth "
         "failures (default: no audit log)",
-    )
-    p_serve.add_argument(
-        "--qos-lanes", dest="qos_lanes",
-        action=argparse.BooleanOptionalAction, default=True,
-        help="dispatch interactive jobs (single-pair verify, small jobs) "
-        "strictly before batch table sweeps, at cell granularity",
-    )
-    p_serve.add_argument(
-        "--interactive-max-cells", dest="interactive_max_cells",
-        type=int, default=2,
-        help="jobs with at most this many cells ride the interactive lane "
-        "(single-pair verify jobs always do)",
     )
 
     p_sub = sub.add_parser(
@@ -561,13 +541,11 @@ def _cmd_verify(args) -> int:
     from .verifier import VerifierConfig, Verifier, ascii_map, encode
 
     functional, condition = _resolve_pair(args)
-    _check_nonnegative(("--batch-size", args.batch_size))
     config = VerifierConfig(
         split_threshold=args.threshold,
         per_call_budget=args.budget,
         global_step_budget=args.global_budget,
         delta=args.delta,
-        batch_size=args.batch_size,
     )
     from .obs.trace import current_tracer
 
@@ -783,7 +761,6 @@ def _cmd_campaign(args) -> int:
         split_threshold=args.threshold,
         per_call_budget=args.budget,
         global_step_budget=args.global_budget,
-        queue_order=args.order,
     )
     pairs = applicable_pairs(functionals, conditions)
     if not pairs:
@@ -1109,10 +1086,7 @@ def _cmd_serve(args) -> int:
 
     from .service.server import serve
 
-    _check_nonnegative(
-        ("--workers", args.workers),
-        ("--interactive-max-cells", args.interactive_max_cells),
-    )
+    _check_nonnegative(("--workers", args.workers))
     try:
         return asyncio.run(
             serve(
@@ -1125,8 +1099,6 @@ def _cmd_serve(args) -> int:
                 burst=args.burst,
                 high_water=args.high_water,
                 audit_path=args.audit_path,
-                qos_lanes=args.qos_lanes,
-                interactive_max_cells=args.interactive_max_cells,
             )
         )
     except ValueError as exc:  # e.g. unknown store suffix, bad tokens file

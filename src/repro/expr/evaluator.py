@@ -7,17 +7,17 @@ floating-point arithmetic.  It is also the engine behind ``Atom.holds_at``
 probing, which runs once per box inside the ICP loop.
 
 Because of that hot-path role, :func:`evaluate` executes a flat compiled
-tape (:mod:`repro.solver.tape`) instead of re-walking the DAG; the original
-tree-walking implementation is kept as :func:`evaluate_tree`, the
-differential-testing oracle.  Both perform the identical sequence of float
-operations, so they agree bit for bit.
+tape (:mod:`repro.solver.tape`) instead of re-walking the DAG.  The
+tree-walking implementation it replaced lives in ``tests/solver/oracles.py``
+as the differential-testing oracle; both perform the identical sequence of
+float operations, so they agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 
-from .nodes import Add, Const, Expr, Func, Ite, Mul, Pow, Rel, Var
+from .nodes import Expr, Rel, Var
 from ..scipy_compat import special
 
 
@@ -89,69 +89,9 @@ def evaluate(expr: Expr, env: dict[Var | str, float], strict: bool = False) -> f
         return math.nan
 
 
-def evaluate_tree(expr: Expr, env: dict[Var | str, float], strict: bool = False) -> float:
-    """Tree-walking reference implementation (differential-testing oracle)."""
-    by_name = _env_by_name(env)
-    memo: dict[int, float] = {}
-    try:
-        for node in expr.walk():
-            memo[id(node)] = _eval_node(node, memo, by_name)
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        if strict:
-            raise EvalError(str(exc)) from exc
-        return math.nan
-    return memo[id(expr)]
-
-
 def evaluate_rel(rel: Rel, env: dict[Var | str, float], tol: float = 0.0) -> bool:
     """Evaluate a relational atom at a point (NaN counts as a violation)."""
     gap = evaluate(rel.lhs, env) - evaluate(rel.rhs, env)
     if math.isnan(gap):
         return False
     return rel.holds(gap, tol=tol)
-
-
-def _eval_node(node: Expr, memo: dict[int, float], env: dict[str, float]) -> float:
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise EvalError(f"unbound variable {node.name!r}") from None
-    if isinstance(node, Add):
-        return math.fsum(memo[id(a)] for a in node.args)
-    if isinstance(node, Mul):
-        out = 1.0
-        for a in node.args:
-            out *= memo[id(a)]
-        return out
-    if isinstance(node, Pow):
-        base = memo[id(node.base)]
-        expo = memo[id(node.exponent)]
-        if base < 0.0 and not float(expo).is_integer():
-            raise EvalError(f"negative base {base} to fractional power {expo}")
-        if base == 0.0 and expo < 0.0:
-            raise EvalError("zero to a negative power")
-        return math.pow(base, expo)
-    if isinstance(node, Func):
-        return _eval_func(node.name, memo[id(node.arg)])
-    if isinstance(node, Ite):
-        # direct operand comparison (not the rounded difference): identical
-        # for finite operands, and still orders two same-sign infinities,
-        # where the gap would be NaN -- mirrors the tape VM and the compiled
-        # kernel (see repro.expr.codegen, "IEEE-kernel semantics")
-        lhs, rhs = memo[id(node.cond.lhs)], memo[id(node.cond.rhs)]
-        if math.isnan(lhs) or math.isnan(rhs):
-            raise EvalError("NaN in ite condition")
-        taken = node.then if node.cond.compare(lhs, rhs) else node.orelse
-        return memo[id(taken)]
-    raise TypeError(f"cannot evaluate {type(node).__name__}")  # pragma: no cover
-
-
-def _eval_func(name: str, x: float) -> float:
-    try:
-        fn = SCALAR_FUNCS[name]
-    except KeyError:  # pragma: no cover
-        raise TypeError(f"cannot evaluate function {name}") from None
-    return fn(x)

@@ -19,15 +19,13 @@ the exact machinery PR 3 built for the verifier:
   (:func:`repro.verifier.campaign.drive_chunks`) the verification
   campaign uses -- an ``executor`` can literally be shared between a
   Table I run and a numerics sweep -- and hazard-formula solves inside
-  each cell run through the batched frontier solver
-  (``NumericsConfig.batch_size``, a pure perf knob);
+  each cell run through the batched frontier solver;
 * completed cells persist immediately to the **same content-hash-keyed
   store** (:mod:`repro.verifier.store`, generalised from verify-cells to
   arbitrary payload kinds), keyed by the compiled expression tape
   bit-for-bit + domain + the check's semantic parameters, so ``--resume``
   is sound: any change to a functional's model code, the lifter, the
-  simplifier or an analysis parameter misses cleanly while perf knobs
-  keep hitting;
+  simplifier or an analysis parameter misses cleanly;
 * results are JSON-safe payload dicts built by pure functions of the
   underlying reports, so the campaign output is **bit-identical to the
   sequential per-pair path** regardless of worker count or completion
@@ -93,13 +91,11 @@ CellKey = tuple[str, str, str, str]
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    """Semantic and performance knobs of a numerics campaign.
+    """Semantic knobs of a numerics campaign.
 
-    The semantic fields feed the content-hash key of every cell (scoped
-    per check: changing the continuity seed must not invalidate stored
-    hazard cells).  ``batch_size`` is a bit-identical perf knob, excluded
-    exactly as :meth:`repro.verifier.verifier.VerifierConfig.semantic_key`
-    excludes it.
+    The fields feed the content-hash key of every cell (scoped per check:
+    changing the continuity seed must not invalidate stored hazard
+    cells).
     """
 
     # continuity
@@ -112,8 +108,6 @@ class NumericsConfig:
     # sensitivity (grid resolution per input axis, by family arity)
     per_dim: int = 65
     per_dim_mgga: int = 33
-    # perf knob (bit-identical; not part of any semantic key)
-    batch_size: int = 256
 
     def __post_init__(self):
         # reject nonsense at construction (the CampaignConfig pattern)
@@ -138,8 +132,6 @@ class NumericsConfig:
                 f"per_dim/per_dim_mgga must be >= 2, got "
                 f"{self.per_dim}/{self.per_dim_mgga}"
             )
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
     def semantic_key(self, check: str) -> tuple:
         if check == "continuity":
@@ -151,11 +143,7 @@ class NumericsConfig:
         raise ValueError(f"unknown check {check!r}")
 
     def make_hazard_solver(self) -> ICPSolver:
-        return ICPSolver(
-            delta=self.delta,
-            precision=min(1e-4, self.delta * 100),
-            batch_size=self.batch_size,
-        )
+        return ICPSolver(delta=self.delta, precision=min(1e-4, self.delta * 100))
 
 
 def component_applies(functional: Functional, component: str) -> bool:

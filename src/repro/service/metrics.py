@@ -131,14 +131,10 @@ class ServiceMetrics:
 
         ``wait_seconds`` measures submit -> dispatch (time spent queued
         behind other work), the quantity the lanes exist to bound for
-        interactive jobs.  Present even with lanes disabled -- everything
-        then flows through the batch lane -- so dashboards keep a stable
-        shape across configurations.
+        interactive jobs.
         """
         depths = scheduler.lane_depths()
         return {
-            "enabled": scheduler.qos_lanes,
-            "interactive_max_cells": scheduler.interactive_max_cells,
             "preemptions": scheduler.lane_preemptions,
             **{
                 lane: {

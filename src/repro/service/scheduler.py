@@ -51,6 +51,10 @@ __all__ = ["LANES", "SchedulerDraining", "VerificationScheduler"]
 #: drains interactive work before touching batch work
 LANES = ("interactive", "batch")
 
+#: jobs with at most this many cells ride the interactive lane (single-pair
+#: ``verify`` jobs always do)
+INTERACTIVE_MAX_CELLS = 2
+
 
 def _pool_context():
     """Fork where available (Linux), the platform default elsewhere.
@@ -81,9 +85,9 @@ class VerificationScheduler:
     ``max_inflight`` bounds concurrently executing cells (default: pool
     width + 1, so the pool never starves while one result is absorbed).
 
-    With ``qos_lanes`` on (the default), every job is classified into a
-    QoS lane at submit time: single-pair ``verify`` jobs -- and any job
-    of at most ``interactive_max_cells`` cells -- ride the
+    Every job is classified into a QoS lane at submit time: single-pair
+    ``verify`` jobs -- and any job of at most
+    :data:`INTERACTIVE_MAX_CELLS` cells -- ride the
     **interactive** lane, which the dispatcher drains strictly before
     the **batch** lane.  An interactive probe submitted mid-sweep
     therefore preempts a 31-cell Table I job at *cell* granularity: the
@@ -101,8 +105,6 @@ class VerificationScheduler:
         max_workers: int | None = 0,
         max_inflight: int | None = None,
         max_finished_jobs: int = 256,
-        qos_lanes: bool = True,
-        interactive_max_cells: int = 2,
     ):
         self._store = store
         self._max_workers = max_workers
@@ -131,12 +133,9 @@ class VerificationScheduler:
         #: re-register as "computed" (a spurious recompute for any
         #: compute path that does not resume from the store)
         self._completed_keys: set[str] = set()
-        self._qos_lanes = qos_lanes
-        self._interactive_max_cells = max(0, interactive_max_cells)
         #: per-job pending cells, each carrying its enqueue timestamp
         self._pending: dict[str, deque[tuple[CellTask, float]]] = {}
-        #: one round-robin ring per lane; with QoS off every job lands in
-        #: the batch ring and dispatch degenerates to the old single ring
+        #: one round-robin ring per lane
         self._rings: dict[str, deque[str]] = {lane: deque() for lane in LANES}
         self._key_cache: dict = {}
         self._next_job = 0
@@ -317,12 +316,10 @@ class VerificationScheduler:
 
         Single-pair ``verify`` jobs are the service's latency-sensitive
         workload by construction; any other job small enough
-        (``interactive_max_cells``) rides along, so a two-cell numerics
+        (:data:`INTERACTIVE_MAX_CELLS`) rides along, so a two-cell numerics
         probe is not stuck behind a full table sweep either.
         """
-        if not self._qos_lanes:
-            return "batch"
-        if spec.kind == "verify" or len(cells) <= self._interactive_max_cells:
+        if spec.kind == "verify" or len(cells) <= INTERACTIVE_MAX_CELLS:
             return "interactive"
         return "batch"
 
@@ -366,14 +363,6 @@ class VerificationScheduler:
             job = self._jobs.get(job_id)
             depths[job.lane if job is not None else "batch"] += len(pending)
         return depths
-
-    @property
-    def qos_lanes(self) -> bool:
-        return self._qos_lanes
-
-    @property
-    def interactive_max_cells(self) -> int:
-        return self._interactive_max_cells
 
     @property
     def max_inflight(self) -> int:

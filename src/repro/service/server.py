@@ -540,8 +540,6 @@ async def serve(
     burst: int | None = None,
     high_water: int = 0,
     audit_path=None,
-    qos_lanes: bool = True,
-    interactive_max_cells: int = 2,
     ready: "asyncio.Event | None" = None,
     stop: "asyncio.Event | None" = None,
     server_box: list | None = None,
@@ -559,8 +557,7 @@ async def serve(
     ``REPRO_SERVICE_TOKENS`` env var, else anonymous mode), per-client
     ``rate``/``burst`` token-bucket limiting, ``high_water`` queue-depth
     admission control, ``audit_path`` for the JSONL submission log.
-    ``qos_lanes``/``interactive_max_cells`` control the scheduler's
-    interactive-over-batch dispatch priority (see
+    Interactive jobs always dispatch before batch sweeps (see
     :class:`~repro.service.scheduler.VerificationScheduler`).
     """
     auth = Authenticator(
@@ -570,12 +567,7 @@ async def serve(
     admission = AdmissionController(high_water)
     audit = AuditLog(audit_path) if audit_path else None
     store = open_store(store_path)
-    scheduler = VerificationScheduler(
-        store,
-        max_workers=max_workers,
-        qos_lanes=qos_lanes,
-        interactive_max_cells=interactive_max_cells,
-    )
+    scheduler = VerificationScheduler(store, max_workers=max_workers)
     await scheduler.start()
     server = ServiceServer(
         scheduler, host, port,

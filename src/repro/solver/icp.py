@@ -37,6 +37,11 @@ from .box import Box
 from .constraint import Conjunction
 from .contractor import HC4Contractor
 
+#: Upper bound on the boxes per frontier batch, summed over the roots of a
+#: multi-root call.  It bounds the endpoint matrices (and so peak memory);
+#: results are bit-identical for every width.
+BATCH_SIZE = 256
+
 
 class SolverStatus(Enum):
     UNSAT = "unsat"
@@ -150,36 +155,24 @@ class ICPSolver:
     precision:
         Minimal box width; boxes narrower than this are not split further
         and yield delta-SAT with their midpoint as the model.
-    batch_size:
-        Upper bound on the number of boxes per frontier batch, summed over
-        the roots of a multi-root call (:meth:`solve_many`).  Each batch
-        is contracted *wholesale* by the batched tape executors
-        (:meth:`HC4Contractor.contract_batch`: vectorised forward and
-        HC4-backward passes), leaving per-box work to probing and
-        splitting.  A pure performance knob:
-        results are bit-identical for every batch size.
 
-    A multi-root call runs in *rounds*: each round concatenates the next
-    boxes of every unfinished root into one batch, capped at
-    ``batch_size`` columns (which bounds the endpoint matrices, and so
-    peak memory, however many roots there are), and hands the contracted
-    columns back to their roots.  A root whose level does not fit the
+    The worklist is processed in frontier batches, each contracted
+    *wholesale* by the batched tape executors
+    (:meth:`HC4Contractor.contract_batch`: vectorised forward and
+    HC4-backward passes), leaving per-box work to probing and splitting.
+    A multi-root call (:meth:`solve_many`) runs in *rounds*: each round
+    concatenates the next boxes of every unfinished root into one batch,
+    capped at :data:`BATCH_SIZE` columns (which bounds the endpoint
+    matrices, and so peak memory, however many roots there are), and
+    hands the contracted columns back to their roots.  A root whose level does not fit the
     cap continues it in the next round, still in FIFO order.
     """
 
-    def __init__(
-        self,
-        delta: float = 1e-5,
-        precision: float = 1e-4,
-        batch_size: int = 256,
-    ):
+    def __init__(self, delta: float = 1e-5, precision: float = 1e-4):
         if precision <= 0.0:
             raise ValueError("precision must be positive")
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
         self.delta = delta
         self.precision = precision
-        self.batch_size = batch_size
         # contractors are pure functions of the formula; reuse across the
         # many solver calls Algorithm 1 makes for the same condition.
         # Keyed on the formula itself (holding a strong reference), NOT on
@@ -229,7 +222,7 @@ class ICPSolver:
 
         Every root keeps its own worklist, step count and stats.  A round
         pulls each unfinished root's next boxes FIFO, in root order, until
-        the round holds ``batch_size`` boxes; a root whose level does not
+        the round holds :data:`BATCH_SIZE` boxes; a root whose level does not
         fit continues it next round.  FIFO (breadth-first) keeps refinement
         uniform: un-prunable regions exhaust the budget (timeout) instead
         of diving to a precision box and reporting a spurious delta-SAT.
@@ -265,7 +258,7 @@ class ICPSolver:
             batch: list[Box] = []
             segments: list[tuple[int, int, int]] = []
             for r in live:
-                room = self.batch_size - len(batch)
+                room = BATCH_SIZE - len(batch)
                 if room == 0:
                     break
                 frontier = frontiers[r]

@@ -281,8 +281,8 @@ class _Cell:
 #: Content addressing makes the reuse sound: the tapes' stable content hash
 #: (two unpickled copies of the same problem hash identically) names the
 #: problem, and the solver key pins every config field
-#: :meth:`VerifierConfig.make_solver` consumes -- ``delta``, ``precision``
-#: and ``batch_size``, the solver's full parameter set.
+#: :meth:`VerifierConfig.make_solver` consumes -- ``delta`` and
+#: ``precision``, the solver's full parameter set.
 _WORKER_CACHE: dict = {}
 _WORKER_CACHE_MAX = 64
 
@@ -293,12 +293,7 @@ def _worker_compile(problem: CompiledProblem, config):
     Returns ``(problem, solver, compile_seconds)``; a warm hit reuses the
     resident pair and reports ~zero compile time.
     """
-    key = (
-        problem.content_hash(),
-        config.delta,
-        config.precision,
-        config.batch_size,
-    )
+    key = (problem.content_hash(), config.delta, config.precision)
     hit = _WORKER_CACHE.pop(key, None)
     if hit is not None:
         _WORKER_CACHE[key] = hit  # LRU refresh

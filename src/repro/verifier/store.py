@@ -13,8 +13,7 @@ campaign engine durable cells:
   (:meth:`repro.verifier.encoder.CompiledProblem.content_hash` +
   :meth:`repro.verifier.verifier.VerifierConfig.semantic_key`), so
   ``--resume`` is sound: a changed functional, condition, simplifier or
-  budget changes the key and misses cleanly, while pure performance knobs
-  (solver backend, batch size) keep hitting;
+  budget changes the key and misses cleanly;
 * reports round-trip **exactly** -- boxes, outcomes, models, child links
   and step counts are restored bit-for-bit (floats survive the JSON
   round-trip because Python serialises them via shortest-repr).
@@ -231,7 +230,7 @@ class CampaignStore:
         return len(self.keys())
 
     def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
+        return self.get_payload(key) is not None
 
     def __enter__(self) -> "CampaignStore":
         return self

@@ -20,35 +20,33 @@ campaign -- once it is exhausted, every remaining box is recorded as a
 timeout without solving, which is precisely what the all-``?`` SCAN column
 of Table I looks like.
 
-Queue entries carry the box, its depth and its width, so the processing
-order is a config knob: the default ``"dfs"`` order replays the recursive
-traversal of Algorithm 1 exactly (bit-identical region trees, budget
-consumption and indices -- ``tests/verifier/test_workqueue.py`` pins
-this), while ``"widest"`` is a priority order that spends the global
-budget on the widest unknown boxes first.  Records accumulate in the
-returned report; the campaign store checkpoints whole cells, not records.
+The work queue is a LIFO of ``(box, depth, parent, pre-solved result)``
+entries; children are pushed in reverse split order, so it replays the
+recursive pre-order traversal of Algorithm 1 exactly (bit-identical
+region trees, budget consumption and indices --
+``tests/verifier/test_workqueue.py`` pins this).  Records accumulate in
+the returned report; the campaign store checkpoints whole cells, not
+records.
 
-Sibling batching (``"dfs"`` order, with a solver that has
+Sibling batching (with a solver that has
 :meth:`~repro.solver.icp.ICPSolver.solve_many`): when a box is popped, it
 and the siblings popped after it are solved in one multi-root call, so
 the solver's kernels see their frontiers side by side instead of one
 narrow frontier at a time.  The *zero-waste rule* decides which siblings
-join: in dfs order sibling k runs only after the whole subtrees of
-siblings 0..k-1, and :func:`subtree_bound` caps how many boxes each of
-those subtrees can solve, so sibling k joins only while the global steps
-left minus ``per_call_budget`` times those bounds still cover a full
+join: sibling k runs only after the whole subtrees of siblings 0..k-1,
+and :func:`subtree_bound` caps how many boxes each of those subtrees can
+solve, so sibling k joins only while the global steps left minus
+``per_call_budget`` times those bounds still cover a full
 ``per_call_budget``.  Then its sequential budget is known to be exactly
 ``per_call_budget``: every batched result is the one the one-box run
 would compute, none is wasted or re-solved, and steps are charged when
 each sibling is popped.  A batched box popped with a different budget
 raises instead of changing the tree.  Duck-typed solvers with only
-``solve`` and the ``"widest"`` order (whose budget is not consumed
-sibling by sibling) keep one-box calls.
+``solve`` keep one-box calls.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from dataclasses import dataclass
@@ -78,17 +76,6 @@ class VerifierConfig:
     delta: float = 1e-5
     precision: float = 1e-3
     split_on_counterexample: bool = True
-    #: boxes per frontier batch of the solver (see :class:`ICPSolver`): a
-    #: bit-identical perf knob, excluded from :meth:`semantic_key`
-    batch_size: int = 256
-    #: work-queue discipline of the iterative driver.  ``"dfs"`` (default)
-    #: replays Algorithm 1's recursive pre-order exactly -- bit-identical
-    #: region trees and budget consumption.  ``"widest"`` is a priority
-    #: queue keyed on (box width, depth, insertion order): the widest --
-    #: i.e. least resolved -- boxes are solved first, so an exhausted
-    #: global budget degrades breadth-first instead of starving whole
-    #: subtrees.
-    queue_order: str = "dfs"
 
     def __post_init__(self):
         # reject nonsense at construction (the CampaignConfig pattern):
@@ -111,21 +98,12 @@ class VerifierConfig:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
         if not self.precision > 0.0:
             raise ValueError(f"precision must be > 0, got {self.precision}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.queue_order not in ("dfs", "widest"):
-            raise ValueError(
-                f"queue_order must be 'dfs' or 'widest', got {self.queue_order!r}"
-            )
 
     def semantic_key(self) -> tuple:
         """The config fields that determine verification *outcomes*.
 
         Used by the campaign store's content-hash keys: two configs with
-        the same semantic key produce bit-identical reports, so stored
-        cells stay valid across changes to the pure performance knob
-        ``batch_size`` (proven bit-identical by the solver's differential
-        test corpus and deliberately excluded).
+        the same semantic key produce bit-identical reports.
         """
         return (
             self.split_threshold,
@@ -137,82 +115,11 @@ class VerifierConfig:
             self.split_on_counterexample,
             True,  # the removed split_on_timeout slot: keeps stored keys valid
             False,  # the removed specialize_boxes slot: keeps stored keys valid
-            self.queue_order,
+            "dfs",  # the removed queue_order slot: keeps stored keys valid
         )
 
     def make_solver(self) -> ICPSolver:
-        return ICPSolver(
-            delta=self.delta,
-            precision=self.precision,
-            batch_size=self.batch_size,
-        )
-
-
-class _WorkQueue:
-    """Explicit scheduling queue replacing Algorithm 1's call stack.
-
-    Entries are ``(box, depth, parent record, pre-solved result)``; every
-    box additionally carries its width as the scheduling priority.
-    ``"dfs"`` is a LIFO that, with children pushed in reverse split order,
-    replays the recursive pre-order traversal exactly.  ``"widest"`` is a
-    max-heap on width (ties: shallowest first, then FIFO): the widest
-    (least resolved) unknown boxes are solved first; its entries are
-    never pre-solved.
-    """
-
-    __slots__ = ("order", "_stack", "_heap", "_seq")
-
-    def __init__(self, order: str):
-        if order not in ("dfs", "widest"):
-            raise ValueError(f"unknown queue_order {order!r} (use 'dfs' or 'widest')")
-        self.order = order
-        self._stack: list[tuple[Box, int, RegionRecord | None, SolverResult | None]] = []
-        self._heap: list[tuple[float, int, int, Box, RegionRecord | None]] = []
-        self._seq = 0
-
-    def push(self, box: Box, depth: int, parent: RegionRecord | None) -> None:
-        if self.order == "dfs":
-            self._stack.append((box, depth, parent, None))
-        else:
-            heapq.heappush(self._heap, (-box.max_width(), depth, self._seq, box, parent))
-            self._seq += 1
-
-    def push_children(
-        self, children: list[Box], depth: int, parent: RegionRecord
-    ) -> None:
-        if self.order == "dfs":
-            # reversed so the LIFO pops them in split order, exactly as the
-            # recursion descended
-            for child in reversed(children):
-                self._stack.append((child, depth, parent, None))
-        else:
-            for child in children:
-                self.push(child, depth, parent)
-
-    def pop(self) -> tuple[Box, int, RegionRecord | None, SolverResult | None]:
-        if self.order == "dfs":
-            return self._stack.pop()
-        _, depth, _, box, parent = heapq.heappop(self._heap)
-        return box, depth, parent, None
-
-    def next_siblings(self, parent: RegionRecord) -> list[Box]:
-        """The boxes ``dfs`` pops next under ``parent``, in pop order."""
-        out = []
-        for box, _, entry_parent, _ in reversed(self._stack):
-            if entry_parent is not parent:
-                break
-            out.append(box)
-        return out
-
-    def attach(self, results: list[SolverResult]) -> None:
-        """Store pre-solved results on the next ``len(results)`` entries."""
-        stack = self._stack
-        for i, result in enumerate(results, 1):
-            box, depth, parent, _ = stack[-i]
-            stack[-i] = (box, depth, parent, result)
-
-    def __bool__(self) -> bool:
-        return bool(self._stack) or bool(self._heap)
+        return ICPSolver(delta=self.delta, precision=self.precision)
 
 
 def subtree_bound(box: Box, threshold: float) -> float:
@@ -276,14 +183,15 @@ class Verifier:
 
         # -- the work-queue loop (Algorithm 1, de-recursed) -------------------
         threshold = self.config.split_threshold
-        queue = _WorkQueue(self.config.queue_order)
-        # sibling batching needs the dfs order's sibling-by-sibling budget
-        # and a solver with the multi-root call (duck-typed solvers that
-        # only have solve() keep one-box calls)
-        batch_siblings = queue.order == "dfs" and hasattr(self.solver, "solve_many")
-        queue.push(domain, 0, None)
-        while queue:
-            box, depth, parent, presolved = queue.pop()
+        # LIFO of (box, depth, parent record, pre-solved result)
+        stack: list[tuple[Box, int, RegionRecord | None, SolverResult | None]] = [
+            (domain, 0, None, None)
+        ]
+        # sibling batching needs a solver with the multi-root call
+        # (duck-typed solvers that only have solve() keep one-box calls)
+        batch_siblings = hasattr(self.solver, "solve_many")
+        while stack:
+            box, depth, parent, presolved = stack.pop()
             if box.max_width() < threshold:  # Alg. 1, lines 1-2
                 continue
             if (
@@ -292,29 +200,31 @@ class Verifier:
                 and parent is not None
                 and self._steps_left >= self.config.per_call_budget
             ):
-                presolved = self._solve_siblings(problem, box, parent, queue)
+                presolved = self._solve_siblings(problem, box, parent, stack)
             record = self._solve_box(problem, box, depth, report, presolved)
             if parent is not None:
                 parent.children.append(record.index)
             if self._should_split(record.outcome):
                 # Alg. 1, lines 14-15; children below the threshold would
-                # be popped and dropped (lines 1-2), so they are not queued
-                queue.push_children(box.split_all(threshold), depth + 1, record)
+                # be popped and dropped (lines 1-2), so they are not queued.
+                # Reversed so the LIFO pops them in split order, exactly as
+                # the recursion descended.
+                for child in reversed(box.split_all(threshold)):
+                    stack.append((child, depth + 1, record, None))
 
         report.elapsed_seconds = time.monotonic() - t_start
         report.budget_exhausted = self._steps_left <= 0
         return report
 
     def _solve_siblings(
-        self, problem, box: Box, parent: RegionRecord, queue: _WorkQueue
+        self, problem, box: Box, parent: RegionRecord, stack: list
     ) -> SolverResult | None:
         """Solve ``box`` and the siblings popped after it in one multi-root
         call; return ``box``'s result, or None to solve it on its own.
 
-        The zero-waste rule: in dfs order sibling k runs only after the
-        whole subtrees of the siblings before it, each of which spends at
-        most ``per_call_budget`` steps on each of its ``subtree_bound``
-        boxes.  So while ``steps_left - sum(per_call_budget *
+        The zero-waste rule: sibling k runs only after the whole subtrees
+        of the siblings before it, each of which spends at most
+        ``per_call_budget`` steps on each of its ``subtree_bound`` boxes.  So while ``steps_left - sum(per_call_budget *
         subtree_bound(i) for i < k) >= per_call_budget``, sibling k's
         sequential budget is known to be exactly ``per_call_budget``, and
         its result can be computed now.  Every result computed here is
@@ -327,18 +237,24 @@ class Verifier:
         threshold = self.config.split_threshold
         roots = [box]
         spare = self._steps_left
-        for sibling in queue.next_siblings(parent):
+        # the entries on top of the stack under the same parent are the
+        # siblings popped next, in pop order
+        for entry in reversed(stack):
+            if entry[2] is not parent:
+                break
             if spare != math.inf:
                 spare -= budget * subtree_bound(roots[-1], threshold)
                 if spare < budget:
                     break
-            roots.append(sibling)
+            roots.append(entry[0])
         if len(roots) == 1:
             return None
         results = self.solver.solve_many(
             problem.negation, roots, Budget(max_steps=budget)
         )
-        queue.attach(results[1:])
+        for i, result in enumerate(results[1:], 1):
+            sibling, depth, _, _ = stack[-i]
+            stack[-i] = (sibling, depth, parent, result)
         return results[0]
 
     def _problem_names(

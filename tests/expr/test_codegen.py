@@ -145,7 +145,7 @@ class TestIteOverflowSemantics:
             assert float(k(x)) == evaluate(e, {"x": x}), x
 
     def test_scalar_tree_and_tape_agree_on_inf_operands(self):
-        from repro.expr.evaluator import evaluate_tree
+        from tests.solver.oracles import evaluate_tree
 
         e = self._both_inf_expr()
         for x in (1e200, 1e308):

@@ -28,8 +28,9 @@ from hypothesis import strategies as st
 
 from repro.expr import builder as b
 from repro.expr.codegen import compile_numpy
-from repro.expr.evaluator import evaluate, evaluate_tree
+from repro.expr.evaluator import evaluate
 from repro.expr.nodes import Var
+from tests.solver.oracles import evaluate_tree
 from tests.support import hyp_examples
 
 X = Var("x")

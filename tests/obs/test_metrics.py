@@ -45,7 +45,7 @@ def metrics_doc(**overrides):
         "pool": {"executing": 2, "max_inflight": 4, "utilisation": 0.5,
                  "workers": 2},
         "lanes": {
-            "enabled": False, "interactive_max_cells": 0, "preemptions": 0,
+            "preemptions": 0,
             "batch": {"queue_depth": 3, "dispatched": 4,
                       "wait_seconds": hist.snapshot()},
         },

@@ -61,13 +61,15 @@ class TestSpecValidation:
         "kind, key",
         [("verify", "solver_backend"), ("verify", "vector_min"),
          ("verify", "specialize_boxes"), ("verify", "per_call_seconds"),
-         ("verify", "split_on_timeout"), ("numerics", "solver_backend")],
+         ("verify", "split_on_timeout"), ("verify", "queue_order"),
+         ("verify", "batch_size"), ("numerics", "solver_backend"),
+         ("numerics", "batch_size")],
     )
     def test_removed_solver_knobs_are_unknown_keys(self, kind, key):
         # the solver and the verifier have one execution path each;
         # configs still naming the old backend/crossover/per-box
-        # specialisation/wall-clock budget/no-split-on-timeout knobs fail
-        # like any other unknown key
+        # specialisation/wall-clock budget/no-split-on-timeout/queue-order/
+        # batch-width knobs fail like any other unknown key
         payload = {"kind": kind, "config": {key: "batch"}}
         if kind == "verify":
             payload.update(functional="PBE", condition="EC1")
@@ -201,14 +203,14 @@ class TestCellTasks:
             {"kind": "verify", "functional": "Wigner", "condition": "EC1",
              "config": {**TINY, "global_step_budget": 500}}
         )
-        perf_knob = spec_from_payload(
-            {"kind": "verify", "functional": "Wigner", "condition": "EC1",
-             "config": {**TINY, "batch_size": 7}}
-        )
         key = base.cell_tasks()[0].content_key
         assert changed.cell_tasks()[0].content_key != key
-        # bit-identical perf knobs keep hitting, exactly like --resume
-        assert perf_knob.cell_tasks()[0].content_key == key
+        # the removed frontier batch width is an unknown key (a 400)
+        with pytest.raises(ValueError, match=r"unknown verifier config keys: \['batch_size'\]"):
+            spec_from_payload(
+                {"kind": "verify", "functional": "Wigner", "condition": "EC1",
+                 "config": {**TINY, "batch_size": 7}}
+            )
 
 
 def _task(name: str) -> CellTask:

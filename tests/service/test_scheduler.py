@@ -312,26 +312,8 @@ class TestQosLanes:
 
         verify, small, sweep = run(body())
         assert verify.lane == "interactive"   # single-pair probe, always
-        assert small.lane == "interactive"    # <= interactive_max_cells
+        assert small.lane == "interactive"    # <= INTERACTIVE_MAX_CELLS
         assert sweep.lane == "batch"
-
-    def test_interactive_max_cells_zero_keeps_kind_rule(self, store, monkeypatch):
-        monkeypatch.setattr(VerificationScheduler, "_compute_cell", stub_compute())
-
-        async def body():
-            sched = VerificationScheduler(
-                store, max_workers=0, interactive_max_cells=0)
-            await sched.start()
-            verify = await sched.submit(verify_spec())
-            small = await sched.submit(table1_spec(["Wigner"], ["EC1"]))
-            for job in (verify, small):
-                await wait_done(job)
-            await sched.drain()
-            return verify, small
-
-        verify, small = run(body())
-        assert verify.lane == "interactive"  # kind rule is unconditional
-        assert small.lane == "batch"         # size rule is off
 
     def test_interactive_preempts_queued_batch_cells(self, store, monkeypatch):
         record = []
@@ -364,34 +346,6 @@ class TestQosLanes:
         assert sched.lane_dispatched == {"interactive": 1, "batch": 4}
         assert sched.lane_wait["interactive"].count == 1
         assert sched.lane_wait["batch"].count == 4
-
-    def test_qos_off_restores_single_ring_fifo(self, store, monkeypatch):
-        record = []
-        monkeypatch.setattr(
-            VerificationScheduler, "_compute_cell",
-            stub_compute(record=record, delay=0.1),
-        )
-
-        async def body():
-            sched = VerificationScheduler(
-                store, max_workers=0, max_inflight=1, qos_lanes=False)
-            await sched.start()
-            sweep = await sched.submit(
-                table1_spec(["Wigner"], ["EC1", "EC2", "EC3"]))
-            await asyncio.sleep(0.05)
-            probe = await sched.submit(verify_spec())
-            await wait_done(sweep)
-            await wait_done(probe)
-            await sched.drain()
-            return sched, probe
-
-        sched, probe = run(body())
-        assert probe.lane == "batch"
-        assert sched.lane_preemptions == 0
-        assert sched.lane_dispatched["interactive"] == 0
-        # round-robin interleaves the two batch jobs but never jumps the
-        # probe ahead of the sweep cell dispatched in the same turn
-        assert sched.lane_dispatched["batch"] == 4
 
     def test_lane_depths_track_pending_cells(self, store, monkeypatch):
         monkeypatch.setattr(

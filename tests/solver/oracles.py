@@ -2,16 +2,19 @@
 
 Production runs one execution path: the batched frontier loop
 (:meth:`repro.solver.icp.ICPSolver.solve`) over the tape executors.  This
-module keeps the two independent implementations it used to ship next to
+module keeps the independent implementations it used to ship next to
 it, so every walk/tape/batch comparison still has a reference to run
 against:
 
+* :func:`evaluate_tree` -- the tree-walking point evaluator that
+  :func:`repro.expr.evaluator.evaluate` (a tape VM) replaced; both run
+  the identical sequence of float operations.
 * :class:`WalkContractor` -- the tree-walking HC4 contractor: forward and
   backward passes re-walk the expression DAG per box with ``Interval``
   objects and never touch a tape, so a tape-VM bug cannot leak into both
   sides of a comparison.  (Point probing via ``Atom.holds_at`` uses the
   tape scalar evaluator on both sides; its own oracle is
-  ``evaluate_tree``, compared directly in ``test_tape.py``.)
+  :func:`evaluate_tree`, compared directly in ``test_tape.py``.)
 * :func:`solve_per_box` -- the classic pop-one-box branch-and-prune loop,
   driving either contractor one box at a time.  Its results, models and
   processed/pruned/split/probe counts are what the frontier loop must
@@ -20,10 +23,12 @@ against:
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from math import inf
 
+from repro.expr.evaluator import SCALAR_FUNCS, EvalError, _env_by_name
 from repro.expr.nodes import Add, Const, Expr, Func, Ite, Mul, Pow, Var
 from repro.solver.box import Box
 from repro.solver.constraint import Conjunction
@@ -40,6 +45,70 @@ from repro.solver.tape import (
     tan_restricted as _tan_restricted,
     wexpw as _wexpw,
 )
+
+
+# ---------------------------------------------------------------------------
+# point evaluation (tree-walk oracle)
+# ---------------------------------------------------------------------------
+
+def evaluate_tree(expr: Expr, env: dict[Var | str, float], strict: bool = False) -> float:
+    """Tree-walking reference implementation (differential-testing oracle)."""
+    by_name = _env_by_name(env)
+    memo: dict[int, float] = {}
+    try:
+        for node in expr.walk():
+            memo[id(node)] = _eval_node(node, memo, by_name)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        if strict:
+            raise EvalError(str(exc)) from exc
+        return math.nan
+    return memo[id(expr)]
+
+
+def _eval_node(node: Expr, memo: dict[int, float], env: dict[str, float]) -> float:
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        try:
+            return env[node.name]
+        except KeyError:
+            raise EvalError(f"unbound variable {node.name!r}") from None
+    if isinstance(node, Add):
+        return math.fsum(memo[id(a)] for a in node.args)
+    if isinstance(node, Mul):
+        out = 1.0
+        for a in node.args:
+            out *= memo[id(a)]
+        return out
+    if isinstance(node, Pow):
+        base = memo[id(node.base)]
+        expo = memo[id(node.exponent)]
+        if base < 0.0 and not float(expo).is_integer():
+            raise EvalError(f"negative base {base} to fractional power {expo}")
+        if base == 0.0 and expo < 0.0:
+            raise EvalError("zero to a negative power")
+        return math.pow(base, expo)
+    if isinstance(node, Func):
+        return _eval_func(node.name, memo[id(node.arg)])
+    if isinstance(node, Ite):
+        # direct operand comparison (not the rounded difference): identical
+        # for finite operands, and still orders two same-sign infinities,
+        # where the gap would be NaN -- mirrors the tape VM and the compiled
+        # kernel (see repro.expr.codegen, "IEEE-kernel semantics")
+        lhs, rhs = memo[id(node.cond.lhs)], memo[id(node.cond.rhs)]
+        if math.isnan(lhs) or math.isnan(rhs):
+            raise EvalError("NaN in ite condition")
+        taken = node.then if node.cond.compare(lhs, rhs) else node.orelse
+        return memo[id(taken)]
+    raise TypeError(f"cannot evaluate {type(node).__name__}")  # pragma: no cover
+
+
+def _eval_func(name: str, x: float) -> float:
+    try:
+        fn = SCALAR_FUNCS[name]
+    except KeyError:  # pragma: no cover
+        raise TypeError(f"cannot evaluate function {name}") from None
+    return fn(x)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +416,7 @@ def solve_per_box(
     ``executor="tape"`` contracts each box with the production
     :class:`HC4Contractor` one box at a time (:meth:`~HC4Contractor.contract`
     and :meth:`~HC4Contractor.certainly_sat`); ``"walk"`` uses
-    :class:`WalkContractor`.  ``solver.batch_size`` is ignored.
+    :class:`WalkContractor`.
     """
     if executor == "walk":
         contractor = WalkContractor(formula, delta=solver.delta)

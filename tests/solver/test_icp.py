@@ -123,8 +123,6 @@ class TestKnobs:
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError):
             ICPSolver(precision=0.0)
-        with pytest.raises(ValueError):
-            ICPSolver(batch_size=0)
 
     def test_contractor_cache_reused(self):
         solver = ICPSolver()

@@ -10,6 +10,7 @@ match a solo call exactly (``tests/solver/oracles.py``'s
 from __future__ import annotations
 
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from repro.conditions.catalog import get_condition
 from repro.expr import builder as b
 from repro.expr.nodes import Var
 from repro.functionals.registry import get_functional
+from repro.solver import icp
 from repro.solver.box import Box
 from repro.solver.constraint import Atom, Conjunction
 from repro.solver.icp import Budget, ICPSolver, SolverStatus
@@ -77,8 +79,10 @@ def sub_box(draw):
 )
 @settings(max_examples=hyp_examples(60), deadline=None)
 def test_solve_many_equals_per_root_solve(f, roots, steps, batch_size):
-    solver = ICPSolver(delta=1e-9, precision=1e-3, batch_size=batch_size)
-    assert_matches_solo(solver, f, roots, Budget(max_steps=steps))
+    # patched in the body: Hypothesis rejects function-scoped fixtures
+    with mock.patch.object(icp, "BATCH_SIZE", batch_size):
+        solver = ICPSolver(delta=1e-9, precision=1e-3)
+        assert_matches_solo(solver, f, roots, Budget(max_steps=steps))
 
 
 def test_empty_roots():
@@ -119,7 +123,8 @@ def test_zero_step_budget_times_out_every_root():
 def test_batch_size_one():
     f = formula((X**2 + Y**2).le(0.25), (X + Y).ge(0.9))
     roots = [DOMAIN, Box.from_bounds({"mx": (0.0, 1.0), "my": (0.0, 1.0)})]
-    assert_matches_solo(ICPSolver(batch_size=1), f, roots, Budget(max_steps=200))
+    with mock.patch.object(icp, "BATCH_SIZE", 1):
+        assert_matches_solo(ICPSolver(), f, roots, Budget(max_steps=200))
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.expr import builder as b
-from repro.expr.evaluator import evaluate, evaluate_tree
+from repro.expr.evaluator import evaluate
 from repro.expr.nodes import Expr, Func
 from repro.solver.box import Box
 from repro.solver.constraint import Atom, Conjunction
@@ -24,7 +24,7 @@ from repro.solver import tape as tape_mod
 from repro.solver.icp import Budget, ICPSolver
 from repro.solver.tape import CompiledConjunction, Tape, compile_expr, tape_for
 
-from .oracles import WalkContractor, interval_eval, solve_per_box
+from .oracles import WalkContractor, evaluate_tree, interval_eval, solve_per_box
 
 
 # ---------------------------------------------------------------------------

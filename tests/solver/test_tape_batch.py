@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ import pytest
 from repro.expr import builder as b
 from repro.solver.box import Box
 from repro.solver.constraint import Atom, Conjunction
-from repro.solver import tape as tape_mod
+from repro.solver import icp, tape as tape_mod
 from repro.solver.contractor import HC4Contractor
 from repro.solver.icp import Budget, ICPSolver
 from repro.solver.interval import Interval
@@ -274,9 +275,9 @@ def test_frontier_solver_matches_tape_and_walk(seed):
     )
     box = random_box(rng)
     budget = Budget(max_steps=250)
-    batch_size = rng.choice([1, 3, 64])
-    solver = ICPSolver(delta=1e-5, precision=1e-2, batch_size=batch_size)
-    batch = solver.solve(formula, box, budget)
+    solver = ICPSolver(delta=1e-5, precision=1e-2)
+    with mock.patch.object(icp, "BATCH_SIZE", rng.choice([1, 3, 64])):
+        batch = solver.solve(formula, box, budget)
     for executor in ("tape", "walk"):
         oracle = solve_per_box(solver, formula, box, budget, executor=executor)
         assert_results_identical(batch, oracle)
@@ -287,13 +288,12 @@ def test_frontier_timeout_mid_batch_matches_per_box():
     rng = random.Random(11)
     formula = Conjunction.of(Atom(random_expr(rng, depth=3), "<="))
     box = random_box(rng)
-    solver = ICPSolver(precision=1e-3, batch_size=4)
+    solver = ICPSolver(precision=1e-3)
     for steps in (1, 2, 3, 7, 19):
         budget = Budget(max_steps=steps)
-        assert_results_identical(
-            solver.solve(formula, box, budget),
-            solve_per_box(solver, formula, box, budget),
-        )
+        with mock.patch.object(icp, "BATCH_SIZE", 4):
+            batch = solver.solve(formula, box, budget)
+        assert_results_identical(batch, solve_per_box(solver, formula, box, budget))
 
 
 def test_frontier_solver_vector_min_override_identical(monkeypatch):
@@ -309,14 +309,15 @@ def test_frontier_solver_vector_min_override_identical(monkeypatch):
             if vm is not None:
                 m.setattr(tape_mod, "_VECTOR_MIN", vm)
                 m.setattr(tape_mod, "_VECTOR_MIN_BWD", vm)
-            solver = ICPSolver(precision=1e-3, batch_size=8)
-            results.append(solver.solve(formula, box, budget))
+            m.setattr(icp, "BATCH_SIZE", 8)
+            results.append(ICPSolver(precision=1e-3).solve(formula, box, budget))
     for other in results[1:]:
         assert_results_identical(results[0], other)
 
 
 def test_solver_rejects_bad_batch_options():
-    with pytest.raises(ValueError, match="batch_size"):
+    # the frontier batch width is a module constant, not a parameter
+    with pytest.raises(TypeError, match="batch_size"):
         ICPSolver(batch_size=0)
 
 

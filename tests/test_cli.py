@@ -211,17 +211,6 @@ class TestCampaignCommand:
         assert main(["campaign", "--functionals", "LYP", "--conditions", "EC5"]) == 1
         assert "no applicable" in capsys.readouterr().err
 
-    def test_campaign_order_widest(self, capsys):
-        rc = main(
-            [
-                "campaign", "--functionals", "LYP", "--conditions", "EC1",
-                "--budget", "100", "--global-budget", "1500",
-                "--order", "widest",
-            ]
-        )
-        assert rc == 0
-        assert "LYP/EC1" in capsys.readouterr().out
-
 
 class TestNumerics:
     def test_continuity_on_pz81(self, capsys):
@@ -494,12 +483,10 @@ class TestKnobValidation:
         [
             (["campaign", "--functionals", "Wigner", "--conditions", "EC1",
               "--workers", "-4"], "--workers"),
-            (["verify", "-f", "Wigner", "-c", "EC1", "--batch-size", "-8"],
-             "--batch-size"),
             (["numerics", "--functionals", "Wigner", "--check", "hazards",
               "--workers", "-1"], "--workers"),
         ],
-        ids=["argv2---workers", "argv3---batch-size", "argv4---workers"],
+        ids=["argv2---workers", "argv4---workers"],
     )
     def test_negative_knobs_rejected_loudly(self, capsys, argv, flag):
         assert main(argv) == 1
@@ -526,13 +513,20 @@ class TestKnobValidation:
             ["numerics", "--all", "--adaptive"],
             ["verify", "-f", "PBE", "-c", "EC1", "--newton"],
             ["check", "--derivatives"],
+            ["campaign", "--order", "dfs"],
+            ["verify", "-f", "PBE", "-c", "EC1", "--batch-size", "256"],
+            ["serve", "--store", "s.jsonl", "--qos-lanes"],
+            ["serve", "--store", "s.jsonl", "--no-qos-lanes"],
+            ["serve", "--store", "s.jsonl", "--interactive-max-cells", "2"],
         ],
         ids=["campaign-levels", "campaign-steal-depth", "campaign-adaptive",
              "table1-adaptive", "table2-adaptive", "numerics-adaptive",
-             "verify-newton", "check-derivatives"],
+             "verify-newton", "check-derivatives", "campaign-order",
+             "verify-batch-size", "serve-qos-lanes", "serve-no-qos-lanes",
+             "serve-interactive-max-cells"],
     )
     def test_removed_scheduling_flags_exit_2(self, capsys, argv):
-        # scripts still passing the deleted scheduling or solver flags
+        # scripts still passing the deleted scheduling, solver or service flags
         # must fail loudly rather than have them silently ignored
         with pytest.raises(SystemExit) as exc:
             main(argv)

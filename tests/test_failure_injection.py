@@ -13,6 +13,7 @@ import pytest
 from repro import get_condition, get_functional, verify_pair
 from repro.expr import builder as b
 from repro.expr.nodes import Var
+from repro.numerics.campaign import NumericsConfig
 from repro.pb import GridSpec, PBChecker
 from repro.solver import Atom, Box, Budget, Conjunction, ICPSolver
 from repro.verifier.regions import Outcome
@@ -63,14 +64,19 @@ class TestSolverDegenerateInputs:
             ICPSolver(precision=0.0)
 
     def test_invalid_search_rejected(self):
-        # the solver runs one algorithm: the removed search-order and
-        # ablation knobs are rejected, not silently ignored
+        # the solver runs one algorithm and the verifier one queue order:
+        # the removed search-order, ablation, batch-width and queue-order
+        # knobs are rejected, not silently ignored
         for knob, value in (
             ("search", "best-first"), ("use_newton", True), ("use_contraction", False),
-            ("use_probing", False), ("contraction_rounds", 3),
+            ("use_probing", False), ("contraction_rounds", 3), ("batch_size", 7),
         ):
             with pytest.raises(TypeError, match=knob):
                 ICPSolver(**{knob: value})
+        for config_cls in (VerifierConfig, NumericsConfig):
+            for knob, value in (("queue_order", "widest"), ("batch_size", 7)):
+                with pytest.raises(TypeError, match=knob):
+                    config_cls(**{knob: value})
 
 
 class TestVerifierDegenerateConfigs:

@@ -173,13 +173,15 @@ class TestStoreIntegration:
         rerun = run_campaign([("LYP", "EC1")], other, max_workers=1, store=store)
         assert rerun.computed == [("LYP", "EC1")]
 
-    def test_performance_knobs_still_hit(self, tmp_path):
+    def test_performance_knobs_still_hit(self, tmp_path, monkeypatch):
+        # the solver's frontier batch width is bit-identical and not a key
+        # input: a different width keeps hitting
+        from repro.solver import icp
+
         store = tmp_path / "store.sqlite"
         run_campaign([("VWN RPA", "EC1")], FAST, max_workers=1, store=store)
-        import dataclasses
-
-        tuned = dataclasses.replace(FAST, batch_size=7)
-        rerun = run_campaign([("VWN RPA", "EC1")], tuned, max_workers=1, store=store)
+        monkeypatch.setattr(icp, "BATCH_SIZE", 7)
+        rerun = run_campaign([("VWN RPA", "EC1")], FAST, max_workers=1, store=store)
         assert rerun.store_hits == [("VWN RPA", "EC1")]
 
     def test_resume_false_recomputes_but_stores(self, tmp_path):

@@ -31,7 +31,6 @@ CELLS = [
     ("SCAN", "EC1", TABLE1_CONFIG),  # three dimensions, exhausted
     ("VWN RPA", "EC7", TABLE1_CONFIG),
     ("LYP", "EC1", replace(TABLE1_CONFIG, global_step_budget=None)),
-    ("PBE", "EC3", replace(TABLE1_CONFIG, queue_order="widest")),
 ]
 
 
@@ -57,7 +56,7 @@ def trees():
         problem = problem_for(functional, condition)
         batched = Verifier(config)
         one_box = Verifier(config, solver=OneBoxSolver(config.make_solver()))
-        out[(functional, condition, config.queue_order, config.global_step_budget)] = (
+        out[(functional, condition, config.global_step_budget)] = (
             batched.verify(problem), batched.stats_totals,
             one_box.verify(problem), one_box.stats_totals,
         )
@@ -74,21 +73,19 @@ def test_one_box_path_makes_one_call_per_root(trees):
         assert one_box_stats.calls == one_box_stats.roots, key
 
 
-def test_dfs_batches_siblings_and_widest_does_not(trees):
-    for (_, _, order, _), (_, stats, _, one_stats) in trees.items():
+def test_dfs_batches_siblings(trees):
+    for _, stats, _, one_stats in trees.values():
         # zero waste: the same roots and the same steps as one-box calls
         assert stats.roots == one_stats.roots
         assert stats.boxes_processed == one_stats.boxes_processed
-        if order == "widest":
-            assert stats.calls == stats.roots
-    pbe = trees[("PBE", "EC3", "dfs", 2500)][1]
-    unlimited = trees[("LYP", "EC1", "dfs", None)][1]
+    pbe = trees[("PBE", "EC3", 2500)][1]
+    unlimited = trees[("LYP", "EC1", None)][1]
     assert pbe.calls < pbe.roots
     assert unlimited.calls < unlimited.roots
 
 
 def test_batching_moves_columns_off_the_scalar_path(trees):
-    stats, one_stats = trees[("PBE", "EC3", "dfs", 2500)][1::2]
+    stats, one_stats = trees[("PBE", "EC3", 2500)][1::2]
     assert stats.scalar_columns < one_stats.scalar_columns
 
 

@@ -49,16 +49,6 @@ def test_exhausted_scan_cell_matches_old_split_path(scan_problem, scan_report, m
     assert scan_report.identical_to(old)
 
 
-def test_widest_queue_order_matches_old_split_path(monkeypatch):
-    config = VerifierConfig(
-        split_threshold=0.4, per_call_budget=40, global_step_budget=200, queue_order="widest"
-    )
-    problem = compile_problem(encode(get_functional("SCAN"), get_condition("EC2")))
-    new = Verifier(config).verify(problem)
-    monkeypatch.setattr(Box, "split_all", lambda box, min_width=None: old_split_all(box))
-    assert new.identical_to(Verifier(config).verify(problem))
-
-
 def test_pooled_campaign_matches_in_process():
     # the 37,449 records cross the worker -> parent pickle boundary in the
     # pooled run (a lone cell stays in-process unless a pool is handed in)

@@ -193,43 +193,3 @@ class TestDeepSplitChains:
         actual = Verifier(config).verify(problem)
         assert_reports_identical(oracle, actual)
 
-
-class TestQueueOrders:
-    def test_widest_order_same_outcomes_different_schedule(self):
-        problem = encode(get_functional("LYP"), EC1)
-        domain = Box.from_bounds({"rs": (1.0, 3.0), "s": (0.0, 4.0)})
-        base = VerifierConfig(
-            split_threshold=0.7, per_call_budget=250, global_step_budget=None
-        )
-        dfs = Verifier(base).verify(problem, domain=domain)
-        widest = Verifier(
-            VerifierConfig(
-                split_threshold=0.7, per_call_budget=250, global_step_budget=None,
-                queue_order="widest",
-            )
-        ).verify(problem, domain=domain)
-        # with an unlimited budget the *set* of solved boxes is identical
-        def key(report):
-            return sorted(
-                ((r.box.names, r.box.intervals, r.outcome.value) for r in report.records),
-                key=repr,
-            )
-        assert key(dfs) == key(widest)
-        assert dfs.total_solver_steps == widest.total_solver_steps
-
-    def test_widest_order_prioritises_wide_boxes_under_budget(self):
-        problem = encode(get_functional("LYP"), EC1)
-        config = VerifierConfig(
-            split_threshold=0.2, per_call_budget=100, global_step_budget=2000,
-            queue_order="widest",
-        )
-        report = Verifier(config).verify(problem)
-        # the first records solved are the widest (depth-ordered prefix)
-        depths = [r.depth for r in report.records if r.solver_steps > 0]
-        assert depths == sorted(depths)
-
-    def test_unknown_order_rejected(self):
-        # rejected loudly at construction (REP105 / the CampaignConfig
-        # pattern), long before any verify() call could misqueue work
-        with pytest.raises(ValueError, match="queue_order"):
-            VerifierConfig(queue_order="sideways")
