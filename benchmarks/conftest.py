@@ -30,7 +30,10 @@ def bench_checker() -> PBChecker:
 
 @pytest.fixture(scope="session")
 def table_one_result(bench_config):
-    """Run Table I once per session; several benchmarks consume it."""
+    """Run Table I once per session; several benchmarks consume it.
+
+    Pooled over two workers: a pooled campaign is bit-identical to the
+    in-process one (``tests/verifier/test_parallel.py``)."""
     from repro.analysis.tables import run_table_one
 
-    return run_table_one(bench_config)
+    return run_table_one(bench_config, max_workers=2)

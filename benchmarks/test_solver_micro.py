@@ -10,12 +10,11 @@ timing is merged into that JSON document (CI uploads it as the
 ``BENCH_solver.json`` artifact, giving the perf trajectory one file per
 commit).  The bit-identity checks run production against the test-only
 oracles of ``tests/solver/oracles.py`` (tree-walk contractor, per-box
-loop) and the forced-scalar, unfused tape build.
+loop) and a forced-scalar build of the same tapes.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from functools import partial
 
@@ -105,23 +104,23 @@ def _assert_batches_identical(got, want):
                 assert x[name].lo == y[name].lo and x[name].hi == y[name].hi
 
 
-def _forced_scalar_unfused(monkeypatch, formula) -> CompiledConjunction:
-    """The per-column reference configuration: every batch below the
-    vector/scalar crossover and tapes built without constant folding."""
+def _forced_scalar(monkeypatch, formula) -> CompiledConjunction:
+    """The per-column reference configuration: freshly built tapes, with
+    every batch below the vector/scalar crossover."""
     monkeypatch.setattr(tape_mod, "_VECTOR_MIN", 10**9)
     monkeypatch.setattr(tape_mod, "_VECTOR_MIN_BWD", 10**9)
     return CompiledConjunction(
         tuple(
-            CompiledAtom(compile_expr(atom.residual, fuse=False), atom.op)
+            CompiledAtom(compile_expr(atom.residual), atom.op)
             for atom in formula.atoms
         )
     )
 
 
 def test_pow_func_batch_kernels_match_forced_scalar(monkeypatch):
-    """The whole-batch Pow/Func kernels plus tape fusion contract PBE EC1
-    batches bit-identically to the per-column scalar interpreter on
-    unfused tapes, across frontier widths.  PBE EC1 is the Pow/Func-heavy
+    """The whole-batch Pow/Func kernels contract PBE EC1 batches
+    bit-identically to the per-column scalar interpreter, across frontier
+    widths.  PBE EC1 is the Pow/Func-heavy
     pair: its residual tapes are dominated by integer-power chains, real
     powers and exp/log rows."""
     problem = encode(get_functional("PBE"), EC1)
@@ -131,7 +130,7 @@ def test_pow_func_batch_kernels_match_forced_scalar(monkeypatch):
     kernel = {w: contractor.contract_batch(boxes) for w, boxes in batches.items()}
     with monkeypatch.context() as m:
         reference = HC4Contractor(
-            _forced_scalar_unfused(m, problem.negation), delta=1e-5
+            _forced_scalar(m, problem.negation), delta=1e-5
         )
         scalar = {w: reference.contract_batch(boxes) for w, boxes in batches.items()}
     for w in widths:
@@ -146,7 +145,7 @@ def test_pow_func_frontier_matches_forced_scalar(monkeypatch):
         problem.negation, problem.domain, budget
     )
     with monkeypatch.context() as m:
-        formula = _forced_scalar_unfused(m, problem.negation)
+        formula = _forced_scalar(m, problem.negation)
         scalar = ICPSolver(delta=1e-5, precision=1e-3).solve(
             formula, problem.domain, budget
         )
@@ -257,82 +256,6 @@ def test_per_op_vector_kernels_beat_per_column_loops():
             f"{name} vector kernel slower than the per-column loop at width "
             f"{KERNEL_WIDTH}"
         )
-
-
-@pytest.mark.perf
-def test_tape_fusion_and_multitape_timings():
-    """Publish fused-vs-unfused forward timings and the cross-atom
-    MultiTape's win over per-tape classification; fusion must never lose
-    (it only removes instructions).
-
-    A wall-clock ratio gate, so ``perf``-marked: PBE's fused and unfused
-    tapes are the same program (nothing folds), and on a loaded host the
-    fused <= 1.10x unfused bound compares noise.
-
-    The conjunction is a PBE EC1 residual next to its rs-derivative --
-    the gradient-condition shape where atoms share the whole F_c
-    subgraph, which is what the MultiTape's cross-atom interning is for.
-    """
-    from repro.solver.tape import MultiTape
-
-    problem = encode(get_functional("PBE"), EC1)
-    residual = problem.negation.atoms[0].residual
-    exprs = [residual, derivative(residual, RS)]
-    boxes = _split_domain(problem.domain, 256)
-
-    def build_tapes(fused):
-        return [compile_expr(e, fuse=fused) for e in exprs]
-
-    fused = build_tapes(fused=True)
-    unfused = build_tapes(fused=False)
-    multi = MultiTape.from_tapes(fused)
-
-    def tapes_forward(tapes):
-        for tape in tapes:
-            lo_mat, hi_mat = tape.load_batch(boxes)
-            tape.forward_batch(lo_mat, hi_mat, 0)
-
-    def multi_forward(m=multi):
-        lo_mat, hi_mat = m.load_batch(boxes)
-        m.forward_batch(lo_mat, hi_mat, 0)
-
-    variants = [
-        ("fused", lambda: tapes_forward(fused)),
-        ("unfused", lambda: tapes_forward(unfused)),
-        ("multi", multi_forward),
-    ]
-    # fine-grained interleaving: every round times one call of each
-    # variant in a rotating order, so a load transient lands on all three
-    # alike instead of on one variant's block; each variant's fastest
-    # single call counts (PBE's fused and unfused tapes run the same
-    # program, so their comparison is pure measurement noise otherwise)
-    best = {name: float("inf") for name, _ in variants}
-    for rnd in range(150):
-        for k in range(len(variants)):
-            name, run = variants[(rnd + k) % len(variants)]
-            t0 = time.perf_counter()
-            run()
-            best[name] = min(best[name], time.perf_counter() - t0)
-    t_fused, t_unfused, t_multi = (
-        best[name] * 1e6 for name in ("fused", "unfused", "multi")
-    )
-
-    print(f"\nPBE EC1 residual+derivative forward x{len(fused)} atoms at "
-          f"width 256: unfused {t_unfused:.0f} us, fused {t_fused:.0f} us, "
-          f"multitape {t_multi:.0f} us")
-    record_bench(
-        "tape_fusion",
-        unfused_us=t_unfused,
-        fused_us=t_fused,
-        multitape_us=t_multi,
-        atoms=len(fused),
-        multitape_instrs=len(multi._fwd),
-        pertape_instrs=sum(len(t._fwd) for t in fused),
-    )
-    # fusion strictly removes instructions; allow measurement jitter only
-    assert t_fused <= t_unfused * 1.10
-    # the shared forward must beat running each atom tape separately
-    assert t_multi <= t_fused * 1.05
 
 
 def test_disabled_tracer_overhead_on_solver_calls():

@@ -30,7 +30,8 @@ EXTENDED_CONFIG = VerifierConfig(
 
 @pytest.fixture(scope="module")
 def extended_table():
-    return run_table_one(EXTENDED_CONFIG, functionals=all_functionals())
+    # pooled and in-process campaigns are bit-identical (test_parallel.py)
+    return run_table_one(EXTENDED_CONFIG, functionals=all_functionals(), max_workers=2)
 
 
 def test_extended_table_regenerate(benchmark, extended_table):

@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--rule", dest="rules", action="append", choices=all_rule_ids(),
         metavar="ID",
-        help="run only this rule id, repeatable (TAPE101-110, REP100-105); "
+        help="run only this rule id, repeatable (TAPE101-108, REP100-106); "
         "unknown ids are rejected at parse time",
     )
     p_check.add_argument(

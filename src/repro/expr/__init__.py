@@ -9,8 +9,7 @@ This package is the term language shared by every other subsystem:
 * :mod:`repro.expr.simplify` -- global simplification passes (factoring,
   exponential merging, box specialisation),
 * :mod:`repro.expr.evaluator` -- scalar point evaluation,
-* :mod:`repro.expr.codegen` -- vectorised NumPy compilation,
-* :mod:`repro.expr.sympy_bridge` -- SymPy round-trip and cross-checks.
+* :mod:`repro.expr.codegen` -- vectorised NumPy compilation.
 """
 
 from .nodes import (

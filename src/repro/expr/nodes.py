@@ -49,11 +49,6 @@ class Expr:
             table[key] = node
         return node
 
-    @classmethod
-    def clear_cache(cls) -> None:
-        """Drop the intern table (used by tests to bound memory)."""
-        Expr._intern_table.clear()
-
     # -- structural queries -------------------------------------------------
     def children(self) -> tuple["Expr", ...]:
         return ()

@@ -88,37 +88,15 @@ class PBResult:
 class PBChecker:
     """Grid-search checker with PB's methodology.
 
-    ``derivative_mode`` selects how condition residuals are produced:
-
-    * ``"numeric"`` (PB's method, the default): compiled NumPy kernels for
-      the enhancement factors plus ``np.gradient`` stencils for the
-      rs-derivatives -- fast, but stencil noise near the boundary rows
-      must be trimmed and absorbed by the tolerance;
-    * ``"symbolic"``: the encoder's local condition psi -- with *symbolic*
-      rs-derivatives -- is compiled to a solver tape and evaluated on the
-      mesh in one batched sweep (:meth:`Grid.evaluate_tape`).  No stencil
-      approximation, hence no boundary trim; this is the grid-checking
-      analogue of the verifier's exact-condition pipeline and serves as a
-      cross-check of the numeric gradients.
-
-      Note the residual is in the *encoder's* normal form: conditions
-      whose textbook statement divides by rs are encoded multiplied
-      through by rs (EC3/EC6/EC7, see :mod:`repro.conditions.catalog`),
-      so for those the symbolic residual is the numeric one scaled by rs
-      and ``tolerance`` acts on the verifier's residual scale -- marginal
-      verdicts within ~``tolerance`` of zero can differ between the two
-      modes (on top of the stencil-vs-exact derivative difference, which
-      is usually the larger effect).
+    Condition residuals come from compiled NumPy kernels for the
+    enhancement factors plus ``np.gradient`` stencils for the
+    rs-derivatives -- fast, but stencil noise near the boundary rows must
+    be trimmed (``boundary_trim``) and absorbed by ``tolerance``.
     """
 
     spec: GridSpec = field(default_factory=GridSpec)
     tolerance: float = 1e-8
     boundary_trim: int = 1
-    derivative_mode: str = "numeric"
-
-    def __post_init__(self):
-        if self.derivative_mode not in ("numeric", "symbolic"):
-            raise ValueError("derivative_mode must be 'numeric' or 'symbolic'")
 
     def check(self, functional: Functional, condition: Condition) -> PBResult:
         """Run the PB check for one DFA-condition pair."""
@@ -127,18 +105,11 @@ class PBChecker:
                 f"{condition.cid} does not apply to {functional.name}"
             )
         grid = Grid.for_functional(functional, self.spec)
-        if self.derivative_mode == "symbolic":
-            residual = self._residual_symbolic(functional, condition, grid)
-        else:
-            residual = self._residual(functional, condition, grid)
+        residual = self._residual(functional, condition, grid)
 
         undefined = ~np.isfinite(residual)
         trim = self.boundary_trim
-        if (
-            trim > 0
-            and self.derivative_mode == "numeric"
-            and condition.cid in ("EC2", "EC3", "EC4", "EC6", "EC7")
-        ):
+        if trim > 0 and condition.cid in ("EC2", "EC3", "EC4", "EC6", "EC7"):
             # derivative conditions: one-sided stencils at the rs edges
             undefined[:trim] = True
             undefined[-trim:] = True
@@ -188,19 +159,3 @@ class PBChecker:
             dfc = d_drs(fc, rs_axis)
             return dfc - fc / rs_mesh
         raise KeyError(f"unknown condition {cid}")
-
-    def _residual_symbolic(
-        self, functional: Functional, condition: Condition, grid: Grid
-    ) -> np.ndarray:
-        """Exact-condition residual on the mesh via the batched tape VM.
-
-        Normalises the local condition psi to ``residual <= 0`` (the PB
-        sign convention) and evaluates the compiled residual tape over the
-        whole grid in one :meth:`Grid.evaluate_tape` sweep.
-        """
-        from ..solver.constraint import Atom
-        from ..solver.tape import tape_for
-
-        psi = condition.local_condition(functional)
-        atom = Atom.from_rel(psi).normalized()
-        return grid.evaluate_tape(tape_for(atom.residual))

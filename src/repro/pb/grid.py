@@ -82,16 +82,6 @@ class Grid:
         """Evaluate a compiled kernel on the full mesh (vectorised)."""
         return np.asarray(kernel(*self.meshes()), dtype=float)
 
-    def evaluate_tape(self, tape) -> np.ndarray:
-        """Evaluate a compiled solver tape on the full mesh (batched VM).
-
-        Runs :meth:`repro.solver.tape.Tape.eval_point_batch` with the mesh
-        arrays bound to the tape's variables: one vectorised sweep over
-        every grid point, with NaN at points outside a primitive's domain.
-        """
-        env = dict(zip(self.names, self.meshes()))
-        return np.asarray(tape.eval_point_batch(env), dtype=float)
-
     def evaluate_at_rs(self, kernel, rs_value: float) -> np.ndarray:
         """Evaluate a kernel with rs pinned (used for the EC6 limit)."""
         meshes = self.meshes()

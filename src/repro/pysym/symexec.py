@@ -55,11 +55,6 @@ def lift(func: Callable, *args, **kwargs) -> Expr:
     return _Executor(depth=0).call(func, list(args), kwargs)
 
 
-class _ReturnValue(Exception):
-    def __init__(self, value):
-        self.value = value
-
-
 class _Executor:
     def __init__(self, depth: int):
         if depth > _MAX_INLINE_DEPTH:

@@ -109,10 +109,6 @@ class Authenticator:
         """True when no tokens are configured (every request accepted)."""
         return not self._tokens
 
-    @property
-    def clients(self) -> list[str]:
-        return sorted(set(self._tokens.values()))
-
     def identify(self, authorization: str | None) -> str:
         """The client id for the header, or :class:`AuthenticationError`.
 

@@ -104,9 +104,6 @@ class Box:
     def midpoint(self) -> dict[str, float]:
         return {name: iv.mid() for name, iv in self.items()}
 
-    def corner_lo(self) -> dict[str, float]:
-        return {name: iv.lo for name, iv in self.items()}
-
     def volume(self) -> float:
         out = 1.0
         for iv in self.intervals:

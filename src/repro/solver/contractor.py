@@ -35,7 +35,7 @@ import numpy as np
 from .box import Box
 from .constraint import Conjunction
 from .interval import EMPTY, Interval
-from .tape import _VECTOR_MIN, _VECTOR_MIN_BWD, CompiledConjunction, MultiTape, Tape, tape_for
+from .tape import _VECTOR_MIN, _VECTOR_MIN_BWD, CompiledConjunction, Tape, tape_for
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +59,8 @@ class HC4Contractor:
     ``formula`` may be a :class:`Conjunction` (residual DAGs are compiled to
     tapes here) or an already-compiled
     :class:`~repro.solver.tape.CompiledConjunction` (e.g. shipped to a
-    worker process).
+    worker process).  Each atom runs its own tape, in atom order, in every
+    pass: revise, and the certainly-sat forward of :meth:`contract_batch`.
     """
 
     def __init__(
@@ -72,7 +73,6 @@ class HC4Contractor:
         self.formula = formula
         self.delta = delta
         self.stats = ContractionStats()
-        self._multi: MultiTape | bool | None = None
         if isinstance(formula, CompiledConjunction):
             self._tapes: list[Tape] = [atom.tape for atom in formula.atoms]
         else:
@@ -80,21 +80,6 @@ class HC4Contractor:
         # preallocated per-slot lo/hi endpoint arrays, one pair per atom
         self._los: list[list[float]] = [[0.0] * t.n_slots for t in self._tapes]
         self._his: list[list[float]] = [[0.0] * t.n_slots for t in self._tapes]
-
-    def _multi_tape(self) -> MultiTape | None:
-        """Lazily-built fused forward program over all atom tapes.
-
-        Only worth building (and only used) when there is more than one
-        atom; built per contractor instance on first batch use and reused
-        for every later batch.  Forward-only: the backward revise stays
-        per-tape.
-        """
-        if self._multi is None:
-            if len(self._tapes) > 1:
-                self._multi = MultiTape.from_tapes(self._tapes)
-            else:
-                self._multi = False
-        return self._multi or None
 
     def contract(self, box: Box, rounds: int = 2) -> Box:
         """Iterate HC4-revise over all atoms up to ``rounds`` fixpoint rounds.
@@ -206,37 +191,21 @@ class HC4Contractor:
             if not active.any():
                 break
 
-        # one batched forward (fused across atoms when possible) over the
-        # final boxes decides certainly_sat for the whole batch
+        # one batched forward per atom over the final boxes decides
+        # certainly_sat for the whole batch
         allsat = alive.copy()
-        multi = self._multi_tape()
-        if multi is not None:
+        for tape in self._tapes:
             cols = np.nonzero(allsat)[0]
-            if cols.size:
-                _count_columns(columns, cols, _VECTOR_MIN)
-                sub_lo = {name: arr[cols] for name, arr in var_lo.items()}
-                sub_hi = {name: arr[cols] for name, arr in var_hi.items()}
-                lo_mat, hi_mat = multi.load_batch_arrays(sub_lo, sub_hi, cols.size)
-                multi.forward_batch(lo_mat, hi_mat)
-                sat = np.ones(cols.size, dtype=bool)
-                for r in multi.roots:
-                    root_lo = lo_mat[r]
-                    root_hi = hi_mat[r]
-                    sat &= (root_lo <= root_hi) & (root_hi <= self.delta)
-                allsat[cols] &= sat
-        else:
-            for tape in self._tapes:
-                cols = np.nonzero(allsat)[0]
-                if cols.size == 0:
-                    break
-                _count_columns(columns, cols, _VECTOR_MIN)
-                sub_lo = {name: arr[cols] for name, arr in var_lo.items()}
-                sub_hi = {name: arr[cols] for name, arr in var_hi.items()}
-                lo_mat, hi_mat = tape.load_batch_arrays(sub_lo, sub_hi, cols.size)
-                tape.forward_batch(lo_mat, hi_mat)
-                root_lo = lo_mat[tape.root]
-                root_hi = hi_mat[tape.root]
-                allsat[cols] &= (root_lo <= root_hi) & (root_hi <= self.delta)
+            if cols.size == 0:
+                break
+            _count_columns(columns, cols, _VECTOR_MIN)
+            sub_lo = {name: arr[cols] for name, arr in var_lo.items()}
+            sub_hi = {name: arr[cols] for name, arr in var_hi.items()}
+            lo_mat, hi_mat = tape.load_batch_arrays(sub_lo, sub_hi, cols.size)
+            tape.forward_batch(lo_mat, hi_mat)
+            root_lo = lo_mat[tape.root]
+            root_hi = hi_mat[tape.root]
+            allsat[cols] &= (root_lo <= root_hi) & (root_hi <= self.delta)
 
         out: list[Box] = []
         for j, box in enumerate(boxes):

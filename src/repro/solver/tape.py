@@ -43,7 +43,6 @@ __all__ = [
     "FUNC_DOMAINS",
     "func_guard_table",
     "Tape",
-    "MultiTape",
     "compile_expr",
     "tape_for",
     "clear_tape_cache",
@@ -121,44 +120,16 @@ _BWD_KERNELS = tuple(_kern.BWD_FUNC[name] for name in FUNC_NAMES)
 
 
 #: per-process cache of built tape runtimes, keyed by the full persistent
-#: state plus the build's ``fuse`` flag (a fused and an unfused build of
-#: the same tape never share an entry): pool workers unpickle identical
-#: tapes on every chunk, and rebuilding the dispatch lists and fold pass
-#: each time is pure waste.  The cached structures are immutable in
-#: practice -- executors copy the init templates and only iterate the
-#: programs.
+#: state: pool workers unpickle identical tapes on every chunk, and
+#: rebuilding the dispatch lists each time is pure waste.  The cached
+#: structures are immutable in practice -- executors copy the init
+#: templates and only iterate the programs.
 _RUNTIME_CACHE: dict = {}
 _RUNTIME_CACHE_MAX = 512
 
 #: exp overflow guard shared with the scalar evaluator's ``_scalar_exp``
 _EXP_OVERFLOW = 709.0
 _LAMBERTW_BRANCH = -1.0 / math.e
-
-
-def _batch_exp(x: np.ndarray) -> np.ndarray:
-    return np.where(x > _EXP_OVERFLOW, np.nan, np.exp(np.minimum(x, _EXP_OVERFLOW)))
-
-
-def _batch_log(x: np.ndarray) -> np.ndarray:
-    return np.where(x <= 0.0, np.nan, np.log(np.where(x <= 0.0, 1.0, x)))
-
-
-def _batch_erf(x: np.ndarray) -> np.ndarray:
-    return special("erf")(x)
-
-
-def _batch_lambertw(x: np.ndarray) -> np.ndarray:
-    clipped = np.maximum(x, _LAMBERTW_BRANCH)
-    w = np.real(special("lambertw")(clipped))
-    return np.where(x < _LAMBERTW_BRANCH, np.nan, w)
-
-
-#: vectorised point semantics of every unary IR function, indexed like
-#: ``FUNC_NAMES``; domain errors yield NaN (``eval_scalar`` convention)
-_BATCH_FUNCS = (
-    _batch_exp, _batch_log, np.sqrt, np.cbrt, np.arctan, np.abs,
-    _batch_lambertw, np.sin, np.cos, np.tanh, _batch_erf,
-)
 
 
 def _bad_exp(x):
@@ -177,9 +148,10 @@ def _bad_lambertw(x):
     return x < _LAMBERTW_BRANCH
 
 
-#: per-function domain-error predicates (None: total on the reals); the
-#: scalar executor *raises* on these inputs wherever they occur in the
-#: tape, so the batch pass accumulates them into a poison mask
+#: per-function domain-error predicates (None: total on the reals): the
+#: inputs on which the scalar point executor raises (wherever the call
+#: sits in the tape) instead of returning a silent NaN.  This is the
+#: guard model of the TAPE108 audit in ``statan.tapecheck``
 _BATCH_FUNC_BAD = (
     _bad_exp, _bad_log, _bad_sqrt, None, None, None,
     _bad_lambertw, None, None, None, None,
@@ -189,10 +161,10 @@ _BATCH_FUNC_BAD = (
 #: like ``FUNC_NAMES``: ``(kind, bound)`` describes the safe-input set
 #: (``"le"``: x <= bound, ``"ge"``: x >= bound, ``"gt"``: x > bound),
 #: ``None`` marks a function total on the reals.  Inputs outside the safe
-#: set make the scalar executor raise and the batch executors poison the
-#: point to NaN.  ``statan.tapecheck`` interprets tapes abstractly over
-#: this table and cross-checks it against :data:`_BATCH_FUNC_BAD` at
-#: import time, so the two cannot drift apart silently.
+#: set make the scalar point executor raise.  ``statan.tapecheck``
+#: interprets tapes abstractly over this table and cross-checks it
+#: against :data:`_BATCH_FUNC_BAD` at import time, so the two cannot
+#: drift apart silently.
 FUNC_DOMAINS = (
     ("le", _EXP_OVERFLOW),     # exp: overflow guard above 709
     ("gt", 0.0),               # log
@@ -207,9 +179,9 @@ def func_guard_table() -> tuple[bool, ...]:
     """Which IR functions the executors guard against silent NaN.
 
     Indexed like ``FUNC_NAMES``: True means out-of-domain inputs are
-    intercepted (scalar path raises, batch paths poison the point), so a
-    NaN can never flow *silently* out of that instruction.  Total
-    functions are trivially guarded.
+    intercepted (the scalar point executor raises), so a NaN can never
+    flow *silently* out of that instruction.  Total functions are
+    trivially guarded.
     """
     return tuple(
         bad is not None or FUNC_DOMAINS[i] is None
@@ -363,13 +335,12 @@ def root_int(y: Interval, n: int, current: Interval) -> Interval:
 # compilation
 # ---------------------------------------------------------------------------
 
-def compile_expr(expr: Expr, fuse: bool = True) -> "Tape":
+def compile_expr(expr: Expr) -> "Tape":
     """Linearize an expression DAG into a flat instruction tape.
 
     Slots are assigned in the same topological (children-first) order the
     tree-walk executors use, so both strategies perform the identical
-    sequence of primitive operations.  ``fuse=False`` builds the runtime
-    without the constant-folding pass (see :class:`Tape`).
+    sequence of primitive operations.
     """
     order = list(expr.walk())
     slot_of: dict[int, int] = {id(node): i for i, node in enumerate(order)}
@@ -426,7 +397,6 @@ def compile_expr(expr: Expr, fuse: bool = True) -> "Tape":
         root=slot_of[id(expr)],
         var_slots=tuple(var_slots),
         const_slots=tuple(const_slots),
-        fuse=fuse,
     )
 
 
@@ -445,27 +415,24 @@ class Tape:
     rounding), but the per-op allocation and method-call overhead is gone.
     The empty interval is encoded the same way (``lo > hi``).
 
-    ``fuse`` (default True) runs the constant-folding pass over the
-    forward program at build time (:meth:`_fold_constants`); the unfused
-    build exists for the fusion audit (``statan.tapecheck`` TAPE109) and
-    the differential tests.  It is a build option, not content: both
-    builds share one persistent state and :meth:`fingerprint`, and every
-    tape unpickles fused.
+    The forward program is the instruction list itself.  The expression
+    builder folds literal-only subtrees to ``Const``, so no instruction
+    of a builder-made tape has only literal operands (a tape built from
+    raw node constructors just recomputes such an instruction each pass).
     """
 
     __slots__ = (
-        "instrs", "n_slots", "root", "var_slots", "const_slots", "fuse",
+        "instrs", "n_slots", "root", "var_slots", "const_slots",
         "_fwd", "_rev", "_scalar", "_init_los", "_init_his", "_scalar_init",
         "_batch_seed",
     )
 
-    def __init__(self, instrs, n_slots, root, var_slots, const_slots, fuse=True):
+    def __init__(self, instrs, n_slots, root, var_slots, const_slots):
         self.instrs = instrs
         self.n_slots = n_slots
         self.root = root
         self.var_slots = var_slots
         self.const_slots = const_slots
-        self.fuse = fuse
         self._build_runtime()
 
     # -- pickling ----------------------------------------------------------
@@ -474,7 +441,6 @@ class Tape:
 
     def __setstate__(self, state):
         self.instrs, self.n_slots, self.root, self.var_slots, self.const_slots = state
-        self.fuse = True
         # per-process compiled-runtime cache: workers unpickle the same
         # tapes on every chunk, and the runtime structures are immutable
         # once built (templates are copied, instruction lists only
@@ -485,7 +451,6 @@ class Tape:
             self.root,
             tuple(tuple(v) for v in self.var_slots),
             tuple(tuple(c) for c in self.const_slots),
-            self.fuse,
         )
         cached = _RUNTIME_CACHE.get(key)
         if cached is None:
@@ -515,12 +480,11 @@ class Tape:
         """Read-only snapshot of the built forward runtime.
 
         Returns ``(fwd, batch_seed, init_los, init_his)`` as tuples: the
-        post-fusion forward instruction list, the slot rows the batched
-        pass reloads (literal pool plus folded results), and the scalar
-        init templates.  This is the introspection surface
-        ``statan.tapecheck`` audits -- it must describe exactly what the
-        executors run, so it snapshots the live structures rather than
-        recomputing them.
+        resolved forward instruction list, the slot rows the batched pass
+        reloads (the literal pool), and the scalar init templates.  This
+        is the introspection surface ``statan.tapecheck`` audits -- it
+        must describe exactly what the executors run, so it snapshots the
+        live structures rather than recomputing them.
         """
         return (
             tuple(self._fwd),
@@ -562,51 +526,8 @@ class Tape:
             self._init_his[slot] = value
             self._scalar_init[slot] = value
         #: slot rows the batched forward pass (re)loads before executing:
-        #: the literal pool plus, after fusion, folded instruction results
+        #: the literal pool
         self._batch_seed = [(s, v, v) for s, v in self.const_slots]
-        if self.fuse and fwd:
-            self._fold_constants()
-
-    def _fold_constants(self) -> None:
-        """Fuse literal-operand instruction chains out of the forward pass.
-
-        Instructions whose operand slots are all known at compile time
-        (constants, or outputs of already-folded instructions) execute
-        once here -- through :func:`_run_forward_ops` itself, so the baked
-        endpoints are bit-identical to an unfused run -- and their results
-        join the slot seeds.  Only the forward interval programs shrink:
-        the scalar-point program and the reverse program still carry every
-        instruction (the backward pass reads folded slots from the seeded
-        arrays exactly as it read computed ones).
-        """
-        known = {slot for slot, _ in self.const_slots}
-        foldable: list[tuple] = []
-        live: list[tuple] = []
-        for instr in self._fwd:
-            op, out, a, b, aux = instr
-            if op == OP_FUNC:
-                ins = (a,)
-            elif op in (OP_ADDN, OP_MULN, OP_ITE):
-                ins = a
-            else:  # ADD2 / MUL2 / POW: b is the second operand slot
-                ins = (a, b)
-            if all(i in known for i in ins):
-                foldable.append(instr)
-                known.add(out)
-            else:
-                live.append(instr)
-        if not foldable:
-            return
-        los = list(self._init_los)
-        his = list(self._init_his)
-        _run_forward_ops(foldable, los, his)
-        for _, out, _, _, _ in foldable:
-            lo = los[out]
-            hi = his[out]
-            self._init_los[out] = lo
-            self._init_his[out] = hi
-            self._batch_seed.append((out, lo, hi))
-        self._fwd = live
 
     # -- interval forward pass --------------------------------------------
     def forward_arrays(self, box, los: list, his: list) -> None:
@@ -1158,90 +1079,6 @@ class Tape:
         except (ValueError, OverflowError, ZeroDivisionError):
             return math.nan
 
-    def eval_point_batch(self, env: dict[str, np.ndarray]) -> np.ndarray:
-        """Vectorised scalar evaluation over a whole grid of points.
-
-        ``env`` maps each variable name to an ndarray (all broadcastable to
-        a common shape); the result has that shape.  Semantics follow
-        :meth:`eval_scalar`: a domain error *anywhere* in the tape
-        (negative base to a fractional power, ``log`` of a non-positive
-        number, exp overflow, Lambert W below the branch point, pow
-        overflow, NaN in an ``ite`` guard) poisons that point to NaN --
-        like the eager scalar executor, which raises even when the
-        offending instruction feeds an untaken ``ite`` branch.  Unlike the
-        bit-exact interval batch pass, values may differ from
-        :meth:`eval_point` by rounding ulps: n-ary sums accumulate
-        pairwise instead of via ``math.fsum``, and transcendentals go
-        through NumPy's libm rather than CPython's.  One semantic gap
-        remains: a *sum* of finite values overflowing to +/-inf saturates
-        here, where ``math.fsum`` raises and the scalar path yields NaN.
-        """
-        slots: list = [None] * self.n_slots
-        for slot, value in self.const_slots:
-            slots[slot] = value
-        shape = None
-        for name, i in self.var_slots:
-            try:
-                arr = np.asarray(env[name], dtype=np.float64)
-            except KeyError:
-                raise EvalError(f"unbound variable {name!r}") from None
-            slots[i] = arr
-            shape = arr.shape if shape is None else np.broadcast_shapes(shape, arr.shape)
-        nan = np.nan
-        err = False  # poison mask: domain errors anywhere abort the point
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            for op, out, a, b, aux in self._scalar:
-                if op == OP_ADD2:
-                    slots[out] = slots[a] + slots[b]
-                elif op == OP_MUL2:
-                    slots[out] = slots[a] * slots[b]
-                elif op == OP_FUNC:
-                    arg = np.asarray(slots[a], dtype=np.float64)
-                    bad_fn = _BATCH_FUNC_BAD[b]
-                    if bad_fn is not None:
-                        err = err | bad_fn(arg)
-                    slots[out] = _BATCH_FUNCS[b](arg)
-                elif op == OP_POW:
-                    base = np.asarray(slots[a], dtype=np.float64)
-                    expo = aux[2] if aux is not None else np.asarray(slots[b])
-                    value = np.power(base, expo)
-                    if aux is None:
-                        frac = (expo != np.floor(expo)) | np.isinf(expo)
-                    else:
-                        frac = not float(expo).is_integer()
-                    bad = (base < 0.0) & frac
-                    bad |= (base == 0.0) & (np.asarray(expo) < 0.0)
-                    # finite operands overflowing to inf: math.pow raises
-                    # OverflowError there, which eval_scalar maps to NaN
-                    bad |= np.isinf(value) & np.isfinite(base) & np.isfinite(expo)
-                    err = err | bad
-                    slots[out] = np.where(bad, nan, value)
-                elif op == OP_ADDN:
-                    acc = slots[a[0]]
-                    for i in a[1:]:
-                        acc = acc + slots[i]
-                    slots[out] = acc
-                elif op == OP_MULN:
-                    acc = slots[a[0]]
-                    for i in a[1:]:
-                        acc = acc * slots[i]
-                    slots[out] = acc
-                else:  # OP_ITE
-                    lhs, rhs, then, orelse = a
-                    lv = np.asarray(slots[lhs], dtype=np.float64)
-                    rv = np.asarray(slots[rhs], dtype=np.float64)
-                    err = err | np.isnan(lv) | np.isnan(rv)
-                    slots[out] = np.where(
-                        cond_compare(b, lv, rv), slots[then], slots[orelse]
-                    )
-        result = np.asarray(slots[self.root], dtype=np.float64)
-        if shape is not None and result.shape != shape:
-            result = np.broadcast_to(result, shape).copy()
-        if err is not False:
-            result = np.where(err, nan, result)
-            result = np.asarray(result, dtype=np.float64)
-        return result
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Tape({len(self.instrs)} instrs, {self.n_slots} slots, "
@@ -1250,12 +1087,7 @@ class Tape:
 
 
 def _run_forward_ops(fwd: list, los: list, his: list) -> None:
-    """Forward instruction interpreter over scalar slot arrays.
-
-    Module level (taking the instruction list explicitly) so fused
-    multi-tapes and the constant-folding pass can run instruction
-    subsets through the exact same interpreter.
-    """
+    """Forward instruction interpreter over scalar slot arrays."""
     nextafter = math.nextafter
     for op, out, a, b, aux in fwd:
         if op == OP_ADD2:
@@ -1481,209 +1313,6 @@ def _run_forward_batch_ops(fwd: list, lo_mat: np.ndarray, hi_mat: np.ndarray) ->
             hi = np.where(is_true, thi, np.where(is_false, ohi, hi))
             lo_mat[out] = lo
             hi_mat[out] = hi
-
-
-class MultiTape:
-    """Fused forward-only execution of several compiled tapes at once.
-
-    Merges the instruction lists of a group of tapes -- typically the
-    atoms of a :class:`CompiledConjunction` evaluated over the same
-    frontier -- into one shared program:
-
-    * identical subexpressions across atoms collapse to a single slot
-      (common-subtape sharing, via canonical per-slot interning keys);
-    * literal-operand chains constant-fold at the merged level, through
-      the same forward interpreter, so baked values stay bit-identical;
-    * slots no root depends on are eliminated and the numbering
-      compacted.
-
-    Each root row of a :meth:`forward_batch` run is bit-for-bit equal to
-    the corresponding tape's own batched forward pass: the merged program
-    executes the identical instructions on the identical inputs, only
-    once instead of once per atom.  Multi-tapes are rebuilt per process
-    (cheap, cached on the contractor) and never pickled.
-    """
-
-    __slots__ = ("n_slots", "var_slots", "seed", "roots", "_fwd")
-
-    def __init__(self, n_slots, var_slots, seed, roots, fwd):
-        self.n_slots = n_slots
-        self.var_slots = var_slots
-        self.seed = seed
-        self.roots = roots
-        self._fwd = fwd
-
-    @classmethod
-    def from_tapes(cls, tapes) -> "MultiTape":
-        key_to_slot: dict = {}
-        seed: list = []       # (slot, lo, hi)
-        var_slots: list = []  # (name, slot)
-        fwd: list = []        # merged resolved instructions
-        roots: list = []
-        n = 0
-        for tape in tapes:
-            local: dict[int, int] = {}
-            for slot, value in tape.const_slots:
-                k = ("c", float(value).hex())
-                g = key_to_slot.get(k)
-                if g is None:
-                    g = key_to_slot[k] = n
-                    n += 1
-                    seed.append((g, value, value))
-                local[slot] = g
-            for name, slot in tape.var_slots:
-                k = ("v", name)
-                g = key_to_slot.get(k)
-                if g is None:
-                    g = key_to_slot[k] = n
-                    n += 1
-                    var_slots.append((name, g))
-                local[slot] = g
-            for op, out, a, b, aux in tape.instrs:
-                # interning keys use *global* operand slots: identical
-                # subtapes across atoms resolve to identical globals
-                # bottom-up, so flat keys capture full-tree identity
-                if op == OP_FUNC:
-                    ga = local[a]
-                    k = (op, b, ga)
-                    instr = (op, None, ga, b, _FORWARD_TABLE[b])
-                elif op == OP_ITE or op in (OP_ADDN, OP_MULN):
-                    ga = tuple(local[i] for i in a)
-                    k = (op, b, ga)
-                    instr = (op, None, ga, b, aux)
-                else:  # ADD2 / MUL2 / POW: a and b are operand slots
-                    ga = local[a]
-                    gb = local[b]
-                    k = (op, ga, gb, aux)
-                    instr = (op, None, ga, gb, aux)
-                g = key_to_slot.get(k)
-                if g is None:
-                    g = key_to_slot[k] = n
-                    n += 1
-                    fwd.append((instr[0], g, instr[2], instr[3], instr[4]))
-                local[out] = g
-            roots.append(local[tape.root])
-
-        # constant folding at the merged level, through the interpreter
-        if fwd:
-            known = {s for s, _, _ in seed}
-            foldable: list = []
-            live: list = []
-            for instr in fwd:
-                op, out, a, b, aux = instr
-                if op == OP_FUNC:
-                    ins = (a,)
-                elif op == OP_ITE or op in (OP_ADDN, OP_MULN):
-                    ins = a
-                else:
-                    ins = (a, b)
-                if all(i in known for i in ins):
-                    foldable.append(instr)
-                    known.add(out)
-                else:
-                    live.append(instr)
-            if foldable:
-                los = [0.0] * n
-                his = [0.0] * n
-                for s, lo, hi in seed:
-                    los[s] = lo
-                    his[s] = hi
-                _run_forward_ops(foldable, los, his)
-                for _, out, _, _, _ in foldable:
-                    seed.append((out, los[out], his[out]))
-                fwd = live
-
-        # dead-slot elimination: keep only what some root depends on
-        needed = set(roots)
-        keep: list = []
-        for instr in reversed(fwd):
-            op, out, a, b, aux = instr
-            if out not in needed:
-                continue
-            keep.append(instr)
-            if op == OP_FUNC:
-                needed.add(a)
-            elif op == OP_ITE or op in (OP_ADDN, OP_MULN):
-                needed.update(a)
-            else:
-                needed.add(a)
-                needed.add(b)
-        keep.reverse()
-        remap = {old: i for i, old in enumerate(sorted(needed))}
-        fwd = []
-        for op, out, a, b, aux in keep:
-            if op == OP_FUNC:
-                fwd.append((op, remap[out], remap[a], b, aux))
-            elif op == OP_ITE or op in (OP_ADDN, OP_MULN):
-                fwd.append((op, remap[out], tuple(remap[i] for i in a), b, aux))
-            else:
-                fwd.append((op, remap[out], remap[a], remap[b], aux))
-        return cls(
-            len(remap),
-            [(name, remap[s]) for name, s in var_slots if s in remap],
-            [(remap[s], lo, hi) for s, lo, hi in seed if s in remap],
-            [remap[r] for r in roots],
-            fwd,
-        )
-
-    # -- batched forward over the merged program ----------------------------
-    def load_batch(self, boxes) -> tuple[np.ndarray, np.ndarray]:
-        """Allocate ``(n_slots, n_boxes)`` matrices, variable rows filled."""
-        n_boxes = len(boxes)
-        lo_mat = np.empty((self.n_slots, n_boxes), dtype=np.float64)
-        hi_mat = np.empty((self.n_slots, n_boxes), dtype=np.float64)
-        for name, i in self.var_slots:
-            row_lo = lo_mat[i]
-            row_hi = hi_mat[i]
-            for j, box in enumerate(boxes):
-                try:
-                    iv = box[name]
-                except KeyError:
-                    raise KeyError(f"box does not bind variable {name!r}") from None
-                row_lo[j] = iv.lo
-                row_hi[j] = iv.hi
-        return lo_mat, hi_mat
-
-    def load_batch_arrays(
-        self, var_los: dict[str, np.ndarray], var_his: dict[str, np.ndarray], n_boxes: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Allocate batch matrices with variable rows taken from arrays."""
-        lo_mat = np.empty((self.n_slots, n_boxes), dtype=np.float64)
-        hi_mat = np.empty((self.n_slots, n_boxes), dtype=np.float64)
-        for name, i in self.var_slots:
-            try:
-                lo_mat[i] = var_los[name]
-                hi_mat[i] = var_his[name]
-            except KeyError:
-                raise KeyError(f"box does not bind variable {name!r}") from None
-        return lo_mat, hi_mat
-
-    def forward_batch(
-        self,
-        lo_mat: np.ndarray,
-        hi_mat: np.ndarray,
-        vector_min: int | None = None,
-    ) -> None:
-        """One shared forward pass; root rows match each tape's own run."""
-        for slot, lo, hi in self.seed:
-            lo_mat[slot] = lo
-            hi_mat[slot] = hi
-        if lo_mat.shape[1] < (_VECTOR_MIN if vector_min is None else vector_min):
-            cols_lo = lo_mat.T.tolist()
-            cols_hi = hi_mat.T.tolist()
-            for j in range(lo_mat.shape[1]):
-                _run_forward_ops(self._fwd, cols_lo[j], cols_hi[j])
-            lo_mat[:] = np.asarray(cols_lo).T
-            hi_mat[:] = np.asarray(cols_hi).T
-            return
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            _run_forward_batch_ops(self._fwd, lo_mat, hi_mat)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MultiTape({len(self.roots)} roots, {len(self._fwd)} instrs, "
-            f"{self.n_slots} slots)"
-        )
 
 
 def _mul_ep(alo: float, ahi: float, blo: float, bhi: float, nextafter) -> tuple:

@@ -4,10 +4,9 @@ Two tiers, one report:
 
 * **tapecheck** -- a verifier for the compiled tape IR
   (:mod:`repro.solver.tape`): structural well-formedness (SSA, bounds,
-  aux consistency), fingerprint/runtime agreement, a silent-NaN
+  aux consistency), fingerprint/runtime agreement, and a silent-NaN
   reachability analysis by abstract interpretation over the interval
-  domain, and equivalence audits of the fusion and ``MultiTape``
-  optimisers.  Runs over the full functional x condition corpus.
+  domain.  Runs over the full functional x condition corpus.
 * **rules** -- project-specific AST lint rules (``REP1xx``) with a
   per-file allowlist: rounding discipline, content-key purity, asyncio
   hygiene, fork-safety, loud validation.

@@ -48,7 +48,7 @@ class Report:
     rules_run: tuple[str, ...] = ()
     #: abstract-interpretation coverage: partial-function call sites whose
     #: inputs provably stay in-domain vs sites that may go out of domain
-    #: but are guarded by the executors' poison masks (an *unguarded*
+    #: but are guarded by the executors' domain checks (an *unguarded*
     #: maybe-site is a TAPE108 finding, so it never lands in a counter)
     nan_sites_safe: int = 0
     nan_sites_guarded: int = 0

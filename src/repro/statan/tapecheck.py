@@ -15,16 +15,12 @@ functional x condition corpus is machine-checked before every merge:
              exactly what a fresh build of the persistent state produces
 ``TAPE108``  silent-NaN reachability: abstract interpretation over the
              interval domain; partial-function inputs that may leave
-             their safe domain must be guarded by the executors' poison
-             masks (the exact defect class of the PR 4 Ite/trig fixes)
-``TAPE109``  fusion / dead-slot elimination preserves the defined-output
-             set and every slot value bit-for-bit
-``TAPE110``  ``MultiTape`` interning + DCE preserves each root's
-             batched forward semantics bit-for-bit
+             their safe domain must be guarded by the executors (the
+             exact defect class of the PR 4 Ite/trig fixes)
 
 Structural checks (101-106) run on the *persistent state* tuple alone,
 so corrupt tapes can be audited without ever building a runtime (a
-corrupt tape may crash the builder).  The semantic checks (107-110)
+corrupt tape may crash the builder).  The semantic checks (107-108)
 need a built :class:`~repro.solver.tape.Tape`.
 """
 
@@ -40,7 +36,6 @@ from ..solver.tape import (
     COND_LE,
     FUNC_DOMAINS,
     FUNC_NAMES,
-    MultiTape,
     OP_ADD2,
     OP_ADDN,
     OP_FUNC,
@@ -58,7 +53,6 @@ from .report import Finding, Report
 __all__ = [
     "TAPE_CHECKS",
     "check_corpus",
-    "check_multitape",
     "check_problem",
     "check_state",
     "check_tape",
@@ -75,8 +69,6 @@ TAPE_CHECKS = {
     "TAPE106": "OP_ITE operand arity and condition code are valid",
     "TAPE107": "fingerprint and built runtime agree with the persistent state",
     "TAPE108": "out-of-domain inputs to partial functions are NaN-guarded",
-    "TAPE109": "constant folding preserves defined slots and values bit-for-bit",
-    "TAPE110": "MultiTape interning preserves each root's forward semantics",
 }
 
 _KNOWN_OPS = (OP_ADD2, OP_MUL2, OP_ADDN, OP_MULN, OP_POW, OP_FUNC, OP_ITE)
@@ -91,7 +83,7 @@ def _verify_tables() -> None:
     """Cross-check FUNC_DOMAINS against the executors' guard predicates.
 
     The abstract interpretation trusts ``FUNC_DOMAINS`` to describe the
-    same unsafe regions ``_BATCH_FUNC_BAD`` poisons; probe each boundary
+    same unsafe regions ``_BATCH_FUNC_BAD`` guards; probe each boundary
     so the tables cannot drift apart without failing loudly at import.
     """
     for idx, dom in enumerate(FUNC_DOMAINS):
@@ -299,7 +291,7 @@ def check_state(state, label: str) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# semantic checks over a built tape (TAPE107-109)
+# semantic checks over a built tape (TAPE107-108)
 # ---------------------------------------------------------------------------
 
 def _norm_box(box, names) -> dict[str, Interval]:
@@ -308,18 +300,6 @@ def _norm_box(box, names) -> dict[str, Interval]:
     return {
         name: bound.get(name, Interval(0.5, 1.5)) for name in names
     }
-
-
-def _midpoint_box(box: dict[str, Interval]) -> dict[str, Interval]:
-    out = {}
-    for name, iv in box.items():
-        lo = iv.lo if iv.lo != -inf else -1.0
-        hi = iv.hi if iv.hi != inf else 1.0
-        m = lo + 0.5 * (hi - lo)
-        if not math.isfinite(m):
-            m = 1.0
-        out[name] = Interval(m, m)
-    return out
 
 
 def _subboxes(box: dict[str, Interval], deep: int):
@@ -415,7 +395,7 @@ def check_tape(
                 "TAPE107", where, "fingerprint",
                 "fingerprint() disagrees with the digest of __getstate__()",
             ))
-        fresh = Tape(*state, fuse=tape.fuse)
+        fresh = Tape(*state)
         live = tape.runtime_program()
         rebuilt = fresh.runtime_program()
         parts = ("forward program", "batch seed", "init los", "init his")
@@ -429,47 +409,9 @@ def check_tape(
                 ))
                 break
 
-    unfused = Tape(*state, fuse=False)
-    names = [name for name, _ in tape.var_slots]
-    domain = _norm_box(box, names)
-    probes = [domain, _midpoint_box(domain)]
-
-    # --- TAPE109: fusion preserves defined slots and values -------------
-    if on("TAPE109"):
-        fwd, seed, _, _ = tape.runtime_program()
-        defined = {s for s, _, _ in seed}
-        defined.update(out for _, out, _, _, _ in fwd)
-        defined.update(slot for _, slot in tape.var_slots)
-        expected = set(range(tape.n_slots))
-        if defined != expected:
-            missing = sorted(expected - defined)
-            findings.append(Finding(
-                "TAPE109", where, "defined-output set",
-                f"fused runtime loses slot(s) {missing} that the unfused "
-                "tape defines",
-            ))
-        else:
-            n = tape.n_slots
-            for probe in probes:
-                f_los, f_his = [0.0] * n, [0.0] * n
-                u_los, u_his = [0.0] * n, [0.0] * n
-                tape.forward_arrays(probe, f_los, f_his)
-                unfused.forward_arrays(probe, u_los, u_his)
-                diff = [
-                    s for s in range(n)
-                    if not (_same_float(f_los[s], u_los[s])
-                            and _same_float(f_his[s], u_his[s]))
-                ]
-                if diff:
-                    findings.append(Finding(
-                        "TAPE109", where, f"slot {diff[0]}",
-                        f"fused and unfused forward passes disagree on "
-                        f"slot(s) {diff[:4]} (fusion must be bit-identical)",
-                    ))
-                    break
-
     # --- TAPE108: silent-NaN reachability --------------------------------
     if on("TAPE108"):
+        domain = _norm_box(box, [name for name, _ in tape.var_slots])
         if guards is None:
             guard_by_name = dict(zip(FUNC_NAMES, func_guard_table()))
             guard_by_name["pow"] = True
@@ -487,7 +429,7 @@ def check_tape(
             maybe: set[int] = set()
             for sub in _subboxes(domain, deep):
                 los, his = [0.0] * n, [0.0] * n
-                unfused.forward_arrays(sub, los, his)
+                tape.forward_arrays(sub, los, his)
                 for i, (op, out, a, b, aux) in sites:
                     if i in maybe:
                         continue
@@ -511,115 +453,6 @@ def check_tape(
                         "verification domain but has no NaN guard: a silent "
                         "NaN would flow downstream",
                     ))
-    if report is not None:
-        report.tapes_checked += 1
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# TAPE110: MultiTape equivalence audit
-# ---------------------------------------------------------------------------
-
-def check_multitape(
-    tapes,
-    label: str,
-    box=None,
-    mt: MultiTape | None = None,
-    report: Report | None = None,
-) -> list[Finding]:
-    """Audit that MultiTape interning/DCE preserves every root's semantics.
-
-    ``mt`` defaults to a fresh ``MultiTape.from_tapes(tapes)``; tests pass
-    a (possibly corrupted) instance explicitly.
-    """
-    findings: list[Finding] = []
-    where = f"multitape:{label}"
-    tapes = list(tapes)
-    if not tapes:
-        return findings
-    if mt is None:
-        mt = MultiTape.from_tapes(tapes)
-
-    if len(mt.roots) != len(tapes):
-        findings.append(Finding(
-            "TAPE110", where, "roots",
-            f"{len(tapes)} tapes merged to {len(mt.roots)} roots",
-        ))
-        return findings
-
-    # structural: bounds, single assignment, def-before-use on the
-    # merged forward program (seed + variables are the initial defs)
-    n = mt.n_slots
-    defined = {s for s, _, _ in mt.seed}
-    defined.update(slot for _, slot in mt.var_slots)
-    outs: set[int] = set()
-    for i, (op, out, a, b, aux) in enumerate(mt._fwd):
-        sym = f"instr[{i}]"
-        operands = a if isinstance(a, tuple) else (
-            (a,) if op == OP_FUNC else (a, b)
-        )
-        slots = (out, *operands)
-        if not all(isinstance(s, int) and 0 <= s < n for s in slots):
-            findings.append(Finding(
-                "TAPE110", where, sym, f"slot index outside [0, {n})",
-            ))
-            return findings
-        if out in outs or out in defined:
-            findings.append(Finding(
-                "TAPE110", where, sym, f"merged slot {out} defined twice",
-            ))
-        if not all(o in defined for o in operands):
-            findings.append(Finding(
-                "TAPE110", where, sym,
-                "merged operand used before definition",
-            ))
-        outs.add(out)
-        defined.add(out)
-    undefined_roots = [r for r in mt.roots if r not in defined]
-    if undefined_roots:
-        findings.append(Finding(
-            "TAPE110", where, "roots",
-            f"root slot(s) {undefined_roots} never defined in the merged "
-            "program",
-        ))
-    if findings:
-        return findings
-
-    merged_vars = {name for name, _ in mt.var_slots}
-    tape_vars = {name for t in tapes for name, _ in t.var_slots}
-    if not merged_vars <= tape_vars:
-        findings.append(Finding(
-            "TAPE110", where, "vars",
-            f"merged program invents variable(s) {sorted(merged_vars - tape_vars)}",
-        ))
-
-    # differential: each root row must be bit-for-bit the tape's own pass
-    names = sorted(tape_vars)
-    domain = _norm_box(box, names)
-    probes = [domain, _midpoint_box(domain)]
-    lo_mat, hi_mat = mt.load_batch(probes)
-    # a huge vector_min forces the per-column scalar interpreter: the
-    # audit isolates interning/DCE, and the scalar path is the same
-    # interpreter forward_arrays runs, so equality must be bit-exact
-    # (vector-kernel equivalence is the differential fuzz corpus's job)
-    mt.forward_batch(lo_mat, hi_mat, vector_min=1 << 30)
-    for t_idx, tape in enumerate(tapes):
-        root = mt.roots[t_idx]
-        for j, probe in enumerate(probes):
-            los = [0.0] * tape.n_slots
-            his = [0.0] * tape.n_slots
-            tape.forward_arrays(probe, los, his)
-            if not (
-                _same_float(float(lo_mat[root][j]), los[tape.root])
-                and _same_float(float(hi_mat[root][j]), his[tape.root])
-            ):
-                findings.append(Finding(
-                    "TAPE110", where, f"root[{t_idx}]",
-                    "merged forward pass disagrees with the tape's own "
-                    f"forward pass on probe box {j} (interning or DCE "
-                    "changed semantics)",
-                ))
-                break
     if report is not None:
         report.tapes_checked += 1
     return findings
@@ -660,7 +493,7 @@ def check_problem(
     rules=None,
     report: Report | None = None,
 ) -> list[Finding]:
-    """Check every tape of one compiled problem, plus the fused conjunction."""
+    """Check every tape of one compiled problem."""
     findings: list[Finding] = []
     box = compiled.domain
 
@@ -670,16 +503,10 @@ def check_problem(
             rules=rules, report=report,
         ))
 
-    atom_tapes = []
     for i, atom in enumerate(compiled.negation.atoms):
         run(atom.tape, f"atom{i}")
-        atom_tapes.append(atom.tape)
     run(compiled.psi_lhs, "psi_lhs")
     run(compiled.psi_rhs, "psi_rhs")
-    if rules is None or "TAPE110" in rules:
-        findings.extend(check_multitape(
-            atom_tapes, label, box=box, report=report,
-        ))
     if report is not None:
         report.pairs_checked += 1
     return findings

@@ -1,17 +1,17 @@
 """Round-trip translation between the expression IR and SymPy.
 
-The paper uses SymPy to compute derivatives symbolically; we implement our
-own derivative engine (:mod:`repro.expr.derivative`) but keep this bridge
-both as a correctness cross-check (tests compare the two) and as an escape
-hatch for users who want SymPy's richer simplification.
+The paper uses SymPy to compute derivatives symbolically; the package has
+its own derivative engine (:mod:`repro.expr.derivative`), and the tests use
+this bridge to cross-check it against SymPy.  SymPy is a test dependency
+only (``requirements-dev.txt``).
 """
 
 from __future__ import annotations
 
 import sympy as sp
 
-from . import builder as b
-from .nodes import Add, Const, Expr, Func, Ite, Mul, Pow, Rel, Var
+from repro.expr import builder as b
+from repro.expr.nodes import Add, Const, Expr, Func, Ite, Mul, Pow, Rel, Var
 
 
 def to_sympy(expr: Expr) -> sp.Expr:

@@ -152,7 +152,7 @@ class TestAgainstSymPy:
         ],
     )
     def test_first_derivative_matches_sympy(self, make_expr, point):
-        from repro.expr.sympy_bridge import sympy_derivative
+        from .sympy_bridge import sympy_derivative
 
         e = make_expr()
         wrt = next(iter(e.free_vars()))
@@ -161,7 +161,7 @@ class TestAgainstSymPy:
         assert ours == pytest.approx(theirs, rel=1e-9)
 
     def test_second_derivative_matches_sympy(self):
-        from repro.expr.sympy_bridge import sympy_derivative
+        from .sympy_bridge import sympy_derivative
 
         e = b.exp(b.neg(b.pow_(X, 2.0))) * b.log(b.add(X, 2.0))
         ours = evaluate(derivative(e, X, 2), {"x": 0.6})

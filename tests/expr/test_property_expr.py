@@ -103,7 +103,7 @@ def test_derivative_matches_sympy(e, xv, yv):
     arbitrary random expressions FD truncation error is unbounded, so the
     property uses SymPy as the reference instead.)
     """
-    from repro.expr.sympy_bridge import sympy_derivative
+    from .sympy_bridge import sympy_derivative
 
     env = {"px": xv, "py": yv}
     analytic = evaluate(derivative(e, X), env)
@@ -140,7 +140,7 @@ def test_interning_gives_structural_equality(e):
 @given(e=exprs(), xv=finite_floats, yv=finite_floats)
 @settings(max_examples=hyp_examples(100), deadline=None)
 def test_sympy_roundtrip_preserves_value(e, xv, yv):
-    from repro.expr.sympy_bridge import from_sympy, to_sympy
+    from .sympy_bridge import from_sympy, to_sympy
 
     env = {"px": xv, "py": yv}
     direct = evaluate(e, env)

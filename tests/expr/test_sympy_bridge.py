@@ -7,7 +7,7 @@ import sympy as sp
 from repro.expr import builder as b
 from repro.expr.evaluator import evaluate
 from repro.expr.nodes import Var
-from repro.expr.sympy_bridge import from_sympy, sympy_derivative, to_sympy
+from .sympy_bridge import from_sympy, sympy_derivative, to_sympy
 
 X = Var("x")
 S = Var("s", nonneg=True)

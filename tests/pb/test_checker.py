@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.conditions import EC1, EC2, EC4, EC5, EC6, EC7, get_condition
+from repro.expr.codegen import compile_numpy
 from repro.functionals import get_functional
 from repro.pb.checker import PBChecker
-from repro.pb.grid import GridSpec
+from repro.pb.grid import Grid, GridSpec
+from repro.solver.constraint import Atom
 
 SPEC = GridSpec(n_rs=101, n_s=101, n_alpha=11)
 CHECKER = PBChecker(spec=SPEC)
@@ -137,39 +139,28 @@ class TestMetaGGA:
         assert not res.any_violation
 
 
-class TestSymbolicDerivativeMode:
-    """The tape-backed residual path (batched VM, exact derivatives)."""
+class TestExactDerivativeCrossCheck:
+    """The encoder's local condition psi, with *symbolic* rs-derivatives,
+    compiled by ``compile_numpy`` and evaluated on the PB mesh: the
+    stencil-free cross-check of the checker's numeric gradients."""
 
-    SYMBOLIC = PBChecker(spec=GridSpec(n_rs=81, n_s=81, n_alpha=7),
-                         derivative_mode="symbolic")
-    NUMERIC = PBChecker(spec=GridSpec(n_rs=81, n_s=81, n_alpha=7))
+    SPEC = GridSpec(n_rs=81, n_s=81, n_alpha=7)
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="derivative_mode"):
-            PBChecker(derivative_mode="autodiff")
-
-    def test_verdicts_agree_with_numeric_gradients(self):
-        for fname, cid, expect in [
-            ("PBE", "EC1", False),
-            ("PBE", "EC7", True),
-            ("LYP", "EC2", True),
-            ("SCAN", "EC2", False),
-        ]:
-            res = self.SYMBOLIC.check(get_functional(fname), get_condition(cid))
-            assert res.any_violation == expect, (fname, cid)
-
-    def test_no_boundary_trim_needed(self):
-        # symbolic derivatives have no one-sided stencil rows: the rs
-        # boundary rows carry real verdicts instead of "undefined"
-        res = self.SYMBOLIC.check(get_functional("PBE"), EC2)
-        assert not res.undefined[0].any()
-        assert not res.undefined[-1].any()
-        trimmed = self.NUMERIC.check(get_functional("PBE"), EC2)
-        assert trimmed.undefined[0].all()
-
-    def test_residuals_close_to_numeric_in_the_interior(self):
-        num = self.NUMERIC.check(get_functional("PBE"), EC1)
-        sym = self.SYMBOLIC.check(get_functional("PBE"), EC1)
-        # EC1 has no derivative: both paths evaluate -F_c, one through the
-        # compiled NumPy kernel, one through the batched tape VM
-        assert np.allclose(num.residual, sym.residual, rtol=1e-8, atol=1e-10)
+    @pytest.mark.parametrize("fname,cid,expect", [
+        ("PBE", "EC1", False),
+        ("PBE", "EC7", True),
+        ("LYP", "EC2", True),
+        ("SCAN", "EC2", False),
+    ])
+    def test_exact_residual_verdicts(self, fname, cid, expect):
+        functional = get_functional(fname)
+        condition = get_condition(cid)
+        atom = Atom.from_rel(condition.local_condition(functional)).normalized()
+        kernel = compile_numpy(atom.residual, functional.variables)
+        residual = Grid.for_functional(functional, self.SPEC).evaluate(kernel)
+        undefined = ~np.isfinite(residual)
+        violated = np.where(undefined, False, residual > PBChecker().tolerance)
+        assert violated.any() == expect
+        # no one-sided stencil rows: the rs edges carry real verdicts
+        assert not undefined[0].any()
+        assert not undefined[-1].any()

@@ -52,7 +52,7 @@ corner = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 @st.composite
 def quadratic(draw):
     """c0 + c1 x + c2 y + c3 x^2 + c4 y^2 + c5 x y <= 0 (plus an optional
-    second atom, so the fused multi-atom decide pass is covered too)."""
+    second atom, so the per-atom certainly-sat pass is covered too)."""
     atoms = []
     for _ in range(draw(st.integers(1, 2))):
         c = [draw(coef) for _ in range(6)]

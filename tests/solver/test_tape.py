@@ -191,26 +191,20 @@ def test_tape_is_flat_picklable_data():
         assert (t1.lo, t1.hi) == (t2.lo, t2.hi)
 
 
-def test_unfused_build_is_a_build_option_not_state():
-    """``fuse`` is a build option: both builds share persistent state and
-    fingerprint, and the unfused build never takes its runtime from the
-    cache entry a fused tape of the same state left behind."""
-    from repro.expr.nodes import Const, Func, Mul
-    from repro.solver.tape import _RUNTIME_CACHE, Tape
+def test_unpickled_tapes_share_one_cached_runtime():
+    """Workers unpickle identical tapes on every chunk: the first unpickle
+    builds the runtime into the per-process cache, later ones reuse it."""
+    from repro.solver.tape import _RUNTIME_CACHE
 
-    # raw node constructors: b.exp would fold exp(0.5) to a literal itself
-    expr = Mul((Func("exp", Const(0.5)), X))
-    fused = compile_expr(expr)
-    plain = compile_expr(expr, fuse=False)
-    assert (fused.fuse, plain.fuse) == (True, False)
-    assert fused.__getstate__() == plain.__getstate__()
-    assert fused.fingerprint() == plain.fingerprint()
-    assert len(fused.runtime_program()[0]) < len(plain.runtime_program()[0])
+    tape = compile_expr(b.exp(X) * Y + b.const(0.5))
+    blob = pickle.dumps(tape)
     _RUNTIME_CACHE.clear()
-    assert pickle.loads(pickle.dumps(fused)).runtime_program() == fused.runtime_program()
+    first = pickle.loads(blob)
+    second = pickle.loads(blob)
     assert len(_RUNTIME_CACHE) == 1
-    rebuilt = Tape(*plain.__getstate__(), fuse=False)
-    assert rebuilt.runtime_program() == plain.runtime_program()
+    assert first.runtime_program() == tape.runtime_program()
+    assert second._fwd is first._fwd
+    assert first.fingerprint() == tape.fingerprint()
 
 
 def test_tape_cache_returns_same_tape_for_interned_expr():
@@ -227,6 +221,36 @@ def test_constants_folded_into_literal_pool():
     assert {2.0, 3.5} <= values
     # constants generate no instructions: only the mul and the add remain
     assert len(tape.instrs) == 2
+
+
+def test_corpus_tapes_have_no_literal_only_instruction():
+    """The expression builder folds literal-only subtrees to ``Const``, so
+    no instruction of any corpus tape (negation atoms, psi_lhs, psi_rhs)
+    reads only literal-pool slots: there is nothing for a tape-level
+    constant-folding pass to precompute."""
+    from repro.solver.tape import OP_ADDN, OP_FUNC, OP_ITE, OP_MULN
+    from repro.statan.tapecheck import corpus_pairs
+    from repro.verifier.encoder import compile_problem, encode
+
+    pairs = corpus_pairs()
+    assert len(pairs) == 88
+    for functional, condition in pairs:
+        compiled = compile_problem(encode(functional, condition))
+        tapes = [atom.tape for atom in compiled.negation.atoms]
+        tapes += [compiled.psi_lhs, compiled.psi_rhs]
+        for tape in tapes:
+            literals = {slot for slot, _ in tape.const_slots}
+            for op, out, a, b_, _aux in tape.instrs:
+                if op == OP_FUNC:
+                    operands = (a,)
+                elif op in (OP_ADDN, OP_MULN, OP_ITE):
+                    operands = a
+                else:  # ADD2 / MUL2 / POW
+                    operands = (a, b_)
+                assert not literals.issuperset(operands), (
+                    f"{functional.name}/{condition.cid}: slot {out} "
+                    "has only literal operands"
+                )
 
 
 def test_compiled_conjunction_roundtrip_through_pickle():

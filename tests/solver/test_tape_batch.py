@@ -335,68 +335,3 @@ def test_paper_functional_frontier_parity():
         solver.solve(problem.negation, box, budget),
         solve_per_box(solver, problem.negation, box, budget),
     )
-
-
-# ---------------------------------------------------------------------------
-# vectorised scalar grids (eval_point_batch)
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("seed", range(15))
-def test_eval_point_batch_tracks_eval_scalar(seed):
-    """Vectorised point semantics: NaN where the scalar path yields NaN
-    (up to overflow saturation), values equal up to libm/summation ulps."""
-    rng = random.Random(6000 + seed)
-    expr = random_expr(rng, depth=3)
-    tape = tape_for(expr)
-    pts = {
-        "x": np.array([rng.uniform(0.0, 3.0) for _ in range(40)]),
-        "y": np.array([rng.uniform(-3.0, 3.0) for _ in range(40)]),
-        "z": np.array([rng.uniform(0.0, 2.0) for _ in range(40)]),
-    }
-    got = tape.eval_point_batch(pts)
-    assert got.shape == (40,)
-    for j in range(40):
-        env = {name: float(arr[j]) for name, arr in pts.items()}
-        want = tape.eval_scalar(env)
-        if math.isfinite(want) and math.isfinite(got[j]):
-            assert got[j] == pytest.approx(want, rel=1e-9, abs=1e-12), j
-        else:
-            # scalar fsum raises (-> NaN) where the vector path saturates
-            # to inf and vice versa; both must at least agree on finiteness
-            assert not (math.isfinite(want) or math.isfinite(got[j])), j
-
-
-def test_eval_point_batch_poisons_domain_errors_in_untaken_branches():
-    """The scalar executor is eager: a domain error raises even when it
-    feeds an untaken ite branch.  The batch pass must match."""
-    x = b.var("x")
-    expr = b.ite(b.const(1.0).le(x), b.log(x + (-2.0)), x)
-    tape = tape_for(expr)
-    xs = np.array([0.5, 3.0])
-    got = tape.eval_point_batch({"x": xs})
-    for j, xv in enumerate(xs):
-        want = tape.eval_scalar({"x": float(xv)})
-        if math.isnan(want):
-            assert math.isnan(got[j]), (j, got[j])
-        else:
-            assert got[j] == pytest.approx(want, rel=1e-12)
-    # x=0.5 takes the orelse branch, but log(0.5 - 2) poisons the point
-    assert math.isnan(got[0])
-    assert math.isnan(tape.eval_scalar({"x": 0.5}))
-
-
-def test_eval_point_batch_preserves_mesh_shape():
-    x = b.var("x", nonneg=True)
-    tape = tape_for(b.log(x))
-    xs = np.linspace(-1.0, 4.0, 12).reshape(3, 4)
-    out = tape.eval_point_batch({"x": xs})
-    assert out.shape == (3, 4)
-    assert np.isnan(out[xs <= 0.0]).all()
-    ref = np.log(xs[xs > 0.0])
-    assert np.allclose(out[xs > 0.0], ref, rtol=1e-12)
-
-
-def test_eval_point_batch_constant_expression_broadcasts():
-    tape = tape_for(b.const(2.0) * b.const(3.0))
-    out = tape.eval_point_batch({})
-    assert float(out) == 6.0

@@ -1,8 +1,7 @@
 """Fuzz corpus: whole-batch Pow/Func kernels vs the scalar tape executors.
 
-The vectorised Pow/Func kernels (``repro.solver.kernels``), the tape-level
-constant-folding fusion pass and the fused :class:`MultiTape` all promise
-the same contract as the rest of the batch VM: **bit-identical per column**
+The vectorised Pow/Func kernels (``repro.solver.kernels``) promise the
+same contract as the rest of the batch VM: **bit-identical per column**
 to the per-box scalar executors, including inf/NaN endpoints, empty
 intervals and the Pow rounding-strategy boundaries (mult-chain exponents
 ``|n| <= _POW_CHAIN_MAX`` vs the log-form fallback beyond, real exponents,
@@ -23,10 +22,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.expr import builder as b
-from repro.expr.nodes import Add, Const, Func, Mul
 from repro.solver.box import Box
 from repro.solver.interval import _POW_CHAIN_MAX, Interval
-from repro.solver.tape import MultiTape, compile_expr, tape_for
+from repro.solver.tape import tape_for
 from tests.support import hyp_examples
 
 #: every Func the tape VM dispatches, including the scipy-backed ones
@@ -198,7 +196,7 @@ def test_fuzz_backward_batch_vector_kernels_bit_identical(seed):
 
 
 # ---------------------------------------------------------------------------
-# vector kernels vs forced scalar, fusion pass, MultiTape
+# vector kernels vs forced scalar
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=hyp_examples(30), deadline=None)
@@ -231,70 +229,6 @@ def test_fuzz_vector_mode_matches_forced_scalar(seed):
             for slot in range(tape.n_slots):
                 assert same_endpoint(vec_lo[slot, j], sca_lo[slot, j]), (slot, j)
                 assert same_endpoint(vec_hi[slot, j], sca_hi[slot, j]), (slot, j)
-
-
-@settings(max_examples=hyp_examples(30), deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_fuzz_fusion_pass_is_bit_identical(seed):
-    """Tapes compiled with fusion off and on agree slot-for-slot."""
-    rng = random.Random(seed)
-    # raw node constructors keep the literal-operand rows that b.mul and
-    # b.exp would fold themselves, so the fusion pass has something to fold
-    expr = Add((
-        pow_func_expr(rng, depth=2),
-        Mul((Const(rng.uniform(0.5, 2.0)), Const(rng.uniform(-2.0, 2.0)))),
-        Func("exp", Const(rng.uniform(-1.0, 1.0))),
-    ))
-    plain = compile_expr(expr, fuse=False)
-    fused = tape_for(expr)
-    assert len(fused.runtime_program()[0]) < len(plain.runtime_program()[0])
-    boxes = fuzz_boxes(rng, 12)
-    for tape in (plain, fused):
-        lo_mat, hi_mat = tape.load_batch(boxes)
-        tape.forward_batch(lo_mat, hi_mat, vector_min=0)
-        assert_columns_match(plain, boxes, lo_mat, hi_mat, "fusion-batch")
-        # scalar executors too: fusion bakes folded slots into the seeds
-        los = [0.0] * tape.n_slots
-        his = [0.0] * tape.n_slots
-        ref_lo = [0.0] * plain.n_slots
-        ref_hi = [0.0] * plain.n_slots
-        for box in boxes:
-            tape.forward_arrays(box, los, his)
-            plain.forward_arrays(box, ref_lo, ref_hi)
-            assert same_endpoint(los[tape.root], ref_lo[plain.root])
-            assert same_endpoint(his[tape.root], ref_hi[plain.root])
-
-
-@settings(max_examples=hyp_examples(30), deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_fuzz_multitape_roots_match_per_tape(seed):
-    rng = random.Random(seed)
-    shared = pow_func_expr(rng, depth=2)
-    tapes = [
-        tape_for(b.add(shared, pow_func_expr(rng, depth=2)))
-        for _ in range(rng.randint(2, 4))
-    ]
-    multi = MultiTape.from_tapes(tapes)
-    boxes = fuzz_boxes(rng, rng.randint(1, 20))
-    m_lo, m_hi = multi.load_batch(boxes)
-    multi.forward_batch(m_lo, m_hi, vector_min=0)
-    for tape, root in zip(tapes, multi.roots):
-        lo_mat, hi_mat = tape.load_batch(boxes)
-        tape.forward_batch(lo_mat, hi_mat, vector_min=0)
-        for j in range(len(boxes)):
-            assert same_endpoint(lo_mat[tape.root, j], m_lo[root, j]), j
-            assert same_endpoint(hi_mat[tape.root, j], m_hi[root, j]), j
-
-
-def test_multitape_shares_common_subtapes():
-    x = b.var("x", nonneg=True)
-    y = b.var("y")
-    shared = b.exp(x) * y
-    t1 = tape_for(shared + b.sin(y))
-    t2 = tape_for(shared * b.const(2.0))
-    multi = MultiTape.from_tapes([t1, t2])
-    # the shared exp(x)*y subtape must be interned once
-    assert len(multi._fwd) < len(t1.instrs) + len(t2.instrs)
 
 
 @pytest.mark.parametrize("func", FUNCS)

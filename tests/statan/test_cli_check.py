@@ -48,6 +48,13 @@ class TestExitCodes:
             main(["check", "--rule", "REP999"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("rule", ["TAPE109", "TAPE110"])
+    def test_deleted_tape_rule_exits_two(self, rule):
+        # the fusion and MultiTape audits went with the code they audited
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--rule", rule])
+        assert exc.value.code == 2
+
     def test_missing_path_exits_two(self, tmp_path, capsys):
         missing = tmp_path / "nope.py"
         assert main(["check", "--rule", "REP105", str(missing)]) == 2

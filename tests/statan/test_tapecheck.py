@@ -20,7 +20,6 @@ from repro.expr import builder as b
 from repro.solver.interval import Interval
 from repro.solver.tape import (
     FUNC_NAMES,
-    MultiTape,
     OP_FUNC,
     OP_ITE,
     OP_POW,
@@ -29,7 +28,6 @@ from repro.solver.tape import (
 from repro.statan.report import Report
 from repro.statan.tapecheck import (
     check_corpus,
-    check_multitape,
     check_state,
     check_tape,
     corpus_pairs,
@@ -235,8 +233,7 @@ class TestStateMutations:
 
 
 # ---------------------------------------------------------------------------
-# runtime checks: TAPE107 (fingerprint/runtime), TAPE108 (NaN reach),
-# TAPE109 (fusion equivalence)
+# runtime checks: TAPE107 (fingerprint/runtime), TAPE108 (NaN reach)
 # ---------------------------------------------------------------------------
 
 
@@ -244,12 +241,6 @@ class TestRuntimeChecks:
     def test_clean_tape_has_no_runtime_findings(self):
         tape = compile_expr(rich_expr())
         assert check_tape(tape, "rich") == []
-
-    def test_unfused_build_is_clean(self):
-        # TAPE107 rebuilds with the tape's own fuse flag
-        tape = compile_expr(rich_expr(), fuse=False)
-        assert check_tape(tape, "rich-unfused") == []
-        assert check_tape(tape, "rich-unfused", rules={"TAPE107"}) == []
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=hyp_examples(25), deadline=None)
@@ -264,23 +255,16 @@ class TestRuntimeChecks:
         findings = check_tape(tape, "poisoned", rules={"TAPE107"})
         assert rules_of(findings) == {"TAPE107"}
 
-    def test_lost_seed_row_is_tape109(self):
-        tape = compile_expr(rich_expr())
-        tape._batch_seed.pop()
-        findings = check_tape(tape, "lost", rules={"TAPE109"})
-        assert rules_of(findings) == {"TAPE109"}
-        assert any("loses slot" in f.message for f in findings)
-
-    def test_fused_value_drift_is_tape109(self):
+    def test_init_template_drift_is_tape107(self):
         # forward_arrays seeds from the init templates; drifting a
-        # literal there diverges from a fresh unfused rebuild
+        # literal there diverges from a fresh build of the state
         tape = compile_expr(rich_expr())
         slot = tape.const_slots[0][0]
         tape._init_los[slot] -= 1.0
         tape._init_his[slot] += 1.0
-        findings = check_tape(tape, "drift", rules={"TAPE109"})
-        assert rules_of(findings) == {"TAPE109"}
-        assert any("disagree" in f.message for f in findings)
+        findings = check_tape(tape, "drift", rules={"TAPE107"})
+        assert rules_of(findings) == {"TAPE107"}
+        assert any("init los" in f.symbol for f in findings)
 
     def test_unguarded_partial_site_is_tape108(self):
         tape = compile_expr(b.log(Y))
@@ -318,47 +302,3 @@ class TestRuntimeChecks:
         )
         assert deep == []
         assert report.nan_sites_safe == 1
-
-
-# ---------------------------------------------------------------------------
-# TAPE110: MultiTape interning / dead-slot elimination equivalence
-# ---------------------------------------------------------------------------
-
-
-class TestMultiTape:
-    def _tapes(self):
-        shared = b.mul(X, Y)
-        return [
-            compile_expr(b.add(shared, b.const(1.0))),
-            compile_expr(b.mul(shared, b.const(2.0))),
-            compile_expr(b.exp(X)),
-        ]
-
-    def test_clean_merge(self):
-        assert check_multitape(self._tapes(), "clean") == []
-
-    def test_dropped_root_is_tape110(self):
-        tapes = self._tapes()
-        mt = MultiTape.from_tapes(tapes)
-        mt.roots = mt.roots[:-1]
-        findings = check_multitape(tapes, "dropped", mt=mt)
-        assert rules_of(findings) == {"TAPE110"}
-
-    def test_swapped_roots_is_tape110(self):
-        tapes = self._tapes()
-        mt = MultiTape.from_tapes(tapes)
-        roots = list(mt.roots)
-        roots[0], roots[1] = roots[1], roots[0]
-        mt.roots = type(mt.roots)(roots)
-        findings = check_multitape(tapes, "swapped", mt=mt)
-        assert rules_of(findings) == {"TAPE110"}
-        assert any("disagrees" in f.message for f in findings)
-
-    @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=hyp_examples(20), deadline=None)
-    def test_random_merges_clean(self, seed):
-        rng = random.Random(seed)
-        tapes = [
-            compile_expr(random_expr(rng)) for _ in range(rng.randint(1, 4))
-        ]
-        assert check_multitape(tapes, f"rand:{seed}") == []
