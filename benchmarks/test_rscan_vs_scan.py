@@ -28,6 +28,7 @@ from repro.solver.tape import tape_for
 from repro.verifier import encode, verify_pair
 from repro.verifier.regions import Outcome
 from repro.verifier.verifier import VerifierConfig
+from tests.solver.oracles import enclosure
 
 SCAN = get_functional("SCAN")
 RSCAN = get_functional("rSCAN")
@@ -53,8 +54,8 @@ def test_enclosure_width_across_alpha_one(benchmark):
 
     def widths():
         return (
-            tape_for(SCAN.fc()).enclosure(box).width(),
-            tape_for(RSCAN.fc()).enclosure(box).width(),
+            enclosure(tape_for(SCAN.fc()), box).width(),
+            enclosure(tape_for(RSCAN.fc()), box).width(),
         )
 
     scan_w, rscan_w = benchmark.pedantic(widths, rounds=1, iterations=1)

@@ -9,8 +9,8 @@ The timing benchmarks additionally publish their numbers: when the
 timing is merged into that JSON document (CI uploads it as the
 ``BENCH_solver.json`` artifact, giving the perf trajectory one file per
 commit).  The bit-identity checks run production against the test-only
-oracles of ``tests/solver/oracles.py`` (tree-walk contractor, per-box
-loop) and a forced-scalar build of the same tapes.
+oracles of ``tests/solver/oracles.py`` (tree-walk and per-box tape
+contractors, per-box loop) and a forced-scalar build of the same tapes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,12 @@ from repro.solver.contractor import HC4Contractor
 from repro.solver.icp import Budget, ICPSolver
 from repro.solver.tape import CompiledAtom, CompiledConjunction, compile_expr
 from repro.verifier import encode
-from tests.solver.oracles import WalkContractor, assert_results_identical, solve_per_box
+from tests.solver.oracles import (
+    TapeContractor,
+    WalkContractor,
+    assert_results_identical,
+    solve_per_box,
+)
 
 from _settings import record_bench as _record_bench
 
@@ -43,20 +48,22 @@ def test_hc4_contraction_throughput(benchmark):
     contractor = HC4Contractor(problem.negation, delta=1e-5)
     box = Box.from_bounds({"rs": (1.0, 3.0), "s": (0.0, 2.0)})
 
-    result = benchmark(contractor.contract, box)
-    assert not result.is_empty() or True
+    benchmark(contractor.contract_batch, [box])
 
 
 def test_tape_contraction_matches_tree_walk():
-    """Tape-compiled HC4 contraction of a PBE-class residual is
-    bit-identical to the tree-walk oracle."""
+    """Tape-compiled HC4 contraction of a PBE-class residual, per box and
+    batched, is bit-identical to the tree-walk oracle."""
     problem = encode(get_functional("PBE"), EC1)
     box = Box.from_bounds({"rs": (1.0, 3.0), "s": (0.0, 2.0)})
-    tape_box = HC4Contractor(problem.negation, delta=1e-5).contract(box)
     walk_box = WalkContractor(problem.negation, delta=1e-5).contract(box)
-    for name in tape_box.names:
-        assert tape_box[name].lo == walk_box[name].lo
-        assert tape_box[name].hi == walk_box[name].hi
+    for tape_box in (
+        TapeContractor(problem.negation, delta=1e-5).contract(box),
+        HC4Contractor(problem.negation, delta=1e-5).contract_batch([box])[0][0],
+    ):
+        for name in tape_box.names:
+            assert tape_box[name].lo == walk_box[name].lo
+            assert tape_box[name].hi == walk_box[name].hi
 
 
 def test_solver_call_matches_tree_walk():
@@ -321,7 +328,7 @@ def test_scan_contraction_cost(benchmark):
     problem = encode(get_functional("SCAN"), EC1)
     contractor = HC4Contractor(problem.negation, delta=1e-5)
     box = Box.from_bounds({"rs": (1.0, 3.0), "s": (0.0, 2.0), "alpha": (0.0, 2.0)})
-    benchmark(contractor.contract, box)
+    benchmark(contractor.contract_batch, [box])
 
 
 def test_kernel_grid_throughput(benchmark):

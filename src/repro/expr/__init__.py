@@ -6,8 +6,6 @@ This package is the term language shared by every other subsystem:
 * :mod:`repro.expr.builder` -- canonicalising constructors,
 * :mod:`repro.expr.derivative` -- symbolic differentiation,
 * :mod:`repro.expr.substitute` -- capture-free substitution,
-* :mod:`repro.expr.simplify` -- global simplification passes (factoring,
-  exponential merging, box specialisation),
 * :mod:`repro.expr.evaluator` -- scalar point evaluation,
 * :mod:`repro.expr.codegen` -- vectorised NumPy compilation.
 """
@@ -53,8 +51,7 @@ from .builder import (
     var,
 )
 from .derivative import derivative, gradient
-from .substitute import replace_subexpr, substitute, substitute_rel
-from .simplify import SimplifyStats, factor_sums, merge_exponentials, simplify, specialize
+from .substitute import replace_subexpr, substitute
 from .evaluator import EvalError, evaluate, evaluate_rel
 from .codegen import compile_numpy
 from .printer import to_str
@@ -65,7 +62,6 @@ __all__ = [
     "abs_", "add", "as_expr", "atan", "cbrt", "const", "cos", "div", "erf",
     "exp", "ite", "lambertw", "log", "maximum", "minimum", "mul", "neg",
     "pow_", "sin", "sqrt", "sub", "tanh", "var",
-    "derivative", "gradient", "replace_subexpr", "substitute", "substitute_rel",
-    "SimplifyStats", "factor_sums", "merge_exponentials", "simplify", "specialize",
+    "derivative", "gradient", "replace_subexpr", "substitute",
     "EvalError", "evaluate", "evaluate_rel", "compile_numpy", "to_str",
 ]

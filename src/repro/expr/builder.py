@@ -2,8 +2,8 @@
 
 All expression construction goes through these functions (the operator
 overloads on :class:`~repro.expr.nodes.Expr` delegate here).  They perform
-the light, always-sound simplifications that keep symbolically
-differentiated DFA expressions from exploding:
+the light, always-sound rewrites that keep symbolically differentiated
+DFA expressions from exploding:
 
 * constant folding,
 * flattening of nested sums/products,

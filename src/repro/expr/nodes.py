@@ -210,8 +210,9 @@ class Var(Expr):
     """A named real variable, optionally tagged non-negative.
 
     The ``nonneg`` tag records a physical domain fact (e.g. the reduced
-    gradient s >= 0 and Wigner-Seitz radius rs > 0) used by the simplifier
-    to justify power-law rewrites that are unsound on all of R.
+    gradient s >= 0 and Wigner-Seitz radius rs > 0) used by the
+    canonicalising constructors (:mod:`repro.expr.builder`) to justify
+    power-law rewrites that are unsound on all of R.
     """
 
     __slots__ = ("name", "nonneg")

@@ -64,13 +64,6 @@ _CTOR = {
 }
 
 
-def substitute_rel(rel: Rel, mapping: dict[Var, Expr | float]) -> Rel:
-    """Substitute into both sides of a relational atom."""
-    return Rel.make(
-        substitute(rel.lhs, mapping), substitute(rel.rhs, mapping), rel.op
-    )
-
-
 def replace_subexpr(expr: Expr, target: Expr, replacement: Expr | float) -> Expr:
     """Replace every occurrence of the subexpression ``target``.
 

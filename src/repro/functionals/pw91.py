@@ -2,7 +2,7 @@
 
 PW91 is the direct predecessor of PBE: a non-empirical GGA derived from
 the real-space cutoff of the exchange-correlation hole.  PBE was designed
-as a simplification of it, so the two agree closely over the physical
+as a leaner successor to it, so the two agree closely over the physical
 range of (rs, s) -- a relation the unit tests exploit.  Its functional
 form is considerably busier than PBE's (asinh terms in the exchange, a
 second gradient term H1 with a Rasolt-Geldart coefficient function in the

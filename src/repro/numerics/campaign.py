@@ -25,7 +25,7 @@ the exact machinery PR 3 built for the verifier:
   arbitrary payload kinds), keyed by the compiled expression tape
   bit-for-bit + domain + the check's semantic parameters, so ``--resume``
   is sound: any change to a functional's model code, the lifter, the
-  simplifier or an analysis parameter misses cleanly;
+  expression builder or an analysis parameter misses cleanly;
 * results are JSON-safe payload dicts built by pure functions of the
   underlying reports, so the campaign output is **bit-identical to the
   sequential per-pair path** regardless of worker count or completion
@@ -202,8 +202,8 @@ def cell_content_key(
     """Content-hash key of one analysis cell.
 
     Covers the compiled expression tape bit-for-bit (so any change to the
-    functional's model code, the lifter, the simplifier or the tape
-    compiler misses cleanly), the input domain, the cell address and the
+    functional's model code, the lifter, the expression builder or the
+    tape compiler misses cleanly), the input domain, the cell address and the
     check's semantic parameters.  Like the verifier store keys, a hit
     therefore always implies a bit-identical payload -- and even a hit
     pays the lift + tape-compile that soundness of the content addressing

@@ -18,7 +18,7 @@ machinery (PR 10):
   the ``repro trace summary`` analytics (critical path, self-time,
   pool-utilization timeline);
 * :mod:`.metrics` -- the log-spaced histogram plus labeled
-  counters/gauges, usable without a server, and the Prometheus text
+  counters, usable without a server, and the Prometheus text
   exposition for ``/v1/metrics``;
 * :mod:`.logging` -- structured one-line JSON diagnostics
   (``repro --log-json`` / ``REPRO_LOG=json``) with a per-process

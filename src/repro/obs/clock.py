@@ -2,7 +2,7 @@
 
 Span timestamps must be mutually comparable: parent-side dispatch spans
 and worker-side solve spans are stitched into one timeline, so every
-traced module reads time through these three helpers instead of calling
+traced module reads time through these two helpers instead of calling
 ``time.*`` directly.  ``repro check`` rule REP106 enforces this --
 direct ``time.time()`` / ``time.monotonic()`` / ``time.perf_counter()``
 calls in traced modules are findings unless allowlisted as sanctioned
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 
-__all__ = ["mono_now", "perf_now", "wall_now"]
+__all__ = ["mono_now", "wall_now"]
 
 
 def wall_now() -> float:
@@ -31,8 +31,3 @@ def wall_now() -> float:
 def mono_now() -> float:
     """Monotonic seconds -- span start/end stamps, cross-process safe."""
     return time.monotonic()
-
-
-def perf_now() -> float:
-    """Highest-resolution monotonic counter -- short interval measurement."""
-    return time.perf_counter()

@@ -1,4 +1,4 @@
-"""The metrics core: histograms, labeled counters/gauges, Prometheus text.
+"""The metrics core: histograms, labeled counters, Prometheus text.
 
 This module is the single home of the measurement machinery (the
 service's ``/v1/metrics`` assembler re-exports from here, API
@@ -8,8 +8,8 @@ unchanged):
   (half-decade buckets, 100 us to ~316 s).  Bucket counts are
   *per-bucket*, not cumulative, so they always sum to the observation
   count; the Prometheus renderer cumulates on the way out;
-* :class:`Counter` / :class:`Gauge` / :class:`MetricRegistry` --
-  labeled metrics usable from the campaign engine with no server
+* :class:`Counter` / :class:`MetricRegistry` --
+  labeled counters usable from the campaign engine with no server
   attached (plain dict mutation, no locks: the campaign drive loop is
   single-threaded, and the service mutates only on its event loop);
 * :func:`prometheus_exposition` -- renders the ``/v1/metrics`` JSON
@@ -26,7 +26,6 @@ __all__ = [
     "BUCKET_EDGES",
     "CONTENT_TYPE_PROMETHEUS",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricRegistry",
     "REGISTRY",
@@ -104,7 +103,7 @@ class Histogram:
 
 
 # ---------------------------------------------------------------------------
-# labeled counters / gauges (no server required)
+# labeled counters (no server required)
 # ---------------------------------------------------------------------------
 
 def _label_key(labels: dict) -> tuple:
@@ -127,23 +126,8 @@ class Counter:
         return self.values.get(_label_key(labels), 0.0)
 
 
-class Gauge:
-    """Labeled point-in-time value."""
-
-    def __init__(self, name: str, help_text: str = ""):
-        self.name = name
-        self.help = help_text
-        self.values: dict[tuple, float] = {}
-
-    def set(self, value: float, **labels) -> None:
-        self.values[_label_key(labels)] = value
-
-    def value(self, **labels) -> float:
-        return self.values.get(_label_key(labels), 0.0)
-
-
 class MetricRegistry:
-    """A named family of counters and gauges; creation is idempotent.
+    """A named family of counters; creation is idempotent.
 
     The campaign engine records into the process-wide :data:`REGISTRY`
     without caring whether anything ever scrapes it; the service folds
@@ -151,22 +135,12 @@ class MetricRegistry:
     """
 
     def __init__(self):
-        self._metrics: dict[str, Counter | Gauge] = {}
+        self._metrics: dict[str, Counter] = {}
 
     def counter(self, name: str, help_text: str = "") -> Counter:
         metric = self._metrics.get(name)
         if metric is None:
             metric = self._metrics[name] = Counter(name, help_text)
-        elif not isinstance(metric, Counter):
-            raise ValueError(f"metric {name!r} already registered as a gauge")
-        return metric
-
-    def gauge(self, name: str, help_text: str = "") -> Gauge:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self._metrics[name] = Gauge(name, help_text)
-        elif not isinstance(metric, Gauge):
-            raise ValueError(f"metric {name!r} already registered as a counter")
         return metric
 
     def snapshot(self) -> dict:
@@ -182,10 +156,9 @@ class MetricRegistry:
     def exposition(self) -> str:
         lines: list[str] = []
         for name, metric in sorted(self._metrics.items()):
-            kind = "counter" if isinstance(metric, Counter) else "gauge"
             if metric.help:
                 lines.append(f"# HELP {name} {metric.help}")
-            lines.append(f"# TYPE {name} {kind}")
+            lines.append(f"# TYPE {name} counter")
             for key, value in sorted(metric.values.items()):
                 lines.append(_sample(name, dict(key), value))
         return "\n".join(lines) + "\n" if lines else ""

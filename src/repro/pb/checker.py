@@ -57,13 +57,6 @@ class PBResult:
             return 0.0
         return float(self.violated.sum() / checked)
 
-    def violation_points(self, limit: int | None = None) -> list[dict[str, float]]:
-        """Coordinates of violating mesh points (at most ``limit``)."""
-        idx = np.argwhere(self.violated)
-        if limit is not None:
-            idx = idx[:limit]
-        return [self.grid.point(tuple(i)) for i in idx]
-
     def violation_bounds(self) -> dict[str, tuple[float, float]] | None:
         """Axis-aligned bounding box of the violating points."""
         if not self.any_violation:

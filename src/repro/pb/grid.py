@@ -74,10 +74,6 @@ class Grid:
     def rs_axis(self) -> np.ndarray:
         return self.axes["rs"]
 
-    def rs_spacing(self) -> float:
-        rs = self.axes["rs"]
-        return float(rs[1] - rs[0])
-
     def evaluate(self, kernel) -> np.ndarray:
         """Evaluate a compiled kernel on the full mesh (vectorised)."""
         return np.asarray(kernel(*self.meshes()), dtype=float)
@@ -87,10 +83,3 @@ class Grid:
         meshes = self.meshes()
         pinned = (np.full_like(meshes[0], rs_value),) + meshes[1:]
         return np.asarray(kernel(*pinned), dtype=float)
-
-    def point(self, index: tuple[int, ...]) -> dict[str, float]:
-        """The input coordinates of a mesh index."""
-        return {
-            name: float(axis[i])
-            for (name, axis), i in zip(self.axes.items(), index)
-        }

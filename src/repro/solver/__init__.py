@@ -15,14 +15,14 @@ Subpackages:
 
 from .interval import EMPTY, Interval, REALS, make, point
 from .box import Box
-from .constraint import Atom, Conjunction, negate_condition
+from .constraint import Atom, Conjunction
 from .tape import CompiledAtom, CompiledConjunction, Tape, compile_expr, tape_for
 from .contractor import HC4Contractor
 from .icp import Budget, ICPSolver, SolverResult, SolverStats, SolverStatus
 
 __all__ = [
     "EMPTY", "Interval", "REALS", "make", "point",
-    "Box", "Atom", "Conjunction", "negate_condition",
+    "Box", "Atom", "Conjunction",
     "CompiledAtom", "CompiledConjunction", "Tape", "compile_expr", "tape_for",
     "HC4Contractor",
     "Budget", "ICPSolver", "SolverResult", "SolverStats", "SolverStatus",

@@ -156,7 +156,8 @@ class Box:
         return children
 
     def sample_grid(self, per_dim: int) -> list[dict[str, float]]:
-        """Uniform grid of sample points (used by probing heuristics)."""
+        """Uniform grid of ``per_dim`` points per axis, endpoints included
+        (the midpoint alone when ``per_dim`` is 1)."""
         axes = []
         for iv in self.intervals:
             if per_dim == 1:

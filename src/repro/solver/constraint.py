@@ -111,14 +111,3 @@ class Conjunction:
 
     def __len__(self) -> int:
         return len(self.atoms)
-
-
-def negate_condition(psi: Rel | tuple[Rel, ...]) -> Conjunction:
-    """Build ``not(psi)`` as a conjunction, for single-atom conditions.
-
-    All seven local conditions in the paper are single inequalities, so
-    their negation is again a single atom.
-    """
-    if isinstance(psi, Rel):
-        return Conjunction.of(Atom.from_rel(psi).negate())
-    raise TypeError("local conditions are single relational atoms")

@@ -20,15 +20,14 @@ input domain.
 
 Execution: :class:`HC4Contractor` compiles each atom's residual into a
 flat instruction tape (:mod:`repro.solver.tape`) and runs forward/backward
-off that tape with a preallocated slot vector, per box or wholesale over a
-batch of boxes.  The tree-walking reference executors are test-only
-(``tests/solver/oracles.py``): the oracle the differential tests compare
-against.
+off that tape over a whole batch of boxes at once
+(:meth:`HC4Contractor.contract_batch`).  The per-box tape contractor and
+the tree-walking contractor it is checked against are test-only
+(``tests/solver/oracles.py``): the references the differential tests
+compare the batched path with.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,13 +41,6 @@ from .tape import _VECTOR_MIN, _VECTOR_MIN_BWD, CompiledConjunction, Tape, tape_
 # HC4 contractor for a conjunction of atoms
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ContractionStats:
-    forward_passes: int = 0
-    backward_passes: int = 0
-    prunes_to_empty: int = 0
-
-
 class HC4Contractor:
     """Contract boxes against ``residual <= delta`` for every atom.
 
@@ -60,7 +52,7 @@ class HC4Contractor:
     tapes here) or an already-compiled
     :class:`~repro.solver.tape.CompiledConjunction` (e.g. shipped to a
     worker process).  Each atom runs its own tape, in atom order, in every
-    pass: revise, and the certainly-sat forward of :meth:`contract_batch`.
+    pass of :meth:`contract_batch`: revise, and the certainly-sat forward.
     """
 
     def __init__(
@@ -72,95 +64,37 @@ class HC4Contractor:
             raise ValueError("delta must be non-negative")
         self.formula = formula
         self.delta = delta
-        self.stats = ContractionStats()
         if isinstance(formula, CompiledConjunction):
             self._tapes: list[Tape] = [atom.tape for atom in formula.atoms]
         else:
             self._tapes = [tape_for(atom.residual) for atom in formula.atoms]
-        # preallocated per-slot lo/hi endpoint arrays, one pair per atom
-        self._los: list[list[float]] = [[0.0] * t.n_slots for t in self._tapes]
-        self._his: list[list[float]] = [[0.0] * t.n_slots for t in self._tapes]
-
-    def contract(self, box: Box, rounds: int = 2) -> Box:
-        """Iterate HC4-revise over all atoms up to ``rounds`` fixpoint rounds.
-
-        The per-box reference for :meth:`contract_batch`: the solver runs
-        only the batched path, and the test oracles
-        (``tests/solver/oracles.py:solve_per_box``,
-        ``test_contract_batch_matches_contract``) compare it against this.
-        """
-        for _ in range(max(1, rounds)):
-            changed = False
-            for i in range(len(self._tapes)):
-                new_box = self._revise(i, box)
-                if new_box.is_empty():
-                    self.stats.prunes_to_empty += 1
-                    return new_box
-                if new_box != box:
-                    changed = True
-                    box = new_box
-            if not changed:
-                break
-        return box
-
-    def _revise(self, i: int, box: Box) -> Box:
-        """One HC4-revise of atom ``i`` on ``box`` (see :meth:`contract`)."""
-        self.stats.forward_passes += 1
-        tape = self._tapes[i]
-        los = self._los[i]
-        his = self._his[i]
-        # NB: empty sub-enclosures (domain clipping) are *not* fatal here:
-        # they may sit in an untaken ITE branch, where hull() ignores them.
-        # Only an empty root enclosure makes the atom unsatisfiable.
-        tape.forward_arrays(box, los, his)
-
-        root = tape.root
-        root_lo = los[root]
-        root_hi = his[root]
-        delta = self.delta
-        if not root_lo <= root_hi or root_lo > delta:
-            # empty root enclosure, or no overlap with (-inf, delta]
-            return Box({name: EMPTY for name in box.names})
-        if root_hi <= delta:
-            return box  # atom gives no pruning information
-        his[root] = delta  # intersect root with the allowed set
-
-        self.stats.backward_passes += 1
-        if not tape.backward_arrays(los, his):
-            return Box({name: EMPTY for name in box.names})
-
-        out = {name: box[name] for name in box.names}
-        for name, slot in tape.var_slots:
-            if name in out:
-                out[name] = out[name].intersect(Interval(los[slot], his[slot]))
-        return Box(out)
 
     def contract_batch(
         self, boxes: list[Box], rounds: int = 2, columns: np.ndarray | None = None
     ) -> tuple[list[Box], np.ndarray]:
         """Contract a whole batch of boxes with the batched tape executors.
 
-        Semantically equivalent -- box for box, bit for bit -- to calling
-        :meth:`contract` on each element: the same fixpoint rounds, the
-        same atom order, the same forward/backward endpoint arithmetic
-        (see :meth:`Tape.forward_batch` / :meth:`Tape.backward_batch`),
-        with each instruction executed once per *batch* instead of once
-        per box.  Columns refuted by an atom drop out of later atoms, and
-        columns whose box reached the per-box loop's break condition (no
-        change in a round) stop iterating, exactly like the scalar loop.
+        Semantically equivalent -- box for box, bit for bit -- to running
+        HC4-revise on each element alone (the per-box tape reference,
+        ``TapeContractor`` in ``tests/solver/oracles.py``): the same
+        fixpoint rounds, the same atom order, the same forward/backward
+        endpoint arithmetic (see :meth:`Tape.forward_batch` /
+        :meth:`Tape.backward_batch`), with each instruction executed once
+        per *batch* instead of once per box.  Columns refuted by an atom
+        drop out of later atoms, and columns whose box reached the per-box
+        loop's break condition (no change in a round) stop iterating,
+        exactly like the scalar loop.
 
         Returns ``(contracted, certainly_sat)``: the contracted box per
         input (an empty box where pruned; the *original* object where
-        contraction was a no-op) and a boolean per box that equals
-        :meth:`certainly_sat` on the contracted box (False for pruned
-        boxes), computed from one extra batched forward pass per atom.
+        contraction was a no-op) and a boolean per box that is True when
+        every atom's root enclosure over the contracted box lies within
+        ``(-inf, delta]`` (False for pruned boxes), computed from one
+        extra batched forward pass per atom.
 
         Boxes that are *already empty* on input are returned untouched
         and never contracted -- mirroring the solver loops, which prune
-        them before contraction.  ``ContractionStats`` counters advance by
-        the per-column revise/backward counts, matching what the
-        equivalent sequence of per-box :meth:`contract` calls would
-        record.
+        them before contraction.
 
         ``columns``, an optional ``(2, len(boxes))`` integer array, counts
         per box the kernel columns it took up: row 0 where a tape call ran
@@ -212,7 +146,6 @@ class HC4Contractor:
             if input_empty[j]:
                 out.append(box)
             elif not alive[j]:
-                self.stats.prunes_to_empty += 1
                 out.append(Box({name: EMPTY for name in names}))
             elif not ever_changed[j]:
                 out.append(box)
@@ -239,7 +172,6 @@ class HC4Contractor:
         columns: np.ndarray | None,
     ) -> None:
         """One batched HC4-revise of atom ``i`` over the columns ``cols``."""
-        self.stats.forward_passes += int(cols.size)
         _count_columns(columns, cols, _VECTOR_MIN)
         sub_lo = {name: arr[cols] for name, arr in var_lo.items()}
         sub_hi = {name: arr[cols] for name, arr in var_hi.items()}
@@ -259,7 +191,6 @@ class HC4Contractor:
         sub = np.nonzero(needs_backward)[0]
         if sub.size == 0:
             return
-        self.stats.backward_passes += int(sub.size)
         blo = lo_mat[:, sub]
         bhi = hi_mat[:, sub]
         bhi[root] = delta  # intersect root with the allowed set
@@ -292,21 +223,6 @@ class HC4Contractor:
             var_hi[name][bcols[write]] = n_hi[write]
         alive[bcols[~ok]] = False
         changed[bcols[ok & atom_changed]] = True
-
-    def certainly_sat(self, box: Box) -> bool:
-        """True if every atom holds on the *whole* box (within delta).
-
-        The per-box reference for :meth:`contract_batch`'s certainly-sat
-        verdicts; used by the test oracles, not by the solver.
-        """
-        for i, tape in enumerate(self._tapes):
-            los = self._los[i]
-            his = self._his[i]
-            tape.forward_arrays(box, los, his)
-            root = tape.root
-            if not los[root] <= his[root] or his[root] > self.delta:
-                return False
-        return True
 
 
 def _count_columns(columns: np.ndarray | None, cols: np.ndarray, vector_min: int) -> None:

@@ -135,10 +135,6 @@ class SolverResult:
         return self.status is SolverStatus.UNSAT
 
     @property
-    def is_sat(self) -> bool:
-        return self.status is SolverStatus.DELTA_SAT
-
-    @property
     def is_timeout(self) -> bool:
         return self.status is SolverStatus.TIMEOUT
 

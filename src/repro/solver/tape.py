@@ -189,34 +189,6 @@ def func_guard_table() -> tuple[bool, ...]:
     )
 
 
-def decide_cond(code: int, gap: Interval) -> bool | None:
-    """Decide ``gap op 0`` over an interval, or None if undecided.
-
-    The one guard decider: the tape executors, box specialisation
-    (:func:`repro.expr.simplify.specialize`) and the tree-walk test
-    oracle all call it.
-    """
-    if gap.is_empty():
-        return None
-    if code == COND_LE or code == COND_LT:
-        strict = code == COND_LT
-        if gap.hi <= 0.0 and not (strict and gap.hi == 0.0 and gap.lo == 0.0):
-            return True
-        if gap.lo > 0.0 or (strict and gap.lo >= 0.0):
-            return False
-        return None
-    if code == COND_GE or code == COND_GT:
-        flipped = decide_cond(COND_LE if code == COND_GT else COND_LT, gap)
-        return None if flipped is None else not flipped
-    if code == COND_EQ:
-        if gap.lo == 0.0 and gap.hi == 0.0:
-            return True
-        if not gap.contains(0.0):
-            return False
-        return None
-    raise ValueError(code)
-
-
 def cond_holds(code: int, value: float, tol: float = 0.0) -> bool:
     """Scalar relational check ``value op 0`` with delta-weakening ``tol``."""
     if code == COND_LE:
@@ -547,20 +519,6 @@ class Tape:
         """Run the forward instructions over fully loaded slot arrays."""
         _run_forward_ops(self._fwd, los, his)
 
-    def enclosure(self, box) -> Interval:
-        """Interval enclosure of the compiled expression over ``box``
-        (box specialisation's guard decisions; the per-box reference of
-        :meth:`enclosure_batch`)."""
-        n = self.n_slots
-        los = [0.0] * n  # forward_arrays re-initialises from the templates
-        his = [0.0] * n
-        self.forward_arrays(box, los, his)
-        lo = los[self.root]
-        hi = his[self.root]
-        if not lo <= hi:
-            return EMPTY
-        return Interval(lo, hi)
-
     # -- batched interval forward pass --------------------------------------
     def load_batch(self, boxes) -> tuple[np.ndarray, np.ndarray]:
         """Allocate ``(n_slots, n_boxes)`` endpoint matrices for ``boxes``.
@@ -624,18 +582,6 @@ class Tape:
 
     def _forward_batch_ops(self, lo_mat: np.ndarray, hi_mat: np.ndarray) -> None:
         _run_forward_batch_ops(self._fwd, lo_mat, hi_mat)
-
-    def enclosure_batch(self, boxes) -> tuple[np.ndarray, np.ndarray]:
-        """Root enclosure endpoints over a batch of boxes.
-
-        Returns the root row of a :meth:`forward_batch` run as two 1-d
-        arrays ``(root_lo, root_hi)``; a column with ``lo > hi`` (or NaN)
-        encodes an empty enclosure, exactly like :meth:`enclosure`
-        returning :data:`~repro.solver.interval.EMPTY`.
-        """
-        lo_mat, hi_mat = self.load_batch(boxes)
-        self.forward_batch(lo_mat, hi_mat)
-        return lo_mat[self.root].copy(), hi_mat[self.root].copy()
 
     def load_batch_arrays(
         self, var_los: dict[str, np.ndarray], var_his: dict[str, np.ndarray], n_boxes: int
@@ -1403,7 +1349,7 @@ def _decide_masks_batch(code: int, glo, ghi, nonempty) -> tuple[np.ndarray, np.n
     """Vectorised ``_decide_f``: (decided-true, decided-false) masks.
 
     Columns with an empty gap (``nonempty`` False) are undecided in both
-    masks, mirroring ``decide_cond`` on :data:`~repro.solver.interval.EMPTY`.
+    masks, as :func:`_decide_gap` returns None for them.
     """
     if code == COND_LE or code == COND_LT:
         if code == COND_LT:
@@ -1442,7 +1388,11 @@ def _decide_gap_batch(
 
 
 def _decide_f(code: int, glo: float, ghi: float) -> bool | None:
-    """``decide_cond`` over non-empty gap endpoints."""
+    """Decide ``gap op 0`` over the non-empty gap ``[glo, ghi]``.
+
+    True or False when every point of the gap decides the same way, None
+    when the gap straddles the boundary.
+    """
     if code == COND_LE or code == COND_LT:
         strict = code == COND_LT
         if ghi <= 0.0 and not (strict and ghi == 0.0 and glo == 0.0):
@@ -1465,7 +1415,7 @@ def _decide_gap(code: int, los: list, his: list, lhs: int, rhs: int) -> bool | N
     """Decide an Ite guard from slot endpoints: ``(lhs - rhs) op 0``."""
     llo = los[lhs]; lhi = his[lhs]; rlo = los[rhs]; rhi = his[rhs]
     if not (llo <= lhi and rlo <= rhi):
-        return None  # empty gap: undecided, like decide_cond(EMPTY)
+        return None  # empty gap: undecided
     s = llo - rhi
     glo = NINF if (s != s or s == NINF) else math.nextafter(s, NINF)
     s = lhi - rlo

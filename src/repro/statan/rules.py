@@ -75,7 +75,7 @@ REP_RULES = {
         "clock discipline",
         "ad-hoc time.*() calls in traced modules drift from the trace "
         "clock and hide measurement sites; timestamps go through "
-        "obs.clock (wall_now/mono_now/perf_now) or get allowlisted",
+        "obs.clock (wall_now/mono_now) or get allowlisted",
     ),
 }
 
@@ -375,7 +375,7 @@ def _rep106(modules: list[Module]) -> list[Finding]:
                     findings.append(_finding(
                         "REP106", module, node, info.qualname,
                         f"raw {dotted}() in a traced module: use the "
-                        "obs.clock helpers (wall_now/mono_now/perf_now) so "
+                        "obs.clock helpers (wall_now/mono_now) so "
                         "trace timestamps share one clock, or allowlist "
                         "the deliberate measurement site",
                     ))

@@ -450,7 +450,7 @@ def run_campaign(
         from the store without solving.  Note that even a store *hit*
         pays the parent-side encode + tape-compile: the key must be
         derived from the **current** tapes, or a code change (functional,
-        condition, simplifier, compiler) could serve stale results --
+        condition, expression builder, compiler) could serve stale results --
         soundness of the content addressing is bought with that encode.
     executor:
         An existing pool to share across campaigns; the caller keeps

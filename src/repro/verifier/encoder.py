@@ -121,9 +121,9 @@ class CompiledProblem:
 
         Identical (functional, condition) encodings hash identically
         across processes and runs; any change to a functional's model
-        code, a condition's derivation, the simplifier, or the tape
-        compiler changes the tapes and therefore the key, turning stale
-        store entries into clean cache misses.
+        code, a condition's derivation, the expression builder, or the
+        tape compiler changes the tapes and therefore the key, turning
+        stale store entries into clean cache misses.
         """
         from ..solver.interval import KERNEL_SEMANTICS_VERSION
         from ..solver.tape import stable_digest

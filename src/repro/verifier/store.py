@@ -12,8 +12,8 @@ campaign engine durable cells:
   the domain bounds and the semantically relevant verifier config
   (:meth:`repro.verifier.encoder.CompiledProblem.content_hash` +
   :meth:`repro.verifier.verifier.VerifierConfig.semantic_key`), so
-  ``--resume`` is sound: a changed functional, condition, simplifier or
-  budget changes the key and misses cleanly;
+  ``--resume`` is sound: a changed functional, condition, expression
+  builder, tape compiler or budget changes the key and misses cleanly;
 * reports round-trip **exactly** -- boxes, outcomes, models, child links
   and step counts are restored bit-for-bit (floats survive the JSON
   round-trip because Python serialises them via shortest-repr).

@@ -51,10 +51,9 @@ import math
 import time
 from dataclasses import dataclass
 
-from ..expr.evaluator import evaluate
 from ..solver.box import Box
 from ..solver.icp import Budget, ICPSolver, SolverResult, SolverStats, SolverStatus
-from .encoder import CompiledProblem, EncodedProblem
+from .encoder import CompiledProblem, EncodedProblem, compile_problem
 from .regions import Outcome, RegionRecord, VerificationReport
 
 
@@ -164,12 +163,17 @@ class Verifier:
         problem: EncodedProblem | CompiledProblem,
         domain: Box | None = None,
     ) -> VerificationReport:
-        """Run Algorithm 1 on one encoded (or tape-compiled) pair."""
-        functional_name, condition_id = self._problem_names(problem)
+        """Run Algorithm 1 on one encoded (or tape-compiled) pair.
+
+        An encoded pair is compiled to tapes first: the solver and the
+        counterexample check then run the same tapes either way.
+        """
+        if isinstance(problem, EncodedProblem):
+            problem = compile_problem(problem)
         domain = domain if domain is not None else problem.domain
         report = VerificationReport(
-            functional_name=functional_name,
-            condition_id=condition_id,
+            functional_name=problem.functional_name,
+            condition_id=problem.condition_id,
             domain=domain,
             records=[],
         )
@@ -217,7 +221,7 @@ class Verifier:
         return report
 
     def _solve_siblings(
-        self, problem, box: Box, parent: RegionRecord, stack: list
+        self, problem: CompiledProblem, box: Box, parent: RegionRecord, stack: list
     ) -> SolverResult | None:
         """Solve ``box`` and the siblings popped after it in one multi-root
         call; return ``box``'s result, or None to solve it on its own.
@@ -257,13 +261,6 @@ class Verifier:
             stack[-i] = (sibling, depth, parent, result)
         return results[0]
 
-    def _problem_names(
-        self, problem: EncodedProblem | CompiledProblem
-    ) -> tuple[str, str]:
-        if isinstance(problem, CompiledProblem):
-            return problem.functional_name, problem.condition_id
-        return problem.functional.name, problem.condition.cid
-
     def _should_split(self, outcome: Outcome) -> bool:
         if outcome is Outcome.VERIFIED:
             return False
@@ -273,7 +270,7 @@ class Verifier:
 
     def _solve_box(
         self,
-        problem: EncodedProblem,
+        problem: CompiledProblem,
         box: Box,
         depth: int,
         report: VerificationReport,
@@ -317,7 +314,7 @@ class Verifier:
 
     @staticmethod
     def _is_valid_counterexample(
-        problem: EncodedProblem | CompiledProblem, model: dict[str, float] | None
+        problem: CompiledProblem, model: dict[str, float] | None
     ) -> bool:
         """The ``valid(x)`` check of Algorithm 1 (line 8).
 
@@ -325,14 +322,7 @@ class Verifier:
         floating-point arithmetic; only a definite violation counts (NaN
         from out-of-domain evaluation is treated as inconclusive).
         """
-        if model is None:
-            return False
-        if isinstance(problem, CompiledProblem):
-            return problem.is_violation(model)
-        gap = evaluate(problem.psi.lhs, model) - evaluate(problem.psi.rhs, model)
-        if math.isnan(gap):
-            return False
-        return not problem.psi.holds(gap)
+        return model is not None and problem.is_violation(model)
 
 
 def verify_pair(

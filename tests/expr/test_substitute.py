@@ -7,7 +7,7 @@ import pytest
 from repro.expr import builder as b
 from repro.expr.evaluator import evaluate
 from repro.expr.nodes import Const, Var
-from repro.expr.substitute import substitute, substitute_rel
+from repro.expr.substitute import substitute
 
 X = Var("x")
 Y = Var("y")
@@ -68,12 +68,3 @@ class TestSubstitute:
         assert evaluate(fc_inf, {"s": 1.0}) == pytest.approx(
             evaluate(fc, {"rs": 100.0, "s": 1.0})
         )
-
-
-class TestSubstituteRel:
-    def test_both_sides_substituted(self):
-        rel = (X + Y).le(b.mul(2.0, X))
-        out = substitute_rel(rel, {X: 3.0})
-        assert evaluate(out.lhs, {"y": 1.0}) == pytest.approx(4.0)
-        assert evaluate(out.rhs, {}) == pytest.approx(6.0)
-        assert out.op == "<="

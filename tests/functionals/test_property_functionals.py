@@ -21,6 +21,7 @@ from repro.functionals import get_functional, paper_functionals
 from repro.solver.box import Box
 from repro.solver.tape import tape_for
 
+from tests.solver.oracles import enclosure
 from tests.support import hyp_examples
 
 rs_vals = st.floats(min_value=1e-4, max_value=5.0, allow_nan=False)
@@ -84,7 +85,7 @@ def test_enclosure_contains_point_value(name, rs, s, w):
         for n, v in env.items()
     }
     box = Box.from_bounds(bounds)
-    enc = tape_for(f.fc()).enclosure(box)
+    enc = enclosure(tape_for(f.fc()), box)
     assert not enc.is_empty()
     assert enc.lo <= value <= enc.hi
 
@@ -105,7 +106,7 @@ def test_scan_enclosure_contains_point_value(rs, s, alpha, w):
         n: (max(1e-4 if n == "rs" else 0.0, v - w), min(5.0, v + w))
         for n, v in env.items()
     }
-    enc = tape_for(f.fc()).enclosure(Box.from_bounds(bounds))
+    enc = enclosure(tape_for(f.fc()), Box.from_bounds(bounds))
     assert enc.lo <= value <= enc.hi
 
 

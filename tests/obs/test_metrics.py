@@ -1,4 +1,4 @@
-"""The metrics core: labeled counters/gauges, registries, Prometheus text.
+"""The metrics core: labeled counters, registries, Prometheus text.
 
 The Histogram itself is exercised by the service metrics tests (it moved
 here unchanged); these tests pin what the move *added* -- server-free
@@ -7,12 +7,9 @@ counters and the text exposition contract scrapers depend on.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.obs.metrics import (
     CONTENT_TYPE_PROMETHEUS,
     Counter,
-    Gauge,
     Histogram,
     MetricRegistry,
     REGISTRY,
@@ -71,12 +68,6 @@ class TestCountersAndGauges:
         counter.inc(a="1", b="2")
         assert counter.value(b="2", a="1") == 1
 
-    def test_gauge_sets_point_in_time(self):
-        gauge = Gauge("g")
-        gauge.set(3.0, lane="batch")
-        gauge.set(1.0, lane="batch")
-        assert gauge.value(lane="batch") == 1.0
-
 
 class TestMetricRegistry:
     def test_creation_is_idempotent(self):
@@ -85,17 +76,11 @@ class TestMetricRegistry:
         second = registry.counter("repro_chunks_total")
         assert first is second
 
-    def test_kind_conflicts_raise(self):
-        registry = MetricRegistry()
-        registry.counter("m")
-        with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("m")
-
     def test_snapshot_is_json_safe_and_sorted(self):
         registry = MetricRegistry()
         counter = registry.counter("b_metric")
         counter.inc(result="x")
-        registry.gauge("a_metric").set(2.0)
+        registry.counter("a_metric").inc(2.0)
         snap = registry.snapshot()
         assert list(snap) == ["a_metric", "b_metric"]
         assert snap["b_metric"] == {"result=x": 1.0}
@@ -104,7 +89,7 @@ class TestMetricRegistry:
     def test_exposition_is_lint_clean(self):
         registry = MetricRegistry()
         registry.counter("repro_things_total", "things").inc(kind="a")
-        registry.gauge("repro_depth", "depth").set(4)
+        registry.counter("repro_chunks_total", "chunks").inc()
         text = registry.exposition()
         assert lint_exposition(text) == []
         assert '# TYPE repro_things_total counter' in text

@@ -79,13 +79,6 @@ class TestResultShape:
         assert total.all()
         assert not (res.satisfied & res.violated).any()
 
-    def test_violation_points_have_coordinates(self):
-        res = CHECKER.check(get_functional("LYP"), EC1)
-        points = res.violation_points(limit=5)
-        assert len(points) == 5
-        for pt in points:
-            assert set(pt) == {"rs", "s"}
-
     def test_summary_text(self):
         res = CHECKER.check(get_functional("LYP"), EC1)
         assert "violated" in res.summary()

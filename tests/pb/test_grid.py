@@ -53,15 +53,3 @@ class TestGrid:
         pinned = grid.evaluate_at_rs(f.fc_kernel(), 100.0)
         # all rows equal: rs no longer varies
         assert np.allclose(pinned, pinned[0])
-
-    def test_point_lookup(self):
-        spec = GridSpec(n_rs=6, n_s=5)
-        grid = Grid.for_functional(get_functional("PBE"), spec)
-        pt = grid.point((0, 4))
-        assert pt["rs"] == pytest.approx(1e-4)
-        assert pt["s"] == pytest.approx(5.0)
-
-    def test_rs_spacing(self):
-        spec = GridSpec(n_rs=6)
-        grid = Grid.for_functional(get_functional("VWN RPA"), spec)
-        assert grid.rs_spacing() == pytest.approx((5.0 - 1e-4) / 5)

@@ -15,10 +15,19 @@ against:
   sides of a comparison.  (Point probing via ``Atom.holds_at`` uses the
   tape scalar evaluator on both sides; its own oracle is
   :func:`evaluate_tree`, compared directly in ``test_tape.py``.)
+* :class:`TapeContractor` -- HC4 over the production tapes, one box at a
+  time, with the scalar executors (``Tape.forward_arrays`` /
+  ``Tape.backward_arrays``): the per-box reference that
+  :meth:`~repro.solver.contractor.HC4Contractor.contract_batch` must
+  reproduce box for box, and that must itself agree with
+  :class:`WalkContractor`.
+* :func:`enclosure` / :func:`enclosure_batch` -- a tape's root enclosure
+  over one box (scalar forward) or a batch (batched forward), and
+  :func:`decide_cond`, the interval guard decider the walk oracle uses.
 * :func:`solve_per_box` -- the classic pop-one-box branch-and-prune loop,
-  driving either contractor one box at a time.  Its results, models and
-  processed/pruned/split/probe counts are what the frontier loop must
-  reproduce for every batch size and budget.
+  driving either per-box contractor one box at a time.  Its results,
+  models and processed/pruned/split/probe counts are what the frontier
+  loop must reproduce for every batch size and budget.
 """
 
 from __future__ import annotations
@@ -32,17 +41,22 @@ from repro.expr.evaluator import SCALAR_FUNCS, EvalError, _env_by_name
 from repro.expr.nodes import Add, Const, Expr, Func, Ite, Mul, Pow, Var
 from repro.solver.box import Box
 from repro.solver.constraint import Conjunction
-from repro.solver.contractor import ContractionStats, HC4Contractor
 from repro.solver.icp import Budget, ICPSolver, SolverResult, SolverStats, SolverStatus
 from repro.solver.interval import EMPTY, Interval, make, point
 from repro.solver.tape import (
     COND_CODE,
+    COND_EQ,
+    COND_GE,
+    COND_GT,
+    COND_LE,
+    COND_LT,
     CompiledConjunction,
+    Tape,
     atanh_interval as _atanh_interval,
-    decide_cond,
     erfinv_interval as _erfinv_interval,
     root_int as _root_int,
     tan_restricted as _tan_restricted,
+    tape_for,
     wexpw as _wexpw,
 )
 
@@ -177,9 +191,66 @@ _FORWARD_FUNC = {
 }
 
 
+def decide_cond(code: int, gap: Interval) -> bool | None:
+    """Decide ``gap op 0`` over an interval, or None if undecided.
+
+    ``Interval``-level twin of the tape executors' endpoint deciders
+    (``repro.solver.tape._decide_f`` and its batched mask form).
+    """
+    if gap.is_empty():
+        return None
+    if code == COND_LE or code == COND_LT:
+        strict = code == COND_LT
+        if gap.hi <= 0.0 and not (strict and gap.hi == 0.0 and gap.lo == 0.0):
+            return True
+        if gap.lo > 0.0 or (strict and gap.lo >= 0.0):
+            return False
+        return None
+    if code == COND_GE or code == COND_GT:
+        flipped = decide_cond(COND_LE if code == COND_GT else COND_LT, gap)
+        return None if flipped is None else not flipped
+    if code == COND_EQ:
+        if gap.lo == 0.0 and gap.hi == 0.0:
+            return True
+        if not gap.contains(0.0):
+            return False
+        return None
+    raise ValueError(code)
+
+
 def _decide_cond(op: str, gap: Interval) -> bool | None:
     """Decide a condition ``gap op 0`` over an interval, or None if unknown."""
     return decide_cond(COND_CODE[op], gap)
+
+
+# ---------------------------------------------------------------------------
+# tape root enclosures
+# ---------------------------------------------------------------------------
+
+def enclosure(tape: Tape, box: Box) -> Interval:
+    """Interval enclosure of ``tape``'s expression over ``box`` (scalar
+    forward pass; the per-box reference of :func:`enclosure_batch`)."""
+    los = [0.0] * tape.n_slots  # forward_arrays re-initialises from the templates
+    his = [0.0] * tape.n_slots
+    tape.forward_arrays(box, los, his)
+    lo = los[tape.root]
+    hi = his[tape.root]
+    if not lo <= hi:
+        return EMPTY
+    return Interval(lo, hi)
+
+
+def enclosure_batch(tape: Tape, boxes: list[Box]):
+    """Root enclosure endpoints over a batch of boxes.
+
+    Returns the root row of a ``Tape.forward_batch`` run as two 1-d
+    arrays ``(root_lo, root_hi)``; a column with ``lo > hi`` (or NaN)
+    encodes an empty enclosure, exactly like :func:`enclosure` returning
+    :data:`~repro.solver.interval.EMPTY`.
+    """
+    lo_mat, hi_mat = tape.load_batch(boxes)
+    tape.forward_batch(lo_mat, hi_mat)
+    return lo_mat[tape.root].copy(), hi_mat[tape.root].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +400,8 @@ def _backward_node(node: Expr, ivals: dict[int, Interval]) -> bool:
 class WalkContractor:
     """HC4 contraction by re-walking each atom's residual DAG per box.
 
-    Same interface as the per-box half of
-    :class:`~repro.solver.contractor.HC4Contractor` (``contract``,
-    ``certainly_sat``, ``stats``); needs expression-level atoms.
+    Same interface as :class:`TapeContractor` (``contract``,
+    ``certainly_sat``); needs expression-level atoms.
     """
 
     def __init__(self, formula: Conjunction, delta: float = 1e-5):
@@ -339,7 +409,6 @@ class WalkContractor:
             raise ValueError("the walk oracle needs expression-level atoms")
         self.formula = formula
         self.delta = delta
-        self.stats = ContractionStats()
         self._orders = [list(atom.residual.walk()) for atom in formula.atoms]
 
     def contract(self, box: Box, rounds: int = 2) -> Box:
@@ -349,7 +418,6 @@ class WalkContractor:
             for i, atom in enumerate(self.formula.atoms):
                 new_box = self._revise(i, atom.residual, box)
                 if new_box.is_empty():
-                    self.stats.prunes_to_empty += 1
                     return new_box
                 if new_box != box:
                     changed = True
@@ -359,7 +427,6 @@ class WalkContractor:
         return box
 
     def _revise(self, i: int, root: Expr, box: Box) -> Box:
-        self.stats.forward_passes += 1
         order = self._orders[i]
         ivals: dict[int, Interval] = {}
         for node in order:
@@ -375,7 +442,6 @@ class WalkContractor:
             return box  # atom gives no pruning information
         ivals[id(root)] = narrowed
 
-        self.stats.backward_passes += 1
         for node in reversed(order):
             if not _backward_node(node, ivals):
                 return Box({name: EMPTY for name in box.names})
@@ -400,6 +466,87 @@ class WalkContractor:
 
 
 # ---------------------------------------------------------------------------
+# per-box tape HC4 contractor
+# ---------------------------------------------------------------------------
+
+class TapeContractor:
+    """HC4 contraction one box at a time over the production tapes.
+
+    Builds the same per-atom tapes as
+    :class:`~repro.solver.contractor.HC4Contractor` (``formula`` may be a
+    :class:`Conjunction` or a :class:`CompiledConjunction`) and runs them
+    with the scalar executors, ``Tape.forward_arrays`` and
+    ``Tape.backward_arrays``, into preallocated per-atom slot arrays.
+    """
+
+    def __init__(self, formula, delta: float = 1e-5):
+        self.delta = delta
+        if isinstance(formula, CompiledConjunction):
+            self._tapes = [atom.tape for atom in formula.atoms]
+        else:
+            self._tapes = [tape_for(atom.residual) for atom in formula.atoms]
+        # preallocated per-slot lo/hi endpoint arrays, one pair per atom
+        self._los = [[0.0] * t.n_slots for t in self._tapes]
+        self._his = [[0.0] * t.n_slots for t in self._tapes]
+
+    def contract(self, box: Box, rounds: int = 2) -> Box:
+        """Iterate HC4-revise over all atoms up to ``rounds`` fixpoint rounds."""
+        for _ in range(max(1, rounds)):
+            changed = False
+            for i in range(len(self._tapes)):
+                new_box = self._revise(i, box)
+                if new_box.is_empty():
+                    return new_box
+                if new_box != box:
+                    changed = True
+                    box = new_box
+            if not changed:
+                break
+        return box
+
+    def _revise(self, i: int, box: Box) -> Box:
+        """One HC4-revise of atom ``i`` on ``box`` (see :meth:`contract`)."""
+        tape = self._tapes[i]
+        los = self._los[i]
+        his = self._his[i]
+        # NB: empty sub-enclosures (domain clipping) are *not* fatal here:
+        # they may sit in an untaken ITE branch, where hull() ignores them.
+        # Only an empty root enclosure makes the atom unsatisfiable.
+        tape.forward_arrays(box, los, his)
+
+        root = tape.root
+        root_lo = los[root]
+        root_hi = his[root]
+        delta = self.delta
+        if not root_lo <= root_hi or root_lo > delta:
+            # empty root enclosure, or no overlap with (-inf, delta]
+            return Box({name: EMPTY for name in box.names})
+        if root_hi <= delta:
+            return box  # atom gives no pruning information
+        his[root] = delta  # intersect root with the allowed set
+
+        if not tape.backward_arrays(los, his):
+            return Box({name: EMPTY for name in box.names})
+
+        out = {name: box[name] for name in box.names}
+        for name, slot in tape.var_slots:
+            if name in out:
+                out[name] = out[name].intersect(Interval(los[slot], his[slot]))
+        return Box(out)
+
+    def certainly_sat(self, box: Box) -> bool:
+        """True if every atom holds on the *whole* box (within delta)."""
+        for i, tape in enumerate(self._tapes):
+            los = self._los[i]
+            his = self._his[i]
+            tape.forward_arrays(box, los, his)
+            root = tape.root
+            if not los[root] <= his[root] or his[root] > self.delta:
+                return False
+        return True
+
+
+# ---------------------------------------------------------------------------
 # per-box branch-and-prune loop
 # ---------------------------------------------------------------------------
 
@@ -413,15 +560,14 @@ def solve_per_box(
     """Classic pop-one-box loop (FIFO, HC4, probe, bisect) with
     ``solver``'s delta and precision.
 
-    ``executor="tape"`` contracts each box with the production
-    :class:`HC4Contractor` one box at a time (:meth:`~HC4Contractor.contract`
-    and :meth:`~HC4Contractor.certainly_sat`); ``"walk"`` uses
+    ``executor="tape"`` contracts each box with :class:`TapeContractor`
+    (the production tapes, one box at a time); ``"walk"`` uses
     :class:`WalkContractor`.
     """
     if executor == "walk":
         contractor = WalkContractor(formula, delta=solver.delta)
     else:
-        contractor = HC4Contractor(formula, delta=solver.delta)
+        contractor = TapeContractor(formula, delta=solver.delta)
     max_steps = (budget or Budget()).max_steps
     stats = SolverStats()
     t0 = time.monotonic()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.expr import builder as b
 from repro.expr.nodes import Var
-from repro.solver.constraint import Atom, Conjunction, negate_condition
+from repro.solver.constraint import Atom, Conjunction
 
 X = Var("x")
 Y = Var("y")
@@ -87,16 +87,3 @@ class TestConjunction:
     def test_iteration(self):
         f = Conjunction.of(X.le(0.0), Y.le(0.0))
         assert all(isinstance(a, Atom) for a in f)
-
-
-class TestNegateCondition:
-    def test_single_atom_condition(self):
-        psi = X.ge(0.0)  # condition: x >= 0
-        neg = negate_condition(psi)
-        assert len(neg) == 1
-        assert neg.holds_at({"x": -1.0})   # violation of psi
-        assert not neg.holds_at({"x": 1.0})
-
-    def test_rejects_tuples(self):
-        with pytest.raises(TypeError):
-            negate_condition((X.ge(0.0), X.le(1.0)))

@@ -136,5 +136,6 @@ class TestResultProperties:
     def test_flags(self):
         sat = ICPSolver().solve(formula(X.le(10.0)), Box.from_bounds({"x": (0, 1)}))
         unsat = ICPSolver().solve(formula(X.ge(10.0)), Box.from_bounds({"x": (0, 1)}))
-        assert sat.is_sat and not sat.is_unsat and not sat.is_timeout
-        assert unsat.is_unsat and not unsat.is_sat
+        assert sat.status is SolverStatus.DELTA_SAT
+        assert not sat.is_unsat and not sat.is_timeout
+        assert unsat.is_unsat and not unsat.is_timeout

@@ -99,7 +99,7 @@ def test_probed_models_are_exact(atom):
 def test_contraction_preserves_sampled_solutions(atom):
     f = Conjunction.of(atom)
     contractor = HC4Contractor(f, delta=0.0)
-    contracted = contractor.contract(DOMAIN, rounds=3)
+    contracted = contractor.contract_batch([DOMAIN], rounds=3)[0][0]
     for pt in POINTS:
         if f.holds_at(pt):
             assert contracted.contains_point(pt), f"contraction lost {pt}"

@@ -15,6 +15,8 @@ from repro.solver.constraint import Atom, Conjunction
 from repro.solver.tape import tape_for
 from repro.solver.icp import Budget, ICPSolver, SolverStatus
 
+from .oracles import enclosure
+
 X = Var("x")
 
 # f(x) = x^2 for x < 1 else 2x - 1  (continuous at the switch, like SCAN's f)
@@ -23,23 +25,23 @@ PIECEWISE = b.ite(X.lt(1.0), b.pow_(X, 2.0), b.sub(b.mul(2.0, X), 1.0))
 
 class TestEnclosures:
     def test_decided_below(self):
-        enc = tape_for(PIECEWISE).enclosure(Box.from_bounds({"x": (-0.5, 0.5)}))
+        enc = enclosure(tape_for(PIECEWISE), Box.from_bounds({"x": (-0.5, 0.5)}))
         assert enc.lo >= -1e-12 and enc.hi <= 0.25 + 1e-9
 
     def test_decided_above(self):
-        enc = tape_for(PIECEWISE).enclosure(Box.from_bounds({"x": (2.0, 3.0)}))
+        enc = enclosure(tape_for(PIECEWISE), Box.from_bounds({"x": (2.0, 3.0)}))
         assert enc.lo == pytest.approx(3.0, abs=1e-9)
         assert enc.hi == pytest.approx(5.0, abs=1e-9)
 
     def test_undecided_takes_hull(self):
-        enc = tape_for(PIECEWISE).enclosure(Box.from_bounds({"x": (0.5, 2.0)}))
+        enc = enclosure(tape_for(PIECEWISE), Box.from_bounds({"x": (0.5, 2.0)}))
         # hull of [0.25, 4] (quadratic part) and [0, 3] (linear part)
         assert enc.contains(0.25) and enc.contains(3.0)
 
     def test_point_containment_across_switch(self):
         from repro.expr.evaluator import evaluate
         box = Box.from_bounds({"x": (0.0, 2.0)})
-        enc = tape_for(PIECEWISE).enclosure(box)
+        enc = enclosure(tape_for(PIECEWISE), box)
         for xv in (0.0, 0.5, 0.999, 1.0, 1.5, 2.0):
             assert enc.contains(evaluate(PIECEWISE, {"x": xv}))
 

@@ -24,7 +24,14 @@ from repro.solver import tape as tape_mod
 from repro.solver.icp import Budget, ICPSolver
 from repro.solver.tape import CompiledConjunction, Tape, compile_expr, tape_for
 
-from .oracles import WalkContractor, evaluate_tree, interval_eval, solve_per_box
+from .oracles import (
+    TapeContractor,
+    WalkContractor,
+    enclosure,
+    evaluate_tree,
+    interval_eval,
+    solve_per_box,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +100,7 @@ def test_forward_enclosure_matches_tree_walk(seed):
     expr = random_expr(rng)
     box = random_box(rng)
     walk = interval_eval(expr, box)[id(expr)]
-    tape = tape_for(expr).enclosure(box)
+    tape = enclosure(tape_for(expr), box)
     if walk.is_empty():
         assert tape.is_empty()
     else:
@@ -111,7 +118,7 @@ def test_contraction_matches_tree_walk(seed):
         *[Atom(random_expr(rng), rng.choice(["<=", "<"])) for _ in range(rng.randint(1, 3))]
     )
     box = random_box(rng)
-    tape_c = HC4Contractor(formula, delta=1e-5)
+    tape_c = TapeContractor(formula, delta=1e-5)
     walk_c = WalkContractor(formula, delta=1e-5)
     assert_boxes_identical(tape_c.contract(box), walk_c.contract(box))
 
@@ -122,7 +129,7 @@ def test_certainly_sat_agrees_with_walk_revise():
         expr = random_expr(rng)
         formula = Conjunction.of(Atom(expr, "<="))
         box = random_box(rng)
-        contractor = HC4Contractor(formula, delta=1e-5)
+        contractor = TapeContractor(formula, delta=1e-5)
         walk = interval_eval(expr, box)[id(expr)]
         expected = (not walk.is_empty()) and walk.hi <= 1e-5
         assert contractor.certainly_sat(box) == expected
@@ -184,7 +191,7 @@ def test_tape_is_flat_picklable_data():
     assert clone.instrs == tape.instrs
     assert clone.root == tape.root
     box = random_box(rng)
-    t1, t2 = tape.enclosure(box), clone.enclosure(box)
+    t1, t2 = enclosure(tape, box), enclosure(clone, box)
     if t1.is_empty():
         assert t2.is_empty()
     else:
@@ -259,7 +266,7 @@ def test_compiled_conjunction_roundtrip_through_pickle():
     compiled = pickle.loads(pickle.dumps(CompiledConjunction.from_conjunction(formula)))
     box = random_box(rng)
     assert_boxes_identical(
-        HC4Contractor(compiled, delta=1e-5).contract(box),
+        TapeContractor(compiled, delta=1e-5).contract(box),
         WalkContractor(formula, delta=1e-5).contract(box),
     )
     env = {"x": 0.3, "y": -0.7, "z": 0.9}
@@ -312,12 +319,12 @@ def test_paper_functional_contraction_parity(functional, cid):
 
     problem = encode(get_functional(functional), get_condition(cid))
     subs = [half for box in problem.domain.split_all() for half in box.split_all()]
-    tape_c = HC4Contractor(problem.negation, delta=1e-5)
+    tape_c = TapeContractor(problem.negation, delta=1e-5)
     walk_c = WalkContractor(problem.negation, delta=1e-5)
     want = [walk_c.contract(sub) for sub in subs]
     for sub, w in zip(subs, want):
         assert_boxes_identical(tape_c.contract(sub), w)
-    got, _ = tape_c.contract_batch(subs)
+    got, _ = HC4Contractor(problem.negation, delta=1e-5).contract_batch(subs)
     for g, w in zip(got, want):
         assert_boxes_identical(g, w)
     assert any(not w.is_empty() and w != sub for sub, w in zip(subs, want))
@@ -360,7 +367,7 @@ def skip_always_run_ops(tape: Tape) -> list:
 @pytest.mark.parametrize("kind", sorted(CLIPPING_NODES))
 def test_clipping_op_under_clean_output_matches_walk(kind):
     formula = clipping_formula(kind)
-    got = HC4Contractor(formula, delta=1e-5).contract(CLIPPING_BOX)
+    got = TapeContractor(formula, delta=1e-5).contract(CLIPPING_BOX)
     want = WalkContractor(formula, delta=1e-5).contract(CLIPPING_BOX)
     assert_boxes_identical(got, want)
     # the clipping step narrowed y: the case exercises the always-run rule
@@ -374,10 +381,12 @@ def test_skipping_a_clipping_op_diverges_from_walk(kind, monkeypatch):
     catches a wrong always-run list."""
     formula = clipping_formula(kind)
     contractor = HC4Contractor(formula, delta=1e-5)
+    reference = TapeContractor(formula, delta=1e-5)
     tape = contractor._tapes[0]
+    assert reference._tapes[0] is tape  # one mutation reaches every executor
     monkeypatch.setattr(tape, "_rev", skip_always_run_ops(tape))
     want = WalkContractor(formula, delta=1e-5).contract(CLIPPING_BOX)
-    got = [contractor.contract(CLIPPING_BOX)]
+    got = [reference.contract(CLIPPING_BOX)]
     for vector_min in (0, 10**9):
         monkeypatch.setattr(tape_mod, "_VECTOR_MIN_BWD", vector_min)
         got.append(contractor.contract_batch([CLIPPING_BOX])[0][0])
@@ -398,10 +407,12 @@ def test_cbrt_of_huge_input_matches_walk(monkeypatch):
     want = WalkContractor(CBRT_FORMULA, delta=1e-5).contract(CBRT_BOX)
     assert want["y"].lo > CBRT_BOX["y"].lo  # the case stays live
     contractor = HC4Contractor(CBRT_FORMULA, delta=1e-5)
+    reference = TapeContractor(CBRT_FORMULA, delta=1e-5)
     tape = contractor._tapes[0]
+    assert reference._tapes[0] is tape  # one mutation reaches every executor
 
     def contract_all() -> list[Box]:
-        got = [contractor.contract(CBRT_BOX)]
+        got = [reference.contract(CBRT_BOX)]
         for vector_min in (0, 10**9):
             monkeypatch.setattr(tape_mod, "_VECTOR_MIN_BWD", vector_min)
             got.append(contractor.contract_batch([CBRT_BOX])[0][0])

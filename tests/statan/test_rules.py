@@ -221,11 +221,11 @@ class TestRep106ClockDiscipline:
 
     def test_clock_helpers_are_clean(self, tmp_path):
         _write(tmp_path, "verifier/campaign.py", """\
-            from ..obs.clock import perf_now
+            from ..obs.clock import mono_now
 
             def measure():
-                t0 = perf_now()
-                return perf_now() - t0
+                t0 = mono_now()
+                return mono_now() - t0
         """)
         assert _run(tmp_path, "REP106") == []
 

@@ -15,7 +15,7 @@ from repro.expr import builder as b
 from repro.expr.nodes import Var
 from repro.numerics.campaign import NumericsConfig
 from repro.pb import GridSpec, PBChecker
-from repro.solver import Atom, Box, Budget, Conjunction, ICPSolver
+from repro.solver import Atom, Box, Budget, Conjunction, ICPSolver, SolverStatus
 from repro.verifier.regions import Outcome
 from repro.verifier.verifier import VerifierConfig
 
@@ -33,7 +33,7 @@ class TestSolverDegenerateInputs:
         formula = Conjunction.of(Atom(b.sub(X, 1.0), "<="))
         box = Box.from_bounds({"x": (0.5, 0.5)})
         result = ICPSolver().solve(formula, box, Budget(max_steps=100))
-        assert result.is_sat
+        assert result.status is SolverStatus.DELTA_SAT
         assert result.model["x"] == pytest.approx(0.5)
 
     def test_point_domain_infeasible(self):

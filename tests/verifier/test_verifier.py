@@ -4,7 +4,7 @@
 from repro.conditions import EC1, EC7
 from repro.functionals import get_functional
 from repro.solver.box import Box
-from repro.verifier.encoder import encode
+from repro.verifier.encoder import compile_problem, encode
 from repro.verifier.regions import Outcome
 from repro.verifier.verifier import Verifier, VerifierConfig, verify_pair
 
@@ -159,7 +159,7 @@ class TestPaperShapes:
         assert report.classification() == "OK"
 
     def test_valid_counterexample_check_rejects_nan(self):
-        problem = encode(get_functional("PBE"), EC1)
+        problem = compile_problem(encode(get_functional("PBE"), EC1))
         assert not Verifier._is_valid_counterexample(problem, None)
         assert not Verifier._is_valid_counterexample(
             problem, {"rs": -1.0, "s": -1.0}

@@ -23,18 +23,20 @@ from repro.expr.nodes import Rel
 from repro.functionals import get_functional
 from repro.solver.box import Box
 from repro.solver.constraint import Atom, Conjunction
-from repro.verifier.encoder import EncodedProblem, encode
+from repro.verifier.encoder import EncodedProblem, compile_problem, encode
 from repro.verifier.regions import Outcome, VerificationReport
 from repro.verifier.verifier import Verifier, VerifierConfig
 
 
 def recursive_oracle(config: VerifierConfig, problem, domain=None):
-    """Algorithm 1 exactly as the pre-campaign Verifier recursed it."""
+    """Algorithm 1 exactly as the pre-campaign Verifier recursed it, on
+    the tape-compiled problem that ``Verifier.verify`` solves."""
     verifier = Verifier(config)
+    problem = compile_problem(problem)
     domain = domain if domain is not None else problem.domain
     report = VerificationReport(
-        functional_name=problem.functional.name,
-        condition_id=problem.condition.cid,
+        functional_name=problem.functional_name,
+        condition_id=problem.condition_id,
         domain=domain,
         records=[],
     )
