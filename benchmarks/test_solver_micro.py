@@ -35,6 +35,8 @@ from tests.solver.oracles import (
     TapeContractor,
     WalkContractor,
     assert_results_identical,
+    eval_point_interpreted,
+    load_batch,
     solve_per_box,
 )
 
@@ -236,7 +238,7 @@ def test_per_op_kernel_timings():
     problem = encode(get_functional("PBE"), EC1)
     tape = tape_for(problem.negation.atoms[0].residual)
     boxes = _split_domain(problem.domain, width)
-    lo_mat, hi_mat = tape.load_batch(boxes)
+    lo_mat, hi_mat = load_batch(tape, boxes)
     tape.forward_batch(lo_mat, hi_mat, 0)
     root = tape.root
 
@@ -263,6 +265,34 @@ def test_per_op_vector_kernels_beat_per_column_loops():
             f"{name} vector kernel slower than the per-column loop at width "
             f"{KERNEL_WIDTH}"
         )
+
+
+@pytest.mark.perf
+def test_generated_point_function_beats_interpreter():
+    """``Tape.eval_point``'s generated straight-line function against the
+    opcode-dispatch interpreter it replaced (the test oracle), per call at
+    the domain midpoint, on four paper tapes; the timings go into the perf
+    artifact.  A wall-clock gate, so ``perf``-marked."""
+    from repro.conditions import get_condition
+    from repro.solver.tape import _point_function, compile_expr
+
+    values = {}
+    for fname, cid in (("SCAN", "EC3"), ("PBE", "EC3"), ("AM05", "EC4"), ("PBE", "EC1")):
+        problem = encode(get_functional(fname), get_condition(cid))
+        tape = compile_expr(problem.negation.atoms[0].residual)
+        env = problem.domain.midpoint()
+        t0 = time.perf_counter()
+        _point_function(tape)
+        values[f"{fname}_{cid}_codegen_us"] = (time.perf_counter() - t0) * 1e6
+        assert tape.eval_point(env) == eval_point_interpreted(tape, env)
+        t_generated = _best_us(lambda: tape.eval_point(env), iters=200)
+        t_interpreted = _best_us(lambda: eval_point_interpreted(tape, env), iters=200)
+        values[f"{fname}_{cid}_generated_us"] = t_generated
+        values[f"{fname}_{cid}_interpreted_us"] = t_interpreted
+        print(f"\n{fname}/{cid}: generated {t_generated:.1f} us, interpreted "
+              f"{t_interpreted:.1f} us ({t_interpreted / t_generated:.1f}x)")
+        assert t_generated < t_interpreted, f"{fname}/{cid}"
+    record_bench("point_eval", **values)
 
 
 def test_disabled_tracer_overhead_on_solver_calls():

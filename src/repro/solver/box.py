@@ -155,18 +155,6 @@ class Box:
             children = [c for c in children if not c.max_width() < min_width]
         return children
 
-    def sample_grid(self, per_dim: int) -> list[dict[str, float]]:
-        """Uniform grid of ``per_dim`` points per axis, endpoints included
-        (the midpoint alone when ``per_dim`` is 1)."""
-        axes = []
-        for iv in self.intervals:
-            if per_dim == 1:
-                axes.append([iv.mid()])
-            else:
-                step = iv.width() / (per_dim - 1)
-                axes.append([iv.lo + i * step for i in range(per_dim)])
-        return [dict(zip(self.names, combo)) for combo in itertools.product(*axes)]
-
     # -- comparison / display ------------------------------------------------------
     def __eq__(self, other) -> bool:
         if not isinstance(other, Box):

@@ -89,8 +89,12 @@ class HC4Contractor:
         input (an empty box where pruned; the *original* object where
         contraction was a no-op) and a boolean per box that is True when
         every atom's root enclosure over the contracted box lies within
-        ``(-inf, delta]`` (False for pruned boxes), computed from one
-        extra batched forward pass per atom.
+        ``(-inf, delta]`` (False for pruned boxes).  Each atom's last
+        revise already computed that enclosure; it is reused for every
+        column whose box no later backward write changed by a single bit
+        (see :func:`_bits_differ`), so it is by construction the value a
+        fresh forward pass would return.  Only the other columns run one
+        more batched forward pass per atom.
 
         Boxes that are *already empty* on input are returned untouched
         and never contracted -- mirroring the solver loops, which prune
@@ -113,25 +117,35 @@ class HC4Contractor:
         alive = ~input_empty
         ever_changed = np.zeros(n_boxes, dtype=bool)
         active = alive.copy()  # columns still iterating rounds
+        # per (atom, column): is the atom's last revise root still the
+        # enclosure over the current box, and did it lie in (-inf, delta]
+        fresh = np.zeros((len(self._tapes), n_boxes), dtype=bool)
+        root_sat = np.zeros((len(self._tapes), n_boxes), dtype=bool)
         for _ in range(max(1, rounds)):
             changed = np.zeros(n_boxes, dtype=bool)
             for i, tape in enumerate(self._tapes):
                 cols = np.nonzero(active & alive)[0]
                 if cols.size == 0:
                     break
-                self._revise_batch(i, tape, cols, var_lo, var_hi, alive, changed, columns)
+                self._revise_batch(
+                    i, tape, cols, var_lo, var_hi, alive, changed, fresh, root_sat, columns
+                )
             active &= alive & changed
             ever_changed |= changed
             if not active.any():
                 break
 
-        # one batched forward per atom over the final boxes decides
-        # certainly_sat for the whole batch
+        # certainly_sat: every atom's root over the final box lies in
+        # (-inf, delta]; a fresh revise root is reused, the other columns
+        # run one batched forward per atom
         allsat = alive.copy()
-        for tape in self._tapes:
+        for i, tape in enumerate(self._tapes):
             cols = np.nonzero(allsat)[0]
+            reused = fresh[i, cols]
+            allsat[cols[reused]] = root_sat[i, cols[reused]]
+            cols = cols[~reused]
             if cols.size == 0:
-                break
+                continue
             _count_columns(columns, cols, _VECTOR_MIN)
             sub_lo = {name: arr[cols] for name, arr in var_lo.items()}
             sub_hi = {name: arr[cols] for name, arr in var_hi.items()}
@@ -169,9 +183,16 @@ class HC4Contractor:
         var_hi: dict[str, np.ndarray],
         alive: np.ndarray,
         changed: np.ndarray,
+        fresh: np.ndarray,
+        root_sat: np.ndarray,
         columns: np.ndarray | None,
     ) -> None:
-        """One batched HC4-revise of atom ``i`` over the columns ``cols``."""
+        """One batched HC4-revise of atom ``i`` over the columns ``cols``.
+
+        Marks atom ``i``'s root fresh on ``cols`` and records whether it
+        lies in ``(-inf, delta]``; clears every atom's freshness on the
+        columns whose box the backward write changes.
+        """
         _count_columns(columns, cols, _VECTOR_MIN)
         sub_lo = {name: arr[cols] for name, arr in var_lo.items()}
         sub_hi = {name: arr[cols] for name, arr in var_hi.items()}
@@ -185,6 +206,8 @@ class HC4Contractor:
         # empty root enclosure, or no overlap with (-inf, delta]: refuted
         refuted = ~nonempty | (root_lo > delta)
         alive[cols[refuted]] = False
+        fresh[i, cols] = True
+        root_sat[i, cols] = nonempty & (root_hi <= delta)
         # enclosure within the allowed set: the atom gives no pruning
         # information for that column, leave its box untouched
         needs_backward = ~refuted & (root_hi > delta)
@@ -217,12 +240,27 @@ class HC4Contractor:
             cur_hi = var_hi[name][bcols]
             n_lo = narrowed_lo[name]
             n_hi = narrowed_hi[name]
-            atom_changed |= (n_lo != cur_lo) | (n_hi != cur_hi)
+            atom_changed |= _bits_differ(n_lo, cur_lo) | _bits_differ(n_hi, cur_hi)
             write = ok
             var_lo[name][bcols[write]] = n_lo[write]
             var_hi[name][bcols[write]] = n_hi[write]
         alive[bcols[~ok]] = False
-        changed[bcols[ok & atom_changed]] = True
+        moved = bcols[ok & atom_changed]
+        changed[moved] = True
+        fresh[:, moved] = False
+
+
+def _bits_differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise: do two float arrays differ in any bit?
+
+    ``!=`` calls ``-0.0`` and ``0.0`` equal.  Comparing bits makes a
+    reused root the enclosure over exactly the box's current endpoints,
+    without relying on every forward op treating the two zeros alike.
+    On the written columns it agrees with ``!=``: the intersection picks
+    above keep the current endpoint on a tie, and a NaN pick is never
+    written.
+    """
+    return a.view(np.int64) != b.view(np.int64)
 
 
 def _count_columns(columns: np.ndarray | None, cols: np.ndarray, vector_min: int) -> None:

@@ -169,19 +169,6 @@ class ICPSolver:
             raise ValueError("precision must be positive")
         self.delta = delta
         self.precision = precision
-        # contractors are pure functions of the formula; reuse across the
-        # many solver calls Algorithm 1 makes for the same condition.
-        # Keyed on the formula itself (holding a strong reference), NOT on
-        # id(formula): ids are recycled after garbage collection, which
-        # could silently serve a stale contractor for a different formula.
-        self._contractors: dict[object, HC4Contractor] = {}
-
-    def _contractor_for(self, formula: Conjunction) -> HC4Contractor:
-        contractor = self._contractors.get(formula)
-        if contractor is None:
-            contractor = HC4Contractor(formula, delta=self.delta)
-            self._contractors[formula] = contractor
-        return contractor
 
     def solve(
         self, formula: Conjunction, domain: Box, budget: Budget | None = None
@@ -202,7 +189,9 @@ class ICPSolver:
         """
         max_steps = (budget or Budget()).max_steps
         t0 = time.monotonic()
-        contractor = self._contractor_for(formula)
+        # building a contractor only collects the atoms' tapes (tape_for
+        # memoises them), so each call builds its own
+        contractor = HC4Contractor(formula, delta=self.delta)
         needed = formula.free_var_names()
         for domain in domains:
             missing = needed - set(domain.names)

@@ -13,7 +13,9 @@ tape and re-runs the three executors off that tape:
   ``(opcode, out_slot, a, b, aux)`` dispatched on a small-integer opcode;
 * the backward (HC4-revise) pass runs the same instruction list in
   reverse with each opcode's inverse semantics;
-* scalar point evaluation runs the same tape with float semantics.
+* scalar point evaluation runs the same tape with float semantics,
+  through one straight-line Python function generated per tape
+  (:func:`_point_function`).
 
 Every instruction the VM executes performs exactly the same
 interval/float operations in the same order as the tree-walking oracles
@@ -121,9 +123,10 @@ _BWD_KERNELS = tuple(_kern.BWD_FUNC[name] for name in FUNC_NAMES)
 
 #: per-process cache of built tape runtimes, keyed by the full persistent
 #: state: pool workers unpickle identical tapes on every chunk, and
-#: rebuilding the dispatch lists each time is pure waste.  The cached
-#: structures are immutable in practice -- executors copy the init
-#: templates and only iterate the programs.
+#: rebuilding the dispatch lists (or regenerating the point function)
+#: each time is pure waste.  The cached structures are immutable in
+#: practice -- executors copy the init templates and only iterate the
+#: programs; the point-function cell is filled once, on first use.
 _RUNTIME_CACHE: dict = {}
 _RUNTIME_CACHE_MAX = 512
 
@@ -213,8 +216,11 @@ def cond_compare(code: int, lhs: float, rhs: float) -> bool:
     manufactures ``inf - inf = NaN`` and every ``gap op 0`` test is False.
     Callers must reject NaN operands first (every comparison below would
     be False, silently selecting the else branch).  The comparisons
-    broadcast, so ndarray operands vectorise through the same code --
-    there is deliberately only one decider to diverge from.
+    broadcast, so ndarray operands vectorise through the same code.  The
+    one other place that spells these comparisons out is the generated
+    point function (:data:`_COND_OPS`, derived from :data:`COND_CODE`);
+    ``tests/solver/test_point_codegen.py::test_ite_conditions_match_cond_compare``
+    keeps the two in step.
     """
     if code == COND_LE:
         return lhs <= rhs
@@ -395,8 +401,7 @@ class Tape:
 
     __slots__ = (
         "instrs", "n_slots", "root", "var_slots", "const_slots",
-        "_fwd", "_rev", "_scalar", "_init_los", "_init_his", "_scalar_init",
-        "_batch_seed",
+        "_fwd", "_rev", "_init_los", "_init_his", "_batch_seed", "_point",
     )
 
     def __init__(self, instrs, n_slots, root, var_slots, const_slots):
@@ -430,12 +435,12 @@ class Tape:
             if len(_RUNTIME_CACHE) >= _RUNTIME_CACHE_MAX:
                 _RUNTIME_CACHE.clear()
             _RUNTIME_CACHE[key] = (
-                self._fwd, self._rev, self._scalar, self._init_los,
-                self._init_his, self._scalar_init, self._batch_seed,
+                self._fwd, self._rev, self._init_los, self._init_his,
+                self._batch_seed, self._point,
             )
         else:
-            (self._fwd, self._rev, self._scalar, self._init_los,
-             self._init_his, self._scalar_init, self._batch_seed) = cached
+            (self._fwd, self._rev, self._init_los, self._init_his,
+             self._batch_seed, self._point) = cached
 
     def fingerprint(self) -> str:
         """Stable content hash of the tape's persistent state.
@@ -469,15 +474,12 @@ class Tape:
         # resolve FUNC instructions to bound callables; map the binary
         # fast-path opcodes back to their n-ary form for the backward pass
         fwd: list[tuple] = []
-        scalar: list[tuple] = []
         rev: list[tuple] = []
         for op, out, a, b, aux in self.instrs:
             if op == OP_FUNC:
                 fwd.append((op, out, a, b, _FORWARD_TABLE[b]))
-                scalar.append((op, out, a, b, _SCALAR_TABLE[b]))
             else:
                 fwd.append((op, out, a, b, aux))
-                scalar.append((op, out, a, b, aux))
         for op, out, a, b, aux in reversed(self.instrs):
             # the root always counts as narrowed (the caller clipped it)
             total = out != self.root and _is_total(op, b, aux)
@@ -488,18 +490,17 @@ class Tape:
             else:
                 rev.append((op, out, a, b, aux, total))
         self._fwd = fwd
-        self._scalar = scalar
         self._rev = rev
         self._init_los = [0.0] * self.n_slots
         self._init_his = [0.0] * self.n_slots
-        self._scalar_init = [0.0] * self.n_slots
         for slot, value in self.const_slots:
             self._init_los[slot] = value
             self._init_his[slot] = value
-            self._scalar_init[slot] = value
         #: slot rows the batched forward pass (re)loads before executing:
         #: the literal pool
         self._batch_seed = [(s, v, v) for s, v in self.const_slots]
+        #: the generated point function, built on the first eval_point
+        self._point = [None]
 
     # -- interval forward pass --------------------------------------------
     def forward_arrays(self, box, los: list, his: list) -> None:
@@ -520,27 +521,6 @@ class Tape:
         _run_forward_ops(self._fwd, los, his)
 
     # -- batched interval forward pass --------------------------------------
-    def load_batch(self, boxes) -> tuple[np.ndarray, np.ndarray]:
-        """Allocate ``(n_slots, n_boxes)`` endpoint matrices for ``boxes``.
-
-        Column ``j`` of the variable rows holds the endpoints of box ``j``;
-        every other row is computed by :meth:`forward_batch`.
-        """
-        n_boxes = len(boxes)
-        lo_mat = np.empty((self.n_slots, n_boxes), dtype=np.float64)
-        hi_mat = np.empty((self.n_slots, n_boxes), dtype=np.float64)
-        for name, i in self.var_slots:
-            row_lo = lo_mat[i]
-            row_hi = hi_mat[i]
-            for j, box in enumerate(boxes):
-                try:
-                    iv = box[name]
-                except KeyError:
-                    raise KeyError(f"box does not bind variable {name!r}") from None
-                row_lo[j] = iv.lo
-                row_hi[j] = iv.hi
-        return lo_mat, hi_mat
-
     def forward_batch(
         self,
         lo_mat: np.ndarray,
@@ -550,7 +530,7 @@ class Tape:
         """Forward interval evaluation over a batch of boxes, in place.
 
         ``lo_mat``/``hi_mat`` are ``(n_slots, n_boxes)`` float64 matrices
-        whose variable rows are already filled (see :meth:`load_batch`);
+        whose variable rows are already filled (see :meth:`load_batch_arrays`);
         constant rows are reloaded here and each instruction is executed
         *once* over all columns.  Every column ends up bit-for-bit equal to
         a :meth:`forward_arrays` run on that box: the endpoint arithmetic
@@ -977,46 +957,16 @@ class Tape:
 
     # -- scalar (point) evaluation ------------------------------------------
     def eval_point(self, env: dict[str, float]) -> float:
-        """Evaluate at a point; raises on domain errors like the tree walk."""
-        slots = self._scalar_init[:]
-        for name, i in self.var_slots:
-            try:
-                slots[i] = env[name]
-            except KeyError:
-                raise EvalError(f"unbound variable {name!r}") from None
-        for op, out, a, b, aux in self._scalar:
-            if op == OP_ADD2:
-                # fsum, not +: the oracle's fsum raises on inf + -inf where
-                # + would yield a silently propagating NaN
-                slots[out] = math.fsum((slots[a], slots[b]))
-            elif op == OP_MUL2:
-                slots[out] = slots[a] * slots[b]
-            elif op == OP_FUNC:
-                slots[out] = aux(slots[a])
-            elif op == OP_POW:
-                base = slots[a]
-                expo = aux[2] if aux is not None else slots[b]
-                if base < 0.0 and not float(expo).is_integer():
-                    raise EvalError(
-                        f"negative base {base} to fractional power {expo}"
-                    )
-                if base == 0.0 and expo < 0.0:
-                    raise EvalError("zero to a negative power")
-                slots[out] = math.pow(base, expo)
-            elif op == OP_ADDN:
-                slots[out] = math.fsum(slots[i] for i in a)
-            elif op == OP_MULN:
-                acc = 1.0
-                for i in a:
-                    acc *= slots[i]
-                slots[out] = acc
-            else:  # OP_ITE
-                lhs, rhs, then, orelse = a
-                lv, rv = slots[lhs], slots[rhs]
-                if math.isnan(lv) or math.isnan(rv):
-                    raise EvalError("NaN in ite condition")
-                slots[out] = slots[then] if cond_compare(b, lv, rv) else slots[orelse]
-        return slots[self.root]
+        """Evaluate at a point; raises on domain errors like the tree walk.
+
+        Runs the tape's generated point function (:func:`_point_function`),
+        built on the first call and shared by every tape with the same
+        runtime.
+        """
+        fn = self._point[0]
+        if fn is None:
+            fn = self._point[0] = _point_function(self)
+        return fn(env)
 
     def eval_scalar(self, env: dict[str, float]) -> float:
         """Evaluate at a point; domain errors yield NaN (non-strict mode)."""
@@ -1030,6 +980,111 @@ class Tape:
             f"Tape({len(self.instrs)} instrs, {self.n_slots} slots, "
             f"{len(self.var_slots)} var loads, {len(self.const_slots)} consts)"
         )
+
+
+# ---------------------------------------------------------------------------
+# generated point evaluation
+# ---------------------------------------------------------------------------
+
+#: the comparison ``cond_compare`` makes for each condition code, spelled
+#: out in the generated point function
+_COND_OPS = {code: op for op, code in COND_CODE.items()}
+
+
+def _unbound(env, names) -> None:
+    """Raise for the first of ``names`` that ``env`` does not bind."""
+    for name in names:
+        try:
+            env[name]
+        except KeyError:
+            raise EvalError(f"unbound variable {name!r}") from None
+
+
+def _point_function(tape: Tape):
+    """Generate straight-line Python that evaluates ``tape`` at a point.
+
+    One statement per instruction, slots as locals, literals inlined.
+    Each statement makes the float operations, in the same order, and
+    raises the same errors, as the opcode dispatch loop it replaces (the
+    test oracle ``eval_point_interpreted`` in ``tests/solver/oracles.py``):
+    ``math.fsum`` for every sum -- it raises on ``inf + -inf`` where ``+``
+    would yield a silently propagating NaN --, sequential ``*`` from 1.0
+    for products, the scalar function table, ``math.pow`` behind the
+    domain checks, and the ``cond_compare`` comparison behind the NaN
+    guard for Ite.
+    """
+    namespace = {
+        "EvalError": EvalError,
+        "_fsum": math.fsum,
+        "_pow": math.pow,
+        "_isnan": math.isnan,
+        "_unbound": _unbound,
+        "_names": tuple(name for name, _ in tape.var_slots),
+    }
+    for i, fn in enumerate(_SCALAR_TABLE):
+        namespace[f"_f{i}"] = fn
+
+    def literal(value) -> str:
+        # repr round-trips finite floats; anything else is bound by name
+        if type(value) is float and math.isfinite(value):
+            return repr(value)
+        name = f"_k{len(namespace)}"
+        namespace[name] = value
+        return name
+
+    ref = {slot: literal(value) for slot, value in tape.const_slots}
+    lines = ["def _point(env):"]
+    if tape.var_slots:
+        lines.append("    try:")
+        for name, slot in tape.var_slots:
+            ref[slot] = f"s{slot}"
+            lines.append(f"        s{slot} = env[{name!r}]")
+        lines.append("    except KeyError:")
+        lines.append("        _unbound(env, _names)")
+        lines.append("        raise")
+    zero_to_negative = 'raise EvalError("zero to a negative power")'
+    for op, out, a, b, aux in tape.instrs:
+        if op == OP_ADD2:
+            rhs = f"_fsum(({ref[a]}, {ref[b]}))"
+        elif op == OP_ADDN:
+            rhs = "_fsum((" + "".join(f"{ref[i]}, " for i in a) + "))"
+        elif op == OP_MUL2:
+            rhs = f"{ref[a]} * {ref[b]}"
+        elif op == OP_MULN:
+            rhs = " * ".join(["1.0"] + [ref[i] for i in a])
+        elif op == OP_FUNC:
+            rhs = f"_f{b}({ref[a]})"
+        elif op == OP_POW:
+            base = ref[a]
+            negative_base = f'raise EvalError(f"negative base {{{base}}} to fractional power '
+            if aux is None:
+                expo = ref[b]
+                lines.append(
+                    f"    if {base} < 0.0 and not float({expo}).is_integer(): "
+                    f'{negative_base}{{{expo}}}")'
+                )
+                lines.append(f"    if {base} == 0.0 and {expo} < 0.0: {zero_to_negative}")
+            else:
+                p = aux[2]
+                expo = literal(p)
+                if not float(p).is_integer():
+                    lines.append(f'    if {base} < 0.0: {negative_base}{p}")')
+                if p < 0.0:
+                    lines.append(f"    if {base} == 0.0: {zero_to_negative}")
+            rhs = f"_pow({base}, {expo})"
+        else:  # OP_ITE
+            left, right, then, orelse = (ref[i] for i in a)
+            lines.append(
+                f"    if _isnan({left}) or _isnan({right}): "
+                'raise EvalError("NaN in ite condition")'
+            )
+            rhs = f"{then} if {left} {_COND_OPS[b]} {right} else {orelse}"
+        lines.append(f"    s{out} = {rhs}")
+        ref[out] = f"s{out}"
+    lines.append(f"    return {ref[tape.root]}")
+    source = "\n".join(lines) + "\n"
+    exec(compile(source, "<repro-point>", "exec"), namespace)
+    return namespace["_point"]
 
 
 def _run_forward_ops(fwd: list, los: list, his: list) -> None:

@@ -9,6 +9,9 @@ against:
 * :func:`evaluate_tree` -- the tree-walking point evaluator that
   :func:`repro.expr.evaluator.evaluate` (a tape VM) replaced; both run
   the identical sequence of float operations.
+* :func:`eval_point_interpreted` -- the opcode-dispatch interpreter that
+  ``Tape.eval_point``'s generated straight-line function replaced: the
+  bit-identity oracle for the generated point code.
 * :class:`WalkContractor` -- the tree-walking HC4 contractor: forward and
   backward passes re-walk the expression DAG per box with ``Interval``
   objects and never touch a tape, so a tape-VM bug cannot leak into both
@@ -24,6 +27,8 @@ against:
 * :func:`enclosure` / :func:`enclosure_batch` -- a tape's root enclosure
   over one box (scalar forward) or a batch (batched forward), and
   :func:`decide_cond`, the interval guard decider the walk oracle uses.
+  :func:`load_batch` fills a tape's batch matrices from boxes, and
+  :func:`sample_grid` spreads test points over a box.
 * :func:`solve_per_box` -- the classic pop-one-box branch-and-prune loop,
   driving either per-box contractor one box at a time.  Its results,
   models and processed/pruned/split/probe counts are what the frontier
@@ -32,10 +37,13 @@ against:
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections import deque
 from math import inf
+
+import numpy as np
 
 from repro.expr.evaluator import SCALAR_FUNCS, EvalError, _env_by_name
 from repro.expr.nodes import Add, Const, Expr, Func, Ite, Mul, Pow, Var
@@ -50,12 +58,20 @@ from repro.solver.tape import (
     COND_GT,
     COND_LE,
     COND_LT,
+    FUNC_NAMES,
+    OP_ADD2,
+    OP_ADDN,
+    OP_FUNC,
+    OP_MUL2,
+    OP_MULN,
+    OP_POW,
     CompiledConjunction,
     Tape,
     atanh_interval as _atanh_interval,
     erfinv_interval as _erfinv_interval,
     root_int as _root_int,
     tan_restricted as _tan_restricted,
+    cond_compare,
     tape_for,
     wexpw as _wexpw,
 )
@@ -115,6 +131,54 @@ def _eval_node(node: Expr, memo: dict[int, float], env: dict[str, float]) -> flo
         taken = node.then if node.cond.compare(lhs, rhs) else node.orelse
         return memo[id(taken)]
     raise TypeError(f"cannot evaluate {type(node).__name__}")  # pragma: no cover
+
+
+def eval_point_interpreted(tape: Tape, env: dict[str, float]) -> float:
+    """Evaluate ``tape`` at a point by dispatching on each opcode.
+
+    The interpreter ``Tape.eval_point`` ran before it generated one
+    straight-line function per tape; the generated code must match it bit
+    for bit, and raise the same exception types with the same messages.
+    """
+    slots = [0.0] * tape.n_slots
+    for slot, value in tape.const_slots:
+        slots[slot] = value
+    for name, i in tape.var_slots:
+        try:
+            slots[i] = env[name]
+        except KeyError:
+            raise EvalError(f"unbound variable {name!r}") from None
+    for op, out, a, b, aux in tape.instrs:
+        if op == OP_ADD2:
+            # fsum, not +: the oracle's fsum raises on inf + -inf where
+            # + would yield a silently propagating NaN
+            slots[out] = math.fsum((slots[a], slots[b]))
+        elif op == OP_MUL2:
+            slots[out] = slots[a] * slots[b]
+        elif op == OP_FUNC:
+            slots[out] = SCALAR_FUNCS[FUNC_NAMES[b]](slots[a])
+        elif op == OP_POW:
+            base = slots[a]
+            expo = aux[2] if aux is not None else slots[b]
+            if base < 0.0 and not float(expo).is_integer():
+                raise EvalError(f"negative base {base} to fractional power {expo}")
+            if base == 0.0 and expo < 0.0:
+                raise EvalError("zero to a negative power")
+            slots[out] = math.pow(base, expo)
+        elif op == OP_ADDN:
+            slots[out] = math.fsum(slots[i] for i in a)
+        elif op == OP_MULN:
+            acc = 1.0
+            for i in a:
+                acc *= slots[i]
+            slots[out] = acc
+        else:  # OP_ITE
+            lhs, rhs, then, orelse = a
+            lv, rv = slots[lhs], slots[rhs]
+            if math.isnan(lv) or math.isnan(rv):
+                raise EvalError("NaN in ite condition")
+            slots[out] = slots[then] if cond_compare(b, lv, rv) else slots[orelse]
+    return slots[tape.root]
 
 
 def _eval_func(name: str, x: float) -> float:
@@ -240,6 +304,41 @@ def enclosure(tape: Tape, box: Box) -> Interval:
     return Interval(lo, hi)
 
 
+def load_batch(tape: Tape, boxes: list[Box]) -> tuple[np.ndarray, np.ndarray]:
+    """Allocate ``(n_slots, n_boxes)`` endpoint matrices for ``boxes``.
+
+    Column ``j`` of the variable rows holds the endpoints of box ``j``;
+    every other row is computed by ``Tape.forward_batch``.
+    """
+    n_boxes = len(boxes)
+    lo_mat = np.empty((tape.n_slots, n_boxes), dtype=np.float64)
+    hi_mat = np.empty((tape.n_slots, n_boxes), dtype=np.float64)
+    for name, i in tape.var_slots:
+        row_lo = lo_mat[i]
+        row_hi = hi_mat[i]
+        for j, box in enumerate(boxes):
+            try:
+                iv = box[name]
+            except KeyError:
+                raise KeyError(f"box does not bind variable {name!r}") from None
+            row_lo[j] = iv.lo
+            row_hi[j] = iv.hi
+    return lo_mat, hi_mat
+
+
+def sample_grid(box: Box, per_dim: int) -> list[dict[str, float]]:
+    """Uniform grid of ``per_dim`` points per axis of ``box``, endpoints
+    included (the midpoint alone when ``per_dim`` is 1)."""
+    axes = []
+    for iv in box.intervals:
+        if per_dim == 1:
+            axes.append([iv.mid()])
+        else:
+            step = iv.width() / (per_dim - 1)
+            axes.append([iv.lo + i * step for i in range(per_dim)])
+    return [dict(zip(box.names, combo)) for combo in itertools.product(*axes)]
+
+
 def enclosure_batch(tape: Tape, boxes: list[Box]):
     """Root enclosure endpoints over a batch of boxes.
 
@@ -248,7 +347,7 @@ def enclosure_batch(tape: Tape, boxes: list[Box]):
     encodes an empty enclosure, exactly like :func:`enclosure` returning
     :data:`~repro.solver.interval.EMPTY`.
     """
-    lo_mat, hi_mat = tape.load_batch(boxes)
+    lo_mat, hi_mat = load_batch(tape, boxes)
     tape.forward_batch(lo_mat, hi_mat)
     return lo_mat[tape.root].copy(), hi_mat[tape.root].copy()
 

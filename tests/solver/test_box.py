@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.solver.box import Box
 from repro.solver.interval import EMPTY, Interval, make
 from repro.verifier.regions import Outcome, RegionRecord
+from tests.solver.oracles import sample_grid
 from tests.support import hyp_examples
 
 
@@ -115,14 +116,14 @@ class TestSplitting:
         assert len(b.split_all()) == 8
 
     def test_sample_grid(self):
-        pts = box2().sample_grid(3)
+        pts = sample_grid(box2(), 3)
         assert len(pts) == 9
         assert {"rs", "s"} == set(pts[0])
         rs_values = sorted({p["rs"] for p in pts})
         assert rs_values == pytest.approx([0.0, 2.5, 5.0])
 
     def test_sample_grid_single_point(self):
-        pts = box2().sample_grid(1)
+        pts = sample_grid(box2(), 1)
         assert pts == [{"rs": 2.5, "s": 2.5}]
 
 

@@ -1,17 +1,23 @@
 """Tests for the HC4 forward/backward contractor."""
 
 import math
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.expr import builder as b
 from repro.expr.nodes import Var
 from repro.solver.box import Box
 from repro.solver.constraint import Atom, Conjunction
-from repro.solver.contractor import HC4Contractor
+from repro.solver.contractor import HC4Contractor, _bits_differ
 from repro.solver.tape import tape_for
+from tests.support import hyp_examples
 
-from .oracles import TapeContractor, enclosure, interval_eval
+from .oracles import TapeContractor, enclosure, interval_eval, sample_grid
+from .test_tape import random_expr
 
 X = Var("x")
 Y = Var("y")
@@ -52,7 +58,7 @@ class TestForwardEnclosure:
         box = Box.from_bounds({"x": (-1.0, 1.0), "y": (0.5, 2.0)})
         out = enclosure(tape_for(expr), box)
         from repro.expr.evaluator import evaluate
-        for pt in box.sample_grid(5):
+        for pt in sample_grid(box, 5):
             assert out.contains(evaluate(expr, pt))
 
     def test_ite_decided_condition(self):
@@ -167,7 +173,7 @@ class TestBackwardContraction:
         box = Box.from_bounds({"x": (-2.0, 2.0), "y": (-2.0, 2.0)})
         out = contract_one(contractor, box)
         from repro.expr.evaluator import evaluate
-        for pt in box.sample_grid(9):
+        for pt in sample_grid(box, 9):
             if evaluate(expr, pt) <= 0.0:
                 assert out.contains_point(pt), f"lost solution {pt}"
 
@@ -193,3 +199,101 @@ class TestCertainlySat:
         formula = Conjunction.of(Atom.from_rel(X.le(0.5)))
         contractor = TapeContractor(formula, delta=0.0)
         assert not contractor.certainly_sat(Box.from_bounds({"x": (0.0, 1.0)}))
+
+
+# ---------------------------------------------------------------------------
+# certainly-sat reuses each atom's last revise root
+# ---------------------------------------------------------------------------
+
+W = Var("w")
+Z = Var("z")
+
+#: atoms whose revise never narrows: the Ite guard on x is undecided on
+#: x = [0, 1], so no branch is propagated; certainly-sat once y >= 1
+ITE_ON_Y = Atom(b.ite(X.le(0.5), b.add(1.0, b.neg(Y)), b.add(0.9, b.neg(Y))), "<=")
+#: sqrt's domain clip narrows y to [2, 4] and overshoots: the atom is not
+#: certainly-sat before its own backward write and is after it
+CLIP_Y = Atom(b.add(b.sqrt(b.add(Y, -2.0)), b.neg(Y)), "<=")
+#: the same chain one step removed: y is clipped to y >= w, and w to w >= 2
+CLIP_Y_BY_W = Atom(b.add(b.sqrt(b.add(Y, b.neg(W))), b.neg(Y)), "<=")
+CLIP_W = Atom(b.add(b.sqrt(b.add(W, -2.0)), b.neg(W)), "<=")
+
+WITNESS_BOX = Box.from_bounds({"w": (0.0, 4.0), "x": (0.0, 1.0), "y": (0.0, 4.0)})
+
+
+def fresh_forward_certainly_sat(formula, contracted, delta):
+    """The oracle: one scalar forward per atom over each final box."""
+    reference = TapeContractor(formula, delta=delta)
+    return [not box.is_empty() and reference.certainly_sat(box) for box in contracted]
+
+
+class TestCertainlySatReuse:
+    """``contract_batch`` reuses an atom's revise root for certainly-sat
+    unless a later backward write moved the box.  Verifier negations
+    have one atom; the multi-atom path runs in production under the
+    numerics hazard checks (a division site alone is the 2-atom
+    conjunction ``operand <= 0 and operand >= 0``, and each guard adds
+    one more atom)."""
+
+    @pytest.mark.parametrize(
+        "atoms, rounds",
+        [
+            ((CLIP_Y,), 1),  # the atom's own write makes its root stale
+            ((ITE_ON_Y, CLIP_Y), 1),  # a later atom's write
+            ((ITE_ON_Y, CLIP_Y_BY_W, CLIP_W), 2),  # ... in the last round
+        ],
+    )
+    def test_stale_root_is_recomputed(self, atoms, rounds):
+        formula = Conjunction.of(*atoms)
+        contractor = HC4Contractor(formula, delta=1e-5)
+        contracted, allsat = contractor.contract_batch([WITNESS_BOX], rounds=rounds)
+        # every atom holds on the final box, though the stale root did not
+        assert contracted[0]["y"].lo == pytest.approx(2.0)
+        assert list(allsat) == [True]
+        assert list(allsat) == fresh_forward_certainly_sat(formula, contracted, 1e-5)
+
+    def test_unnarrowed_box_runs_no_extra_forward(self):
+        """A box no round narrowed takes its revise round's tape calls
+        (ITE_ON_Y's forward and its backward, which narrows nothing, and
+        the second atom's forward) and none in the certainly-sat pass."""
+        formula = Conjunction.of(ITE_ON_Y, Atom.from_rel(X.le(2.0)))
+        contractor = HC4Contractor(formula, delta=1e-5)
+        columns = np.zeros((2, 1), dtype=np.int64)
+        contracted, allsat = contractor.contract_batch([WITNESS_BOX], columns=columns)
+        assert contracted[0] is WITNESS_BOX
+        assert list(allsat) == [False]
+        assert int(columns.sum()) == 3
+
+    def test_freshness_compares_bits(self):
+        """Signed-zero witness: a write of ``-0.0`` over ``0.0`` moves the
+        box.  (Through ``contract_batch`` the ``Interval.intersect`` picks
+        keep the current endpoint on a tie, so today no backward write
+        flips a zero's sign; the freshness rule must not rely on that.)"""
+        old = np.array([0.0, 1.0, -0.0, 2.0])
+        new = np.array([-0.0, 1.0, 0.0, 2.5])
+        assert list(_bits_differ(new, old)) == [True, False, True, True]
+
+    @settings(max_examples=hyp_examples(60), deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_atoms=st.sampled_from([2, 3]),
+           rounds=st.sampled_from([1, 2, 3]))
+    def test_matches_fresh_forward_oracle(self, seed, n_atoms, rounds):
+        rng = random.Random(seed)
+        pool = [ITE_ON_Y, CLIP_Y, CLIP_Y_BY_W, CLIP_W]
+        atoms = []
+        for _ in range(n_atoms):
+            if rng.random() < 0.5:
+                atoms.append(rng.choice(pool))
+            else:
+                shift = rng.uniform(-2.0, 6.0)
+                atoms.append(Atom(b.add(random_expr(rng, depth=3), -shift), "<="))
+        formula = Conjunction.of(*atoms)
+        boxes = []
+        for _ in range(rng.randint(1, 30)):
+            bounds = {}
+            for name in ("w", "x", "y", "z"):
+                lo = rng.uniform(-1.0, 4.0)
+                bounds[name] = (lo, lo + rng.choice([0.0, rng.uniform(0.0, 4.0)]))
+            boxes.append(Box.from_bounds(bounds))
+        contractor = HC4Contractor(formula, delta=1e-5)
+        contracted, allsat = contractor.contract_batch(boxes, rounds=rounds)
+        assert list(allsat) == fresh_forward_certainly_sat(formula, contracted, 1e-5)

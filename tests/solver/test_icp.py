@@ -1,5 +1,6 @@
 """Tests for the delta-complete branch-and-prune solver."""
 
+import copy
 import math
 
 import pytest
@@ -125,11 +126,38 @@ class TestKnobs:
             ICPSolver(precision=0.0)
 
     def test_contractor_cache_reused(self):
+        """The solver keeps no contractor of its own, but what a
+        contractor is built from -- the atoms' compiled tapes -- is reused:
+        a second solve of the same formula compiles nothing."""
+        from unittest import mock
+
+        from repro.solver import tape as tape_mod
+
         solver = ICPSolver()
         f = formula(X.le(0.5))
         solver.solve(f, Box.from_bounds({"x": (0, 1)}))
-        solver.solve(f, Box.from_bounds({"x": (0, 0.25)}))
-        assert len(solver._contractors) == 1
+        with mock.patch.object(
+            tape_mod, "compile_expr", wraps=tape_mod.compile_expr
+        ) as compile_expr:
+            solver.solve(f, Box.from_bounds({"x": (0, 0.25)}))
+        assert compile_expr.call_count == 0
+
+    def test_solver_state_does_not_grow_across_verify_calls(self):
+        """A solver reused by ``Verifier`` holds no per-formula cache:
+        each ``verify`` compiles the encoded pair afresh, so a cache keyed
+        on the compiled formula would gain an entry per call."""
+        from repro.conditions import EC1
+        from repro.functionals import get_functional
+        from repro.verifier import encode
+        from repro.verifier.verifier import Verifier, VerifierConfig
+
+        cfg = VerifierConfig(per_call_budget=20, global_step_budget=60)
+        solver = cfg.make_solver()
+        encoded = encode(get_functional("PBE"), EC1)
+        before = copy.deepcopy(vars(solver))
+        for _ in range(3):
+            Verifier(cfg, solver=solver).verify(encoded)
+        assert vars(solver) == before
 
 
 class TestResultProperties:

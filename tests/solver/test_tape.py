@@ -282,25 +282,25 @@ def test_walk_backend_rejects_compiled_conjunction():
 
 
 # ---------------------------------------------------------------------------
-# solver cache keying (regression: id() reuse must not alias contractors)
+# tape cache keying (regression: id() reuse must not alias tapes)
 # ---------------------------------------------------------------------------
 
 def test_contractor_cache_is_not_id_keyed():
+    """Each solve builds its contractor from ``tape_for``; formulas made and
+    dropped in turn (so their ids may be recycled) must each get the tape
+    of their own residual, never a stale one."""
     solver = ICPSolver()
     box = Box.from_bounds({"x": (0.0, 1.0)})
     import gc
 
-    seen = set()
     for k in range(6):
         formula = Conjunction.of(Atom(X - float(k), "<="))
         solver.solve(formula, box, Budget(max_steps=10))
-        contractor = solver._contractors[formula]
-        assert contractor.formula is formula
-        seen.add(id(formula))
-        del formula
+        (tape,) = HC4Contractor(formula)._tapes
+        assert tape is tape_for(formula.atoms[0].residual)
+        assert tape.eval_point({"x": 0.5}) == 0.5 - float(k)
+        del formula, tape
         gc.collect()
-    # every formula got its own cached contractor, held by strong reference
-    assert len(solver._contractors) == 6
 
 
 #: one applicable condition per paper functional, each with sub-boxes

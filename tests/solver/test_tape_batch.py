@@ -33,6 +33,7 @@ from .oracles import (
     assert_results_identical,
     enclosure,
     enclosure_batch,
+    load_batch,
     solve_per_box,
 )
 from .test_tape import (
@@ -75,7 +76,7 @@ def test_forward_batch_matches_forward_arrays(seed, width):
     expr = random_expr(rng)
     tape = tape_for(expr)
     boxes = [random_box(rng) for _ in range(width)]
-    lo_mat, hi_mat = tape.load_batch(boxes)
+    lo_mat, hi_mat = load_batch(tape, boxes)
     tape.forward_batch(lo_mat, hi_mat)
     columns_match(tape, boxes, lo_mat, hi_mat)
 
@@ -94,14 +95,14 @@ def test_forward_batch_with_nan_and_inf_endpoints(width):
              "z": Interval(-0.0, 0.0)}),
     ]
     boxes = (weird * -(-width // len(weird)))[:width]
-    lo_mat, hi_mat = tape.load_batch(boxes)
+    lo_mat, hi_mat = load_batch(tape, boxes)
     tape.forward_batch(lo_mat, hi_mat)
     columns_match(tape, boxes, lo_mat, hi_mat)
 
 
 def test_forward_batch_empty_batch():
     tape = tape_for(b.exp(b.var("x", nonneg=True)) + b.var("y"))
-    lo_mat, hi_mat = tape.load_batch([])
+    lo_mat, hi_mat = load_batch(tape, [])
     assert lo_mat.shape == (tape.n_slots, 0)
     tape.forward_batch(lo_mat, hi_mat)  # must not raise
     root_lo, root_hi = enclosure_batch(tape, [])
@@ -127,7 +128,7 @@ def test_enclosure_batch_matches_enclosure(seed):
 def test_load_batch_reports_unbound_variable():
     tape = tape_for(b.var("x", nonneg=True) + b.var("y"))
     with pytest.raises(KeyError, match="does not bind"):
-        tape.load_batch([Box({"x": (0.0, 1.0)})])
+        tape.load_batch_arrays({"x": np.array([0.0])}, {"x": np.array([1.0])}, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +142,7 @@ def test_backward_batch_matches_backward_arrays(seed, width):
     expr = random_expr(rng)
     tape = tape_for(expr)
     boxes = [random_box(rng) for _ in range(width)]
-    lo_mat, hi_mat = tape.load_batch(boxes)
+    lo_mat, hi_mat = load_batch(tape, boxes)
     tape.forward_batch(lo_mat, hi_mat)
     # intersect the root with (-inf, delta] like a revise step would
     delta = 1e-5

@@ -25,6 +25,7 @@ from repro.expr import builder as b
 from repro.solver.box import Box
 from repro.solver.interval import _POW_CHAIN_MAX, Interval
 from repro.solver.tape import tape_for
+from tests.solver.oracles import load_batch
 from tests.support import hyp_examples
 
 #: every Func the tape VM dispatches, including the scipy-backed ones
@@ -120,7 +121,7 @@ def test_fuzz_forward_batch_vector_kernels_bit_identical(seed):
     rng = random.Random(seed)
     tape = tape_for(pow_func_expr(rng))
     boxes = fuzz_boxes(rng, rng.randint(1, 24))
-    lo_mat, hi_mat = tape.load_batch(boxes)
+    lo_mat, hi_mat = load_batch(tape, boxes)
     tape.forward_batch(lo_mat, hi_mat, vector_min=0)  # force the kernels
     assert_columns_match(tape, boxes, lo_mat, hi_mat, "forward")
 
@@ -132,9 +133,9 @@ def test_fuzz_forward_scalar_fallback_bit_identical(seed):
     rng = random.Random(seed)
     tape = tape_for(pow_func_expr(rng))
     boxes = fuzz_boxes(rng, rng.randint(1, 8))
-    vec_lo, vec_hi = tape.load_batch(boxes)
+    vec_lo, vec_hi = load_batch(tape, boxes)
     tape.forward_batch(vec_lo, vec_hi, vector_min=0)
-    fb_lo, fb_hi = tape.load_batch(boxes)
+    fb_lo, fb_hi = load_batch(tape, boxes)
     tape.forward_batch(fb_lo, fb_hi, vector_min=10**9)  # force the fallback
     for slot in range(tape.n_slots):
         for j in range(len(boxes)):
@@ -152,7 +153,7 @@ def test_fuzz_pow_boundary_exponents(seed, expo):
     rng = random.Random(seed)
     tape = tape_for(b.pow_(b.var("y") + b.const(rng.uniform(-1.0, 1.0)), expo))
     boxes = fuzz_boxes(rng, 16)
-    lo_mat, hi_mat = tape.load_batch(boxes)
+    lo_mat, hi_mat = load_batch(tape, boxes)
     tape.forward_batch(lo_mat, hi_mat, vector_min=0)
     assert_columns_match(tape, boxes, lo_mat, hi_mat, f"pow {expo}")
 
@@ -168,7 +169,7 @@ def test_fuzz_backward_batch_vector_kernels_bit_identical(seed):
     rng = random.Random(seed)
     tape = tape_for(pow_func_expr(rng))
     boxes = fuzz_boxes(rng, rng.randint(1, 24))
-    lo_mat, hi_mat = tape.load_batch(boxes)
+    lo_mat, hi_mat = load_batch(tape, boxes)
     tape.forward_batch(lo_mat, hi_mat, vector_min=0)
     delta = 1e-5
     root = tape.root
@@ -209,9 +210,9 @@ def test_fuzz_vector_mode_matches_forced_scalar(seed):
     expr = pow_func_expr(rng)
     tape = tape_for(expr)
     boxes = fuzz_boxes(rng, 12)
-    vec_lo, vec_hi = tape.load_batch(boxes)
+    vec_lo, vec_hi = load_batch(tape, boxes)
     tape.forward_batch(vec_lo, vec_hi, vector_min=0)
-    sca_lo, sca_hi = tape.load_batch(boxes)
+    sca_lo, sca_hi = load_batch(tape, boxes)
     tape.forward_batch(sca_lo, sca_hi, vector_min=10**9)
     for slot in range(tape.n_slots):
         for j in range(len(boxes)):
@@ -241,6 +242,6 @@ def test_func_kernels_on_special_endpoint_grid(func):
     for lo in vals:
         for hi in vals:
             boxes.append(Box({"y": Interval(lo, hi)}))
-    lo_mat, hi_mat = tape.load_batch(boxes)
+    lo_mat, hi_mat = load_batch(tape, boxes)
     tape.forward_batch(lo_mat, hi_mat, vector_min=0)
     assert_columns_match(tape, boxes, lo_mat, hi_mat, func)
