@@ -91,7 +91,14 @@ class JsonlWriter:
 
     def write(self, record: dict) -> int:
         """Append ``record`` as one line; returns the bytes written."""
-        line = json.dumps(record, sort_keys=True)  # ASCII: chars == bytes
+        return self.write_line(json.dumps(record, sort_keys=True))
+
+    def write_line(self, line: str) -> int:
+        """Append one already-encoded JSON line; returns the bytes written.
+
+        ``line`` must be ASCII (``json.dumps`` output is), so its length
+        in characters is its length in bytes.
+        """
         with self._lock:
             self._handle.write(line + "\n")
             self._handle.flush()

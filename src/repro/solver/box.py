@@ -107,7 +107,9 @@ class Box:
     def volume(self) -> float:
         out = 1.0
         for iv in self.intervals:
-            out *= iv.width()
+            lo, hi = iv.lo, iv.hi
+            # iv.width() inlined: NaN or lo > hi is empty, width 0
+            out *= hi - lo if lo <= hi else 0.0
         return out
 
     def contains_point(self, point: Mapping[str, float]) -> bool:

@@ -444,10 +444,10 @@ def run_campaign(
         count.
     store / resume:
         A :class:`~repro.verifier.store.CampaignStore` (or a path --
-        opened, and closed again, by this call).  Completed cells are
-        persisted immediately under their content-hash key; with
-        ``resume=True`` cells whose key is already stored are returned
-        from the store without solving.  Note that even a store *hit*
+        opened, under a ``store_open`` span, and closed again by this
+        call).  Completed cells are persisted immediately under their
+        content-hash key; with ``resume=True`` cells whose key is
+        already stored are returned from the store without solving.  Note that even a store *hit*
         pays the parent-side encode + tape-compile: the key must be
         derived from the **current** tapes, or a code change (functional,
         condition, expression builder, compiler) could serve stale results --
@@ -459,9 +459,10 @@ def run_campaign(
         A :class:`~repro.obs.trace.Tracer` (default: the ambient
         :func:`~repro.obs.trace.current_tracer`, a no-op unless a trace
         sink was activated).  When enabled, the run emits a campaign
-        span, one span per computed cell, per-cell dispatch spans and
-        the workers' pid-stamped chunk/compile/solve spans.  Tracing is
-        purely observational: reports, store contents and keys are
+        span, a ``store_get`` span (``hit`` attr) per resume lookup, one
+        span per computed cell, per-cell dispatch spans and the workers'
+        pid-stamped chunk/compile/solve spans.  Tracing is purely
+        observational: reports, store contents and keys are
         byte-identical with tracing on or off.
 
     KeyboardInterrupt is caught: completed cells are kept (and already
@@ -472,10 +473,6 @@ def run_campaign(
     CampaignConfig(max_workers=max_workers)  # loud one-line validation
     cells_spec = dedupe_pairs(pairs)
 
-    owns_store = isinstance(store, (str, os.PathLike))
-    if owns_store:
-        store = open_store(store)
-
     tracer = tracer if tracer is not None else current_tracer()
     campaign_span = None
     if tracer.enabled:
@@ -484,6 +481,7 @@ def run_campaign(
             workers=effective_workers(max_workers, executor),
         )
     result = CampaignResult()
+    owned_store = None
 
     def absorb(cell: _Cell, worker_out) -> None:
         if len(worker_out) == 3:
@@ -518,6 +516,10 @@ def run_campaign(
             on_cell(cell.key, report, False)
 
     try:
+        if isinstance(store, (str, os.PathLike)):
+            with tracer.span("store_open", "store", campaign_span):
+                store = owned_store = open_store(store)
+
         # -- resolve cells: hash, serve store hits, build payloads ------------
         cells: list[_Cell] = []
         for key, functional, condition in cells_spec:
@@ -533,7 +535,9 @@ def run_campaign(
                 )
                 result.cell_keys[key] = content_key
                 if resume:
+                    span = tracer.begin("store_get", "store", campaign_span)
                     stored = store.get(content_key)
+                    tracer.finish(span, hit=stored is not None)
                     if stored is not None:
                         result.reports[key] = stored
                         result.store_hits.append(key)
@@ -576,6 +580,6 @@ def run_campaign(
                 store_hits=len(result.store_hits),
                 interrupted=result.interrupted,
             )
-        if owns_store:
-            store.close()
+        if owned_store is not None:
+            owned_store.close()
     return result

@@ -2,10 +2,65 @@
 
 from __future__ import annotations
 
+import gc
+import os
+import pickle
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
 from ..solver.box import Box
+
+
+_GC_LOCK = threading.Lock()
+_gc_depth = 0
+_gc_disabled_here = False
+
+
+@contextmanager
+def gc_paused():
+    """Pause CPython's cyclic collector for the body of the ``with``.
+
+    Decoding, unpickling or encoding one budget-exhausted cell allocates
+    hundreds of thousands of tracked objects that all stay alive, so the
+    collector's full passes re-walk an ever larger heap and find nothing
+    to free.  Wrap only work whose run time grows with a cell's bytes,
+    never solver work: the service runs campaigns on long-lived threads.
+
+    Re-entrant and thread-safe: the outermost pause of any thread
+    disables the collector if it was enabled, and the last one out
+    re-enables only what the first one disabled.
+    """
+    global _gc_depth, _gc_disabled_here
+    with _GC_LOCK:
+        if _gc_depth == 0:
+            _gc_disabled_here = gc.isenabled()
+            gc.disable()
+        _gc_depth += 1
+    try:
+        yield
+    finally:
+        with _GC_LOCK:
+            _gc_depth -= 1
+            if _gc_depth == 0 and _gc_disabled_here:
+                _gc_disabled_here = False
+                gc.enable()
+
+
+def _gc_after_fork() -> None:
+    # a child forked while another thread held a pause must not inherit
+    # it: that thread does not exist in the child, so nothing would ever
+    # end the pause (the forking thread itself never holds one)
+    global _GC_LOCK, _gc_depth, _gc_disabled_here
+    _GC_LOCK = threading.Lock()
+    if _gc_disabled_here:
+        gc.enable()
+    _gc_depth = 0
+    _gc_disabled_here = False
+
+
+os.register_at_fork(after_in_child=_gc_after_fork)
 
 
 class Outcome(Enum):
@@ -49,12 +104,17 @@ class RegionRecord:
             self.model, self.children, self.solver_steps,
         )
 
-    def own_volume(self, records: list["RegionRecord"]) -> float:
-        """Volume attributed to this record after children paint over it."""
-        vol = self.box.volume()
-        for child_index in self.children:
-            vol -= records[child_index].box.volume()
-        return max(vol, 0.0)
+
+def _report_from_pickle(
+    functional_name, condition_id, domain, records_blob, total_solver_steps,
+    elapsed_seconds, budget_exhausted, compile_seconds,
+) -> "VerificationReport":
+    with gc_paused():
+        records = pickle.loads(records_blob)
+    return VerificationReport(
+        functional_name, condition_id, domain, records, total_solver_steps,
+        elapsed_seconds, budget_exhausted, compile_seconds,
+    )
 
 
 @dataclass
@@ -74,13 +134,31 @@ class VerificationReport:
     #: :meth:`identical_to` like ``elapsed_seconds``.
     compile_seconds: float = 0.0
 
+    def __reduce__(self):
+        # the records travel as one inner pickle, unpickled with the
+        # collector paused in whichever thread receives the report
+        with gc_paused():
+            blob = pickle.dumps(self.records, pickle.HIGHEST_PROTOCOL)
+        return _report_from_pickle, (
+            self.functional_name, self.condition_id, self.domain, blob,
+            self.total_solver_steps, self.elapsed_seconds,
+            self.budget_exhausted, self.compile_seconds,
+        )
+
     # -- aggregation -------------------------------------------------------------
     def area_fractions(self) -> dict[Outcome, float]:
-        """Domain-volume fraction finally labelled with each outcome."""
+        """Domain-volume fraction finally labelled with each outcome.
+
+        A record owns its box's volume minus its children's, clamped at
+        zero; each box's volume is computed once.
+        """
         total = self.domain.volume()
         fractions = {outcome: 0.0 for outcome in Outcome}
-        for record in self.records:
-            fractions[record.outcome] += record.own_volume(self.records)
+        volumes = [record.box.volume() for record in self.records]
+        for record, vol in zip(self.records, volumes):
+            for child_index in record.children:
+                vol -= volumes[child_index]
+            fractions[record.outcome] += max(vol, 0.0)
         if total > 0.0:
             for outcome in fractions:
                 fractions[outcome] /= total

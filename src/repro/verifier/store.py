@@ -43,7 +43,7 @@ from typing import Iterator
 from ..obs.jsonl import JsonlWriter, iter_jsonl
 from ..solver.box import Box
 from ..solver.interval import make
-from .regions import Outcome, RegionRecord, VerificationReport
+from .regions import Outcome, RegionRecord, VerificationReport, gc_paused
 
 __all__ = [
     "CampaignStore",
@@ -74,6 +74,9 @@ def _box_payload(box: Box) -> dict[str, list[float]]:
 def _box_from_payload(payload: dict[str, list[float]]) -> Box:
     names = tuple(sorted(payload))
     return Box._of(names, tuple(make(*payload[name]) for name in names))
+
+
+_OUTCOMES = {outcome.value: outcome for outcome in Outcome}
 
 
 def report_to_payload(report: VerificationReport) -> dict:
@@ -115,18 +118,29 @@ def report_from_payload(payload: dict) -> VerificationReport:
         raise ValueError(
             f"store payload schema v{version} does not match v{SCHEMA_VERSION}"
         )
-    records = [
-        RegionRecord(
-            index=r["index"],
-            depth=r["depth"],
-            box=_box_from_payload(r["box"]),
-            outcome=Outcome(r["outcome"]),
-            model=r["model"],
-            children=list(r["children"]),
-            solver_steps=r["solver_steps"],
-        )
-        for r in payload["records"]
-    ]
+    # a cell's records share a handful of key orders: sort each once
+    sorted_names: dict[tuple, tuple[str, ...]] = {}
+    records = []
+    for r in payload["records"]:
+        box = r["box"]
+        order = tuple(box)
+        names = sorted_names.get(order)
+        if names is None:
+            names = sorted_names[order] = tuple(sorted(box))
+        value = r["outcome"]
+        try:
+            outcome = _OUTCOMES[value]
+        except (KeyError, TypeError):
+            outcome = Outcome(value)  # raises the ValueError a bad value gets
+        records.append(RegionRecord(
+            r["index"],
+            r["depth"],
+            Box._of(names, tuple(make(*box[name]) for name in names)),
+            outcome,
+            r["model"],
+            list(r["children"]),
+            r["solver_steps"],
+        ))
     return VerificationReport(
         functional_name=payload["functional"],
         condition_id=payload["condition"],
@@ -177,18 +191,20 @@ class CampaignStore:
         only ever hold the cell kind it was content-hashed for, so this
         is a kind filter, not a collision risk.
         """
-        payload = self.get_payload(key)
-        if payload is None or "kind" in payload:
-            return None
-        return report_from_payload(payload)
+        with gc_paused():
+            payload = self.get_payload(key)
+            if payload is None or "kind" in payload:
+                return None
+            return report_from_payload(payload)
 
     def put(self, key: str, report: VerificationReport) -> int:
-        return self.put_payload(
-            key,
-            report_to_payload(report),
-            functional=report.functional_name,
-            condition_id=report.condition_id,
-        )
+        with gc_paused():
+            return self.put_payload(
+                key,
+                report_to_payload(report),
+                functional=report.functional_name,
+                condition_id=report.condition_id,
+            )
 
     def keys(self) -> list[str]:
         raise NotImplementedError
@@ -396,46 +412,65 @@ class JsonlStore(CampaignStore):
     Re-put keys append a new line; the latest line wins on load.  A line
     cut short by a kill mid-write fails to parse and is skipped, so an
     interrupted campaign's store is always loadable.
+
+    Payloads loaded from the file are kept parsed.  A payload put through
+    this object is kept as the JSON text its line was written with, and
+    parsed on its first :meth:`get_payload`: the store never holds the
+    caller's dict, so a caller's later mutation never changes what a get
+    returns, and a cell that is written and never read again (a
+    campaign's fresh cells) costs its bytes, not a second tree of dicts.
     """
 
     def __init__(self, path: str):
         self.path = str(path)
-        self._entries: dict[str, dict] = {}
+        self._entries: dict[str, dict | str] = {}
         self._created: dict[str, float] = {}
         # skip-truncated-tail on read; the writer seals the tail on open
         # (the shared JSONL discipline, see repro.obs.jsonl)
-        for entry in iter_jsonl(self.path):
-            payload = entry["payload"]
-            if payload.get("v") != SCHEMA_VERSION:
-                raise ValueError(
-                    f"store {self.path} contains schema "
-                    f"v{payload.get('v')}, expected v{SCHEMA_VERSION}"
-                )
-            self._entries[entry["key"]] = payload
-            self._created[entry["key"]] = entry["created_at"]
+        with gc_paused():
+            for entry in iter_jsonl(self.path):
+                payload = entry["payload"]
+                if payload.get("v") != SCHEMA_VERSION:
+                    raise ValueError(
+                        f"store {self.path} contains schema "
+                        f"v{payload.get('v')}, expected v{SCHEMA_VERSION}"
+                    )
+                self._entries[entry["key"]] = payload
+                self._created[entry["key"]] = entry["created_at"]
         # fsync per cell: a completed cell must survive power loss, not
         # just the process dying
         self._writer = JsonlWriter(self.path, fsync=True)
 
     def get_payload(self, key: str) -> dict | None:
-        return self._entries.get(key)
+        entry = self._entries.get(key)
+        if isinstance(entry, str):
+            # parsed once: the service serves every cache hit from here
+            entry = self._entries[key] = json.loads(entry)
+        return entry
 
     def put_payload(
         self, key: str, payload: dict, *, functional: str = "", condition_id: str = ""
     ) -> int:
         created = time.time()
-        written = self._writer.write(
+        text = json.dumps(payload, sort_keys=True)
+        head = json.dumps(
             {
-                "key": key,
-                "functional": functional,
                 "condition": condition_id,
                 "created_at": created,
-                "payload": payload,
-            }
+                "functional": functional,
+                "key": key,
+            },
+            sort_keys=True,
         )
-        self._entries[key] = payload
+        # "payload" sorts last: the line json.dumps(entry, sort_keys=True)
+        # would write, with the payload encoded once
+        written = self._writer.write_line(f'{head[:-1]}, "payload": {text}}}')
+        self._entries[key] = text
         self._created[key] = created
         return written
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._entries
 
     def keys(self) -> list[str]:
         return list(self._entries)

@@ -119,7 +119,36 @@ class TestVerifierCampaignTrace:
         assert lint_trace(header, spans) == []
         cats = spans_by_cat(spans)
         assert "cell" not in cats  # nothing computed, nothing traced as such
-        assert cats["campaign"][0]["attrs"]["store_hits"] == 3
+        (campaign,) = cats["campaign"]
+        assert campaign["attrs"]["store_hits"] == 3
+        # the campaign opened the store itself, then looked each cell up
+        by_name = {}
+        for span in cats["store"]:
+            by_name.setdefault(span["name"], []).append(span)
+        assert sorted(by_name) == ["store_get", "store_open"]
+        assert len(by_name["store_open"]) == 1
+        assert [s["attrs"]["hit"] for s in by_name["store_get"]] == [True] * 3
+        assert all(s["parent"] == campaign["span"] for s in cats["store"])
+
+    def test_store_misses_trace_store_get(self, tmp_path):
+        _, (header, spans) = traced_campaign(
+            tmp_path, PAIRS, FAST, max_workers=1, store=tmp_path / "store.jsonl"
+        )
+        assert lint_trace(header, spans) == []
+        (campaign,) = spans_by_cat(spans)["campaign"]
+        gets = [s for s in spans if s["name"] == "store_get"]
+        assert [s["attrs"]["hit"] for s in gets] == [False] * 3
+        assert all(s["parent"] == campaign["span"] for s in gets)
+
+    def test_no_store_open_span_for_a_callers_store(self, tmp_path):
+        from repro.verifier.store import open_store
+
+        with open_store(tmp_path / "store.jsonl") as store:
+            _, (header, spans) = traced_campaign(
+                tmp_path, PAIRS[:1], FAST, max_workers=1, store=store
+            )
+        names = [s["name"] for s in spans if s["cat"] == "store"]
+        assert sorted(names) == ["store_get", "store_put"]
 
 
 class TestTracingDoesNotPerturb:

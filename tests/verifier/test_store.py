@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 
@@ -141,6 +142,16 @@ class TestStoreBackends:
         assert isinstance(store, expected)
         store.close()
 
+    def test_put_payload_keeps_no_reference_to_the_callers_dict(self, tmp_path, suffix):
+        payload = {"v": SCHEMA_VERSION, "kind": "numerics/hazards", "cells": [1, 2]}
+        with open_store(tmp_path / f"store{suffix}") as store:
+            store.put_payload("k", payload)
+            payload["cells"].append(3)
+            payload["extra"] = True
+            assert store.get_payload("k") == {
+                "v": SCHEMA_VERSION, "kind": "numerics/hazards", "cells": [1, 2]
+            }
+
     def test_iter_reports_walks_everything(self, tmp_path, suffix):
         reports = {"a": _tricky_report(), "b": _sample_report()}
         with open_store(tmp_path / f"store{suffix}") as store:
@@ -150,6 +161,145 @@ class TestStoreBackends:
             assert sorted(walked) == ["a", "b"]
             for key, restored in walked.items():
                 assert_roundtrip_exact(reports[key], restored)
+
+
+def test_jsonl_line_is_the_sorted_dump_of_the_entry(tmp_path):
+    # the line is assembled around the payload text, encoded once; it must
+    # be byte-identical to dumping the whole entry
+    path = tmp_path / "store.jsonl"
+    with open_store(path) as store:
+        written = store.put("cell", _tricky_report())
+    (line,) = path.read_text().splitlines()
+    assert json.dumps(json.loads(line), sort_keys=True) == line
+    assert written == len(line) + 1
+    entry = json.loads(line)
+    assert entry["payload"] == report_to_payload(_tricky_report())
+    assert (entry["key"], entry["functional"], entry["condition"]) == ("cell", "Toy", "T1")
+
+
+def _reference_report_from_payload(payload: dict) -> VerificationReport:
+    """The per-record decoder ``report_from_payload`` replaced (exception oracle)."""
+    from repro.solver.interval import make
+
+    def box(bounds):
+        names = tuple(sorted(bounds))
+        return Box._of(names, tuple(make(*bounds[name]) for name in names))
+
+    if payload.get("v") != SCHEMA_VERSION:
+        raise ValueError("schema")
+    records = [
+        RegionRecord(
+            index=r["index"], depth=r["depth"], box=box(r["box"]),
+            outcome=Outcome(r["outcome"]), model=r["model"],
+            children=list(r["children"]), solver_steps=r["solver_steps"],
+        )
+        for r in payload["records"]
+    ]
+    return VerificationReport(
+        functional_name=payload["functional"], condition_id=payload["condition"],
+        domain=box(payload["domain"]), records=records,
+        total_solver_steps=payload["total_solver_steps"],
+        elapsed_seconds=payload["elapsed_seconds"],
+        compile_seconds=payload.get("compile_seconds", 0.0),
+        budget_exhausted=payload["budget_exhausted"],
+    )
+
+
+def _malformed(mutate):
+    payload = json.loads(json.dumps(report_to_payload(_tricky_report())))
+    mutate(payload)
+    return payload
+
+
+def _set_record(field, value):
+    def mutate(payload):
+        payload["records"][1][field] = value
+    return mutate
+
+
+MALFORMED = {
+    "no_records": lambda p: p.pop("records"),
+    "no_index": lambda p: p["records"][0].pop("index"),
+    "no_box": lambda p: p["records"][2].pop("box"),
+    "bad_outcome": _set_record("outcome", "bogus"),
+    "unhashable_outcome": _set_record("outcome", ["timeout"]),
+    "null_outcome": _set_record("outcome", None),
+    "box_is_list": _set_record("box", [[0.0, 1.0]]),
+    "box_is_null": _set_record("box", None),
+    "interval_arity": _set_record("box", {"x": [0.0], "y": [0.0, 1.0]}),
+    "interval_text": _set_record("box", {"x": ["a", "b"], "y": [0.0, 1.0]}),
+    "null_children": _set_record("children", None),
+    "no_domain": lambda p: p.pop("domain"),
+}
+
+
+class TestDecoder:
+    def test_unsorted_box_keys(self):
+        payload = _malformed(lambda p: None)
+        for record in payload["records"]:
+            record["box"] = dict(reversed(list(record["box"].items())))
+        payload["domain"] = dict(reversed(list(payload["domain"].items())))
+        restored = report_from_payload(payload)
+        assert restored.identical_to(_tricky_report())
+        assert all(r.box.names == ("x", "y") for r in restored.records)
+
+    def test_box_keys_differ_between_records(self):
+        payload = _malformed(lambda p: None)
+        payload["records"][0]["box"] = {"s": [0.0, 1.0], "rs": [1.0, 3.0]}
+        payload["records"][1]["box"] = {"y": [0.5, 1.0], "x": [0.0, 0.25], "a": [2.0, 2.0]}
+        restored = report_from_payload(payload)
+        assert restored.identical_to(_reference_report_from_payload(payload))
+        assert restored.records[0].box == Box.from_bounds({"rs": (1.0, 3.0), "s": (0.0, 1.0)})
+        assert restored.records[1].box.names == ("a", "x", "y")
+        assert restored.records[2].box.names == ("x", "y")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_payloads_raise_the_same_types(self, case):
+        payload = _malformed(MALFORMED[case])
+        with pytest.raises(Exception) as expected:
+            _reference_report_from_payload(payload)
+        with pytest.raises(expected.type):
+            report_from_payload(payload)
+
+
+class TestCollectorRestored:
+    """The store pauses the cyclic collector; every call must give it back."""
+
+    @pytest.mark.parametrize("suffix", [".sqlite", ".jsonl"])
+    def test_after_a_put_that_raises(self, tmp_path, suffix):
+        report = _tricky_report()
+        report.records[0].model = {"x": object()}  # not JSON-serialisable
+        with open_store(tmp_path / f"store{suffix}") as store:
+            with pytest.raises(TypeError):
+                store.put("k", report)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("suffix", [".sqlite", ".jsonl"])
+    def test_after_a_get_of_a_malformed_payload(self, tmp_path, suffix):
+        with open_store(tmp_path / f"store{suffix}") as store:
+            store.put_payload("k", _malformed(_set_record("outcome", "bogus")))
+            with pytest.raises(ValueError):
+                store.get("k")
+        assert gc.isenabled()
+
+    def test_after_a_schema_mismatch_on_open(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_text(json.dumps({"key": "k", "created_at": 0.0, "payload": {"v": 999}}) + "\n")
+        with pytest.raises(ValueError, match="schema"):
+            open_store(path)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_after_run_campaign_with_a_jsonl_store(self, tmp_path, workers):
+        from repro.verifier.campaign import run_campaign
+
+        pairs = [("Wigner", "EC1"), ("VWN RPA", "EC1")]
+        path = tmp_path / "store.jsonl"
+        run_campaign(pairs, FAST, max_workers=workers, store=path)
+        assert gc.isenabled()
+        again = run_campaign(pairs, FAST, max_workers=workers, store=path)
+        assert sorted(again.store_hits) == sorted(pairs)
+        assert gc.isenabled()
 
 
 class TestJsonlCrashRobustness:
