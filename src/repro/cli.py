@@ -35,9 +35,8 @@ cells run at once, never what a cell contains.  ``repro stats STORE``
 prints the per-pair timing aggregates of a store.
 
 ``table1``, ``table2`` and ``campaign`` accept ``--store PATH`` (persist
-every completed cell immediately; ``.jsonl`` selects the append-only
-checkpoint format, ``.sqlite``/``.sqlite3``/``.db`` SQLite; other
-suffixes are rejected) and ``--resume`` (serve
+every completed cell immediately to an append-only ``.jsonl`` checkpoint
+file; other suffixes are rejected) and ``--resume`` (serve
 unchanged cells from the store).  An interrupt (SIGINT / Ctrl-C) exits
 with status 130 after printing the partial table; everything completed
 is already in the store, so re-running with ``--resume`` continues where
@@ -207,9 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_num.add_argument(
         "--store", dest="store_path", default=None,
-        help="persist completed analysis cells here (*.jsonl = append-only "
-        "checkpoints, *.sqlite/*.db = SQLite); written incrementally, "
-        "safe to interrupt",
+        help="persist completed analysis cells here (an append-only *.jsonl "
+        "checkpoint file); written incrementally, safe to interrupt",
     )
     p_num.add_argument(
         "--resume", action="store_true",
@@ -224,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--store", dest="store_path", required=True,
-        help="the service's result store (*.jsonl / *.sqlite); every "
+        help="the service's result store (*.jsonl); every "
         "completed cell persists here and is served as a cache hit "
         "forever after -- across restarts and by --resume CLI campaigns",
     )
@@ -326,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_stats.add_argument(
         "store_path",
-        help="an existing campaign store (*.jsonl / *.sqlite)",
+        help="an existing campaign store (*.jsonl)",
     )
 
     from .statan import all_rule_ids
@@ -429,8 +427,8 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--store", dest="store_path", default=None,
-        help="persist completed cells here (*.jsonl = append-only checkpoints, "
-        "*.sqlite/*.db = SQLite); written incrementally, safe to interrupt",
+        help="persist completed cells here (an append-only *.jsonl checkpoint "
+        "file); written incrementally, safe to interrupt",
     )
     parser.add_argument(
         "--resume", action="store_true",
@@ -628,13 +626,12 @@ def _check_store_path(path) -> None:
     first opened, which for campaigns is after encoding starts)."""
     if path is None:
         return
-    from .verifier.store import STORE_SUFFIXES
+    from .verifier.store import check_store_path
 
-    if not any(str(path).endswith(suffix) for suffix in STORE_SUFFIXES):
-        supported = ", ".join(sorted(STORE_SUFFIXES))
-        raise _UsageError(
-            f"unknown store suffix for {str(path)!r}: expected one of {supported}"
-        )
+    try:
+        check_store_path(path)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _resolve_campaign_slice(args):

@@ -1,10 +1,9 @@
 """The append-only JSONL durability discipline, in one place.
 
 Three subsystems persist line-oriented JSON with the same crash
-contract -- the campaign store's JSONL backend, the service audit log
-and the trace sink: one JSON object per line, flushed per write, and a
-line cut short by SIGTERM/kill mid-write is tolerated.  Tolerated means
-two things:
+contract -- the campaign store, the service audit log and the trace
+sink: one JSON object per line, flushed per write, and a line cut short
+by SIGTERM/kill mid-write is tolerated.  Tolerated means two things:
 
 * **readers skip the truncated tail** -- a line that fails to parse is
   dropped, never propagated as corruption;

@@ -1,11 +1,11 @@
 """Append-only JSONL audit log of service submissions and auth denials.
 
 Mirrors tritium-sc's ``audit_middleware`` shape with the same durability
-contract as the campaign store's JSONL backend -- the shared
-skip-truncated-tail / seal-on-reopen discipline now lives in
-:mod:`repro.obs.jsonl`, and this log is one thin layer over it: one JSON
-object per line, flushed per write, a line cut short by SIGTERM/kill
-mid-write is skipped by the reader and sealed on reopen.
+contract as the campaign store -- the shared skip-truncated-tail /
+seal-on-reopen discipline now lives in :mod:`repro.obs.jsonl`, and this
+log is one thin layer over it: one JSON object per line, flushed per
+write, a line cut short by SIGTERM/kill mid-write is skipped by the
+reader and sealed on reopen.
 
 What gets logged (one entry per *decision*, never per poll):
 

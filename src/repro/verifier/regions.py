@@ -216,9 +216,16 @@ class VerificationReport:
         the pair CEX; otherwise fully verified -> OK; partially verified
         -> OK*; nothing verified -> ?.
         """
+        return self._symbol(None)
+
+    def _symbol(self, fractions: dict[Outcome, float] | None) -> str:
+        """:meth:`classification`, reusing ``fractions`` when the caller
+        already holds :meth:`area_fractions` (None computes them, and
+        only when no counterexample decides the symbol first)."""
         if self.has_counterexample():
             return SYMBOL_COUNTEREXAMPLE
-        fractions = self.area_fractions()
+        if fractions is None:
+            fractions = self.area_fractions()
         verified = fractions[Outcome.VERIFIED]
         if verified >= 1.0 - 1e-9:
             return SYMBOL_VERIFIED
@@ -256,6 +263,6 @@ class VerificationReport:
         )
         return (
             f"{self.functional_name}/{self.condition_id}: "
-            f"{self.classification()} ({parts}; {len(self.records)} regions, "
+            f"{self._symbol(fractions)} ({parts}; {len(self.records)} regions, "
             f"{self.total_solver_steps} solver steps)"
         )

@@ -18,24 +18,16 @@ campaign engine durable cells:
   and step counts are restored bit-for-bit (floats survive the JSON
   round-trip because Python serialises them via shortest-repr).
 
-Two interchangeable backends behind one interface, chosen by file suffix
-in :func:`open_store`:
-
-* SQLite (``*.sqlite`` / ``*.sqlite3`` / ``*.db``) -- one ``results``
-  table, one committed transaction per cell; WAL mode plus a busy
-  timeout keep concurrent readers working while a campaign writes;
-* JSONL (``*.jsonl``) -- an append-only checkpoint file, one JSON object
-  per line, flushed per cell.  Human-greppable, trivially diffable, and
-  crash-robust: a write cut short by a kill leaves a truncated last line,
-  which the loader skips.
+The store is an append-only JSONL checkpoint file (``*.jsonl``): one JSON
+object per line, fsynced per cell.  It is human-greppable, trivially
+diffable, and crash-robust: a write cut short by a kill leaves a
+truncated last line, which the loader skips.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sqlite3
-import threading
 import time
 from dataclasses import dataclass
 from typing import Iterator
@@ -47,11 +39,9 @@ from .regions import Outcome, RegionRecord, VerificationReport, gc_paused
 
 __all__ = [
     "CampaignStore",
-    "JsonlStore",
     "PairTiming",
-    "STORE_SUFFIXES",
-    "SqliteStore",
     "aggregate_timings",
+    "check_store_path",
     "iter_reports",
     "open_store",
     "report_to_payload",
@@ -156,11 +146,11 @@ def report_from_payload(payload: dict) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# store backends
+# the store
 # ---------------------------------------------------------------------------
 
 class CampaignStore:
-    """Interface shared by the SQLite and JSONL backends.
+    """Append-only JSONL checkpoint file: one cell per line, fsynced per put.
 
     A store maps content-hash keys to JSON-safe *cell payloads*.  The
     original (and still primary) cell kind is the verification report,
@@ -169,20 +159,77 @@ class CampaignStore:
     the generic :meth:`get_payload`/:meth:`put_payload`, distinguished by
     a ``"kind"`` entry -- report payloads carry none, so old stores read
     back unchanged and mixed stores are fine.  ``put``/``put_payload``
-    are durable on return (committed / flushed), which is the property
-    the resume machinery rests on.
+    are durable on return (fsynced), which is the property the resume
+    machinery rests on.
+
+    Re-put keys append a new line; the latest line wins on load.  A line
+    cut short by a kill mid-write fails to parse and is skipped, so an
+    interrupted campaign's store is always loadable.  One store object
+    may be shared across threads (the service's job threads all write
+    through one store): the writer appends each line under a lock.
+
+    Payloads loaded from the file are kept parsed.  A payload put through
+    this object is kept as the JSON text its line was written with, and
+    parsed on its first :meth:`get_payload`: the store never holds the
+    caller's dict, so a caller's later mutation never changes what a get
+    returns, and a cell that is written and never read again (a
+    campaign's fresh cells) costs its bytes, not a second tree of dicts.
     """
 
-    path: str
+    def __init__(self, path: str):
+        self.path = str(path)
+        self._entries: dict[str, dict | str] = {}
+        self._created: dict[str, float] = {}
+        # skip-truncated-tail on read; the writer seals the tail on open
+        # (the shared JSONL discipline, see repro.obs.jsonl)
+        with gc_paused():
+            for entry in iter_jsonl(self.path):
+                payload = entry["payload"]
+                if payload.get("v") != SCHEMA_VERSION:
+                    raise ValueError(
+                        f"store {self.path} contains schema "
+                        f"v{payload.get('v')}, expected v{SCHEMA_VERSION}"
+                    )
+                self._entries[entry["key"]] = payload
+                self._created[entry["key"]] = entry["created_at"]
+        # fsync per cell: a completed cell must survive power loss, not
+        # just the process dying
+        self._writer = JsonlWriter(self.path, fsync=True)
 
     def get_payload(self, key: str) -> dict | None:
-        raise NotImplementedError
+        """The payload stored under ``key``, if any.
+
+        The returned dict belongs to the store: every call for ``key``
+        returns the same object, parsed once, so callers must not mutate
+        it (copy first).  Re-parsing per call would make every service
+        cache hit decode its whole cell again.
+        """
+        entry = self._entries.get(key)
+        if isinstance(entry, str):
+            entry = self._entries[key] = json.loads(entry)
+        return entry
 
     def put_payload(
         self, key: str, payload: dict, *, functional: str = "", condition_id: str = ""
     ) -> int:
-        """Persist ``payload`` under ``key``; returns the payload bytes written."""
-        raise NotImplementedError
+        """Persist ``payload`` under ``key``; returns the line bytes written."""
+        created = time.time()
+        text = json.dumps(payload, sort_keys=True)
+        head = json.dumps(
+            {
+                "condition": condition_id,
+                "created_at": created,
+                "functional": functional,
+                "key": key,
+            },
+            sort_keys=True,
+        )
+        # "payload" sorts last: the line json.dumps(entry, sort_keys=True)
+        # would write, with the payload encoded once
+        written = self._writer.write_line(f'{head[:-1]}, "payload": {text}}}')
+        self._entries[key] = text
+        self._created[key] = created
+        return written
 
     def get(self, key: str) -> VerificationReport | None:
         """The verification report stored under ``key``, if any.
@@ -207,10 +254,10 @@ class CampaignStore:
             )
 
     def keys(self) -> list[str]:
-        raise NotImplementedError
+        return list(self._entries)
 
     def created_at(self, key: str) -> float | None:
-        raise NotImplementedError
+        return self._created.get(key)
 
     def iter_timings(self) -> Iterator[dict]:
         """Yield one timing row per stored *verify* cell, in store order.
@@ -240,13 +287,13 @@ class CampaignStore:
             }
 
     def close(self) -> None:
-        raise NotImplementedError
+        self._writer.close()
 
     def __len__(self) -> int:
-        return len(self.keys())
+        return len(self._entries)
 
     def __contains__(self, key: str) -> bool:
-        return self.get_payload(key) is not None
+        return key in self._entries
 
     def __enter__(self) -> "CampaignStore":
         return self
@@ -303,212 +350,24 @@ def aggregate_timings(rows) -> dict[tuple[str, str], PairTiming]:
     return out
 
 
-class SqliteStore(CampaignStore):
-    """SQLite-backed store: one committed transaction per completed cell.
+def check_store_path(path) -> None:
+    """Raise :class:`ValueError` unless ``path`` names a ``.jsonl`` store.
 
-    Opened in WAL mode with a busy timeout, so a reader iterating reports
-    while a campaign (or the verification service) commits cells blocks
-    briefly instead of failing with "database is locked", and concurrent
-    readers proceed against the last committed snapshot.  One store
-    object may be shared across threads (the service's job threads all
-    write through one store): the connection is opened with
-    ``check_same_thread=False`` and every statement runs under an
-    internal lock.
+    Any other suffix (``.sqlite``, ``.db``, ``.db.tmp``, an extensionless
+    path, a typo) is refused before the path is touched: opening e.g. an
+    old SQLite file as JSONL would seal and append to it, and silently
+    accepting a temp-file rename pattern would create a store the next
+    run cannot identify.
     """
-
-    #: how long a writer waits on a locked database before giving up
-    BUSY_TIMEOUT_SECONDS = 30.0
-
-    def __init__(self, path: str):
-        self.path = str(path)
-        self._lock = threading.Lock()
-        self._conn = sqlite3.connect(
-            self.path,
-            timeout=self.BUSY_TIMEOUT_SECONDS,
-            check_same_thread=False,
-        )
-        # WAL lets readers run against the last committed snapshot while
-        # a writer commits; the busy timeout covers the residual
-        # checkpoint/exclusive windows.  On filesystems that refuse WAL
-        # the pragma is a no-op and the busy timeout alone still protects
-        # readers.
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute(
-            f"PRAGMA busy_timeout={int(self.BUSY_TIMEOUT_SECONDS * 1000)}"
-        )
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS results ("
-            " key TEXT PRIMARY KEY,"
-            " functional TEXT NOT NULL,"
-            " condition_id TEXT NOT NULL,"
-            " created_at REAL NOT NULL,"
-            " payload TEXT NOT NULL)"
-        )
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS meta (k TEXT PRIMARY KEY, v TEXT NOT NULL)"
-        )
-        row = self._conn.execute(
-            "SELECT v FROM meta WHERE k = 'schema_version'"
-        ).fetchone()
-        if row is None:
-            self._conn.execute(
-                "INSERT INTO meta (k, v) VALUES ('schema_version', ?)",
-                (str(SCHEMA_VERSION),),
-            )
-            self._conn.commit()
-        elif int(row[0]) != SCHEMA_VERSION:
-            self._conn.close()
-            raise ValueError(
-                f"store {self.path} has schema v{row[0]}, expected v{SCHEMA_VERSION}"
-            )
-
-    def get_payload(self, key: str) -> dict | None:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT payload FROM results WHERE key = ?", (key,)
-            ).fetchone()
-        if row is None:
-            return None
-        return json.loads(row[0])
-
-    def put_payload(
-        self, key: str, payload: dict, *, functional: str = "", condition_id: str = ""
-    ) -> int:
-        text = json.dumps(payload, sort_keys=True)
-        with self._lock:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO results"
-                " (key, functional, condition_id, created_at, payload)"
-                " VALUES (?, ?, ?, ?, ?)",
-                (key, functional, condition_id, time.time(), text),
-            )
-            self._conn.commit()
-        return len(text)
-
-    def keys(self) -> list[str]:
-        with self._lock:
-            return [
-                row[0]
-                for row in self._conn.execute(
-                    "SELECT key FROM results ORDER BY created_at, key"
-                )
-            ]
-
-    def created_at(self, key: str) -> float | None:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT created_at FROM results WHERE key = ?", (key,)
-            ).fetchone()
-        return None if row is None else row[0]
-
-    def close(self) -> None:
-        with self._lock:
-            self._conn.close()
-
-
-class JsonlStore(CampaignStore):
-    """Append-only JSONL checkpoint file: one cell per line, flushed per put.
-
-    Re-put keys append a new line; the latest line wins on load.  A line
-    cut short by a kill mid-write fails to parse and is skipped, so an
-    interrupted campaign's store is always loadable.
-
-    Payloads loaded from the file are kept parsed.  A payload put through
-    this object is kept as the JSON text its line was written with, and
-    parsed on its first :meth:`get_payload`: the store never holds the
-    caller's dict, so a caller's later mutation never changes what a get
-    returns, and a cell that is written and never read again (a
-    campaign's fresh cells) costs its bytes, not a second tree of dicts.
-    """
-
-    def __init__(self, path: str):
-        self.path = str(path)
-        self._entries: dict[str, dict | str] = {}
-        self._created: dict[str, float] = {}
-        # skip-truncated-tail on read; the writer seals the tail on open
-        # (the shared JSONL discipline, see repro.obs.jsonl)
-        with gc_paused():
-            for entry in iter_jsonl(self.path):
-                payload = entry["payload"]
-                if payload.get("v") != SCHEMA_VERSION:
-                    raise ValueError(
-                        f"store {self.path} contains schema "
-                        f"v{payload.get('v')}, expected v{SCHEMA_VERSION}"
-                    )
-                self._entries[entry["key"]] = payload
-                self._created[entry["key"]] = entry["created_at"]
-        # fsync per cell: a completed cell must survive power loss, not
-        # just the process dying
-        self._writer = JsonlWriter(self.path, fsync=True)
-
-    def get_payload(self, key: str) -> dict | None:
-        entry = self._entries.get(key)
-        if isinstance(entry, str):
-            # parsed once: the service serves every cache hit from here
-            entry = self._entries[key] = json.loads(entry)
-        return entry
-
-    def put_payload(
-        self, key: str, payload: dict, *, functional: str = "", condition_id: str = ""
-    ) -> int:
-        created = time.time()
-        text = json.dumps(payload, sort_keys=True)
-        head = json.dumps(
-            {
-                "condition": condition_id,
-                "created_at": created,
-                "functional": functional,
-                "key": key,
-            },
-            sort_keys=True,
-        )
-        # "payload" sorts last: the line json.dumps(entry, sort_keys=True)
-        # would write, with the payload encoded once
-        written = self._writer.write_line(f'{head[:-1]}, "payload": {text}}}')
-        self._entries[key] = text
-        self._created[key] = created
-        return written
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def keys(self) -> list[str]:
-        return list(self._entries)
-
-    def created_at(self, key: str) -> float | None:
-        return self._created.get(key)
-
-    def close(self) -> None:
-        self._writer.close()
-
-
-#: recognised store file suffixes and the backends they select
-STORE_SUFFIXES: dict[str, type] = {
-    ".jsonl": JsonlStore,
-    ".sqlite": SqliteStore,
-    ".sqlite3": SqliteStore,
-    ".db": SqliteStore,
-}
+    text = str(path)
+    if not text.endswith(".jsonl"):
+        raise ValueError(f"unknown store suffix for {text!r}: expected .jsonl")
 
 
 def open_store(path: str) -> CampaignStore:
-    """Open (creating if needed) the store at ``path``.
-
-    The backend is selected by file suffix: ``.jsonl`` is the append-only
-    JSONL checkpoint format; ``.sqlite`` / ``.sqlite3`` / ``.db`` select
-    SQLite.  Any other suffix (``.db.tmp``, an extensionless path, a
-    typo) raises :class:`ValueError` naming the supported suffixes --
-    silently defaulting a backend for e.g. a temp-file rename pattern
-    would create a store the next run cannot identify.
-    """
-    text = str(path)
-    for suffix, backend in STORE_SUFFIXES.items():
-        if text.endswith(suffix):
-            return backend(path)
-    supported = ", ".join(sorted(STORE_SUFFIXES))
-    raise ValueError(
-        f"unknown store suffix for {text!r}: expected one of {supported}"
-    )
+    """Open (creating if needed) the ``.jsonl`` store at ``path``."""
+    check_store_path(path)
+    return CampaignStore(path)
 
 
 def iter_reports(store: CampaignStore) -> Iterator[tuple[str, VerificationReport]]:

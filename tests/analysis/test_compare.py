@@ -133,7 +133,7 @@ class TestRunTableTwoSmall:
         # the library-level store/resume branch: the verifier half runs
         # through the campaign engine and persists; a second call with the
         # same store serves the cells as hits and yields the same table
-        store = tmp_path / "t2.sqlite"
+        store = tmp_path / "t2.jsonl"
         functionals = (get_functional("LYP"), get_functional("VWN RPA"))
         first = run_table_two(
             verifier_config=FAST, checker=CHECKER,

@@ -261,16 +261,6 @@ class TestStoreAndResume:
         for key in first.cells:
             assert dumps(first.cells[key]) == dumps(second.cells[key])
 
-    def test_sqlite_backend_round_trips(self, tmp_path):
-        store = tmp_path / "numerics.sqlite"
-        first = run_numerics_campaign(["Wigner"], checks=("continuity",),
-                                      store=store, resume=True)
-        second = run_numerics_campaign(["Wigner"], checks=("continuity",),
-                                       store=store, resume=True)
-        assert second.store_hits and not second.computed
-        key = ("Wigner", "fc", "continuity", "-")
-        assert dumps(first.cells[key]) == dumps(second.cells[key])
-
     def test_changed_parameters_miss_cleanly(self, tmp_path):
         store = tmp_path / "numerics.jsonl"
         run_numerics_campaign(["Wigner"], checks=("continuity",), store=store)

@@ -110,7 +110,7 @@ class TestVerifierCampaignTrace:
         assert sum(s["attrs"]["bytes"] for s in puts) == store.stat().st_size
 
     def test_store_hits_open_no_cell_spans(self, tmp_path):
-        store = tmp_path / "store.sqlite"
+        store = tmp_path / "store.jsonl"
         run_campaign(PAIRS, FAST, max_workers=1, store=store)
         result, (header, spans) = traced_campaign(
             tmp_path, PAIRS, FAST, max_workers=1, store=store

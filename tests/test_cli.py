@@ -179,7 +179,7 @@ class TestCampaignCommand:
         assert "campaign: 2 cells computed" in out
 
     def test_campaign_store_resume(self, capsys, tmp_path):
-        store = str(tmp_path / "c.sqlite")
+        store = str(tmp_path / "c.jsonl")
         args = [
             "campaign", "--functionals", "Wigner", "--conditions", "EC1,EC2",
             "--budget", "100", "--global-budget", "1000", "--store", store,
@@ -390,7 +390,28 @@ class TestExitCodes:
             assert main(args) == 1, args
             err = capsys.readouterr().err
             assert "unknown store suffix" in err
-            assert ".jsonl" in err and ".sqlite" in err
+            assert "expected .jsonl" in err
+
+    def test_old_sqlite_store_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # refused before any compute, never opened as JSONL and appended to
+        import repro.analysis
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("computed before the store path was checked")
+
+        monkeypatch.setattr(repro.analysis, "run_table_campaign", no_compute)
+        sqlite3 = pytest.importorskip("sqlite3")
+        path = tmp_path / "x.sqlite"
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE results (key TEXT PRIMARY KEY, payload TEXT)")
+        conn.commit()
+        conn.close()
+        before = path.read_bytes()
+        assert main(["table1", "--store", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown store suffix" in captured.err and ".jsonl" in captured.err
+        assert path.read_bytes() == before
 
     def test_serve_unknown_store_suffix_is_usage_error(self, tmp_path, capsys):
         assert main(["serve", "--store", str(tmp_path / "s.tmp"),

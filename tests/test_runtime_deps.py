@@ -1,9 +1,10 @@
 """The package imports with only its runtime requirements installed.
 
 SymPy is a test dependency (``requirements-dev.txt``): the tests use it to
-cross-check the derivative engine.  The check runs in a fresh interpreter
-with ``sys.modules["sympy"] = None``, which makes any ``import sympy``
-raise ImportError as if the package were not installed.
+cross-check the derivative engine.  ``sqlite3`` is optional in CPython
+builds, and the result store is plain JSONL.  The check runs in a fresh
+interpreter with ``sys.modules[name] = None`` for both, which makes any
+``import`` of them raise ImportError as if they were not installed.
 """
 
 import os
@@ -13,6 +14,7 @@ import sys
 _IMPORT_ALL_WITHOUT_SYMPY = """\
 import sys
 sys.modules["sympy"] = None
+sys.modules["sqlite3"] = None
 import importlib, pkgutil
 import repro, repro.cli
 for m in pkgutil.walk_packages(repro.__path__, "repro."):

@@ -155,7 +155,7 @@ class TestDedupe:
 
 class TestStoreIntegration:
     def test_resume_serves_stored_cells(self, tmp_path):
-        store = tmp_path / "store.sqlite"
+        store = tmp_path / "store.jsonl"
         pairs = [("LYP", "EC1"), ("VWN RPA", "EC1")]
         first = run_campaign(pairs, FAST, max_workers=1, store=store)
         assert len(first.computed) == 2 and not first.store_hits
@@ -178,14 +178,14 @@ class TestStoreIntegration:
         # input: a different width keeps hitting
         from repro.solver import icp
 
-        store = tmp_path / "store.sqlite"
+        store = tmp_path / "store.jsonl"
         run_campaign([("VWN RPA", "EC1")], FAST, max_workers=1, store=store)
         monkeypatch.setattr(icp, "BATCH_SIZE", 7)
         rerun = run_campaign([("VWN RPA", "EC1")], FAST, max_workers=1, store=store)
         assert rerun.store_hits == [("VWN RPA", "EC1")]
 
     def test_resume_false_recomputes_but_stores(self, tmp_path):
-        store = tmp_path / "store.sqlite"
+        store = tmp_path / "store.jsonl"
         run_campaign([("Wigner", "EC1")], FAST, max_workers=1, store=store)
         rerun = run_campaign(
             [("Wigner", "EC1")], FAST, max_workers=1, store=store, resume=False

@@ -130,6 +130,23 @@ class TestReportHelpers:
         assert "TEST/EC1" in text
         assert "OK" in text
 
+    @pytest.mark.parametrize("outcome", [Outcome.VERIFIED, Outcome.TIMEOUT])
+    def test_summary_walks_the_area_once(self, outcome, monkeypatch):
+        report = make_report([
+            rec(0, 0.0, 4.0, Outcome.TIMEOUT, children=[1]),
+            rec(1, 0.0, 2.0, outcome, depth=1),
+        ])
+        symbol = report.classification()
+        calls = []
+        walk = VerificationReport.area_fractions
+        monkeypatch.setattr(
+            VerificationReport, "area_fractions",
+            lambda self: calls.append(1) or walk(self),
+        )
+        text = report.summary()
+        assert len(calls) == 1
+        assert f"TEST/EC1: {symbol} (" in text
+
 
 class TestIdentity:
     def test_identical_to_self_and_copy(self):

@@ -66,7 +66,7 @@ def test_pooled_campaign_matches_in_process():
         assert all(records[c].depth == r.depth + 1 and c > r.index for c in r.children)
 
 
-@pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
+@pytest.mark.parametrize("suffix", [".jsonl"])
 def test_area_fractions_bit_equal_after_store_round_trip(tmp_path, scan_report, suffix):
     path = tmp_path / f"store{suffix}"
     with open_store(path) as store:

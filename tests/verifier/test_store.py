@@ -15,9 +15,8 @@ from repro.verifier.encoder import compile_problem, encode
 from repro.verifier.regions import Outcome, RegionRecord, VerificationReport
 from repro.verifier.store import (
     SCHEMA_VERSION,
-    JsonlStore,
+    CampaignStore,
     PairTiming,
-    SqliteStore,
     aggregate_timings,
     iter_reports,
     open_store,
@@ -96,7 +95,8 @@ class TestPayloadRoundTrip:
         assert report_from_payload(payload).area_fractions() == report.area_fractions()
 
 
-@pytest.mark.parametrize("suffix", [".sqlite", ".jsonl"])
+# one store format; the suffix parameter keeps these tests' ids stable
+@pytest.mark.parametrize("suffix", [".jsonl"])
 class TestStoreBackends:
     def test_put_get_roundtrip(self, tmp_path, suffix):
         report = _sample_report()
@@ -138,8 +138,7 @@ class TestStoreBackends:
 
     def test_backend_selection(self, tmp_path, suffix):
         store = open_store(tmp_path / f"store{suffix}")
-        expected = JsonlStore if suffix == ".jsonl" else SqliteStore
-        assert isinstance(store, expected)
+        assert type(store) is CampaignStore
         store.close()
 
     def test_put_payload_keeps_no_reference_to_the_callers_dict(self, tmp_path, suffix):
@@ -175,6 +174,57 @@ def test_jsonl_line_is_the_sorted_dump_of_the_entry(tmp_path):
     entry = json.loads(line)
     assert entry["payload"] == report_to_payload(_tricky_report())
     assert (entry["key"], entry["functional"], entry["condition"]) == ("cell", "Toy", "T1")
+
+
+def test_in_repo_readers_leave_shared_payloads_untouched(tmp_path):
+    # get_payload hands every caller the store's own parsed dict; the
+    # three readers in the package -- CampaignStore.get (campaign
+    # resume), numerics resume and the service's cache lookup feeding a
+    # job result -- must only ever read it
+    import asyncio
+
+    from repro.numerics.campaign import run_numerics_campaign
+    from repro.service.scheduler import VerificationScheduler
+    from repro.verifier.campaign import run_campaign
+
+    path = tmp_path / "shared.jsonl"
+    pairs = [("Wigner", "EC1"), ("LYP", "EC1")]
+    numerics = dict(components=("fc",), checks=("continuity", "hazards"), max_workers=0)
+    run_campaign(pairs, FAST, max_workers=0, store=path)
+    run_numerics_campaign(["Wigner"], store=path, **numerics)
+
+    async def service_results(store):
+        sched = VerificationScheduler(store, max_workers=0)
+        await sched.start()
+        jobs = [await sched.submit(spec) for spec in (
+            {"kind": "table1", "functionals": ["Wigner", "LYP"], "conditions": ["EC1"],
+             "config": {"split_threshold": 0.7, "per_call_budget": 250,
+                        "global_step_budget": 8000}},
+            {"kind": "numerics", "functionals": ["Wigner"], "components": ["fc"],
+             "checks": ["continuity", "hazards"]},
+        )]
+        for job in jobs:
+            while not job.done:
+                await job.wait_change(job.version)
+        await sched.drain()
+        return [job.result_payload() for job in jobs]
+
+    with open_store(path) as store:
+        for key in store.keys():
+            store.get(key)
+        again = run_campaign(pairs, FAST, max_workers=0, store=store, resume=True)
+        assert again.computed == [] and sorted(again.store_hits) == sorted(pairs)
+        for report in again.reports.values():
+            report.summary()
+        resumed = run_numerics_campaign(["Wigner"], store=store, resume=True, **numerics)
+        assert resumed.computed == [] and len(resumed.store_hits) == 3
+        results = asyncio.run(service_results(store))
+        assert [r["sources"]["cache"] for r in results] == [2, 3]
+        json.dumps(results)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(lines) == len(store) == 5
+        for entry in lines:
+            assert store.get_payload(entry["key"]) == entry["payload"]
 
 
 def _reference_report_from_payload(payload: dict) -> VerificationReport:
@@ -265,7 +315,7 @@ class TestDecoder:
 class TestCollectorRestored:
     """The store pauses the cyclic collector; every call must give it back."""
 
-    @pytest.mark.parametrize("suffix", [".sqlite", ".jsonl"])
+    @pytest.mark.parametrize("suffix", [".jsonl"])
     def test_after_a_put_that_raises(self, tmp_path, suffix):
         report = _tricky_report()
         report.records[0].model = {"x": object()}  # not JSON-serialisable
@@ -274,7 +324,7 @@ class TestCollectorRestored:
                 store.put("k", report)
         assert gc.isenabled()
 
-    @pytest.mark.parametrize("suffix", [".sqlite", ".jsonl"])
+    @pytest.mark.parametrize("suffix", [".jsonl"])
     def test_after_a_get_of_a_malformed_payload(self, tmp_path, suffix):
         with open_store(tmp_path / f"store{suffix}") as store:
             store.put_payload("k", _malformed(_set_record("outcome", "bogus")))
@@ -369,7 +419,7 @@ class TestTimings:
         assert rows[0]["elapsed_seconds"] >= 0.0
         assert rows[0]["region_count"] >= 1
 
-    @pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
+    @pytest.mark.parametrize("suffix", [".jsonl"])
     def test_stores_with_sched_plan_records_still_resume(self, tmp_path, suffix):
         # older adaptive runs pinned their split plans in the store as
         # "sched-plan" records; such stores must keep serving every cell
@@ -453,76 +503,46 @@ class TestContentKeys:
 
 class TestOpenStoreSuffixes:
     def test_known_suffixes_select_backends(self, tmp_path):
-        from repro.verifier.store import STORE_SUFFIXES
-
-        for suffix, backend in STORE_SUFFIXES.items():
-            store = open_store(tmp_path / f"s{suffix}")
-            assert isinstance(store, backend), suffix
-            store.close()
+        store = open_store(tmp_path / "s.jsonl")
+        assert type(store) is CampaignStore
+        store.close()
 
     @pytest.mark.parametrize("name", ["store.db.tmp", "store", "store.json",
-                                      "store.sqlite.bak"])
+                                      "store.sqlite.bak", "store.sqlite",
+                                      "store.sqlite3", "store.db"])
     def test_unknown_suffix_raises_naming_supported(self, tmp_path, name):
         with pytest.raises(ValueError) as exc:
             open_store(tmp_path / name)
         message = str(exc.value)
         assert "unknown store suffix" in message
-        for suffix in (".jsonl", ".sqlite", ".sqlite3", ".db"):
-            assert suffix in message
+        assert ".jsonl" in message
         # nothing was created on disk for the rejected path
         assert not (tmp_path / name).exists()
 
+    @pytest.mark.parametrize("name", ["x.sqlite", "x.db"])
+    def test_old_sqlite_store_is_refused_untouched(self, tmp_path, name):
+        sqlite3 = pytest.importorskip("sqlite3")
+        path = tmp_path / name
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "CREATE TABLE results (key TEXT PRIMARY KEY, functional TEXT NOT NULL,"
+            " condition_id TEXT NOT NULL, created_at REAL NOT NULL,"
+            " payload TEXT NOT NULL)"
+        )
+        conn.execute(
+            "INSERT INTO results VALUES (?, ?, ?, ?, ?)",
+            ("k", "Toy", "T1", 0.0, json.dumps(report_to_payload(_tricky_report()))),
+        )
+        conn.commit()
+        conn.close()
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=r"\.jsonl"):
+            open_store(path)
+        assert path.read_bytes() == before
+
 
 class TestConcurrentAccess:
-    """Satellite: WAL + busy timeout keep readers alive during commits.
-
-    Before the hardening a second connection reading while a writer
-    committed could fail with "database is locked"; WAL gives readers the
-    last committed snapshot and the busy timeout absorbs checkpoints.
-    """
-
-    def test_sqlite_reader_during_writer_commits(self, tmp_path):
-        import threading
-
-        path = tmp_path / "store.sqlite"
-        report = _tricky_report()
-        writer = open_store(path)
-        writer.put("seed", report)
-        reader = open_store(path)  # separate connection, same file
-
-        stop = threading.Event()
-        errors: list[BaseException] = []
-
-        def write_loop():
-            try:
-                for i in range(60):
-                    writer.put(f"cell-{i}", report)
-            except BaseException as exc:
-                errors.append(exc)
-            finally:
-                stop.set()
-
-        def read_loop():
-            try:
-                while not stop.is_set():
-                    for _key, restored in iter_reports(reader):
-                        assert restored.condition_id == report.condition_id
-            except BaseException as exc:
-                errors.append(exc)
-
-        threads = [threading.Thread(target=write_loop),
-                   threading.Thread(target=read_loop)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-        assert not errors, f"concurrent access failed: {errors!r}"
-        writer.close()
-        # after the dust settles the reader sees every committed cell
-        assert len(reader.keys()) == 61
-        reader.close()
-
-    @pytest.mark.parametrize("suffix", [".sqlite", ".jsonl"])
+    @pytest.mark.parametrize("suffix", [".jsonl"])
     def test_one_store_shared_across_threads(self, tmp_path, suffix):
         """The service's job threads all write through one store object."""
         import threading
@@ -547,13 +567,3 @@ class TestConcurrentAccess:
                 t.join(timeout=120)
             assert not errors, f"shared-store access failed: {errors!r}"
             assert len(store.keys()) == 80
-
-    def test_wal_mode_enabled(self, tmp_path):
-        store = open_store(tmp_path / "store.sqlite")
-        try:
-            (mode,) = store._conn.execute("PRAGMA journal_mode").fetchone()
-            assert mode.lower() == "wal"
-            (busy,) = store._conn.execute("PRAGMA busy_timeout").fetchone()
-            assert busy >= 1000
-        finally:
-            store.close()
