@@ -8,8 +8,10 @@ cell exactly one unit of work:
 
 * the parent encodes and tape-compiles every cell once; a worker runs one
   :meth:`Verifier.verify <repro.verifier.verifier.Verifier.verify>` on
-  the cell's whole domain, and the report it returns *is* the cell's
-  report (the parent only sets ``compile_seconds`` on it).  All cells
+  the cell's whole domain and finishes the report it returns, which *is*
+  the cell's report: the worker sets ``compile_seconds``, sums the area
+  fractions, classifies the cell and, for a cell with a store key,
+  encodes the store line's payload, all cached on the report.  All cells
   share a single process pool and workers pull the next cell as they
   finish, so a SCAN-sized cell does not hold up the cheap ones queued
   behind it;
@@ -33,10 +35,10 @@ from typing import Callable, Iterable
 from ..conditions.catalog import get_condition
 from ..functionals.registry import get_functional
 from ..obs.metrics import REGISTRY
-from ..obs.trace import SpanRecorder, current_tracer
+from ..obs.trace import NULL_TRACER, SpanRecorder, current_tracer
 from .encoder import CompiledProblem, compile_problem, encode
 from .regions import VerificationReport
-from .store import CampaignStore, open_store
+from .store import CampaignStore, encode_report, open_store
 from .verifier import Verifier, VerifierConfig
 
 __all__ = [
@@ -324,23 +326,27 @@ def _campaign_worker_warm(hold_seconds: float = 0.0):
 
 
 def _campaign_worker(args):
-    """Run one cell's Algorithm 1 in a worker process.
+    """Run and finish one cell's Algorithm 1 in a worker process.
 
-    ``args`` is ``(payload, config)``: the parent-compiled
+    ``args`` is ``(payload, config, to_store)``: the parent-compiled
     :class:`CompiledProblem`, resolved through the persistent per-worker
     compile cache (:data:`_WORKER_CACHE`) so the solver's contractor
-    cache stays warm across cells of the same pair, and the verifier
-    config.  Returns ``(compile_seconds, report)`` -- with a third
-    dispatch-args element (a pickled :class:`~repro.obs.trace.SpanContext`)
-    the worker additionally records a pid-stamped span tree (chunk /
-    compile / solve, solver-internals totals attached) and returns it as
-    a third element for the parent to reattach to the trace.
+    cache stays warm across cells of the same pair, the verifier config,
+    and whether the cell has a store key.  The worker then finishes the
+    report, so the parent does no per-record work on it: it sets
+    ``compile_seconds``, sums the area fractions, classifies the cell
+    and, with a store key, encodes the store payload
+    (:func:`~repro.verifier.store.encode_report`), all cached on the
+    report, which carries them across the pickle.
+
+    With a fourth dispatch-args element (a pickled
+    :class:`~repro.obs.trace.SpanContext`) the worker records a
+    pid-stamped span tree (chunk / compile / solve / encode,
+    solver-internals totals attached).  Returns ``(report,
+    span_records)``; the records are empty when untraced.
     """
-    payload, config = args[0], args[1]
-    if len(args) == 2:
-        problem, solver, compile_seconds = _worker_compile(payload, config)
-        return compile_seconds, Verifier(config, solver=solver).verify(problem)
-    recorder = SpanRecorder(args[2])
+    payload, config, to_store = args[:3]
+    recorder = SpanRecorder(args[3]) if len(args) > 3 else NULL_TRACER
     pair = {"functional": payload.functional_name, "condition": payload.condition_id}
     chunk_span = recorder.begin("chunk", "chunk", **pair)
     compile_span = recorder.begin("compile", "compile", parent=chunk_span, **pair)
@@ -361,8 +367,15 @@ def _campaign_worker(args):
         steps=report.total_solver_steps,
         **verifier.stats_totals.as_attrs(),
     )
+    report.compile_seconds = compile_seconds
+    report.area_fractions()
+    report.classification()
+    if to_store:
+        encode_span = recorder.begin("encode", "encode", parent=chunk_span, **pair)
+        text = encode_report(report)
+        recorder.finish(encode_span, bytes=len(text))
     recorder.finish(chunk_span)
-    return compile_seconds, report, recorder.records
+    return report, recorder.records if recorder.enabled else ()
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +459,13 @@ def run_campaign(
         A :class:`~repro.verifier.store.CampaignStore` (or a path --
         opened, under a ``store_open`` span, and closed again by this
         call).  Completed cells are persisted immediately under their
-        content-hash key; with ``resume=True`` cells whose key is
-        already stored are returned from the store without solving.  Note that even a store *hit*
+        content-hash key.  The worker that computed a cell encodes its
+        store line's payload (an ``encode`` span when traced), so the
+        parent's ``store.put`` only appends and fsyncs it; a run without
+        a store encodes nothing.  A store this call does not own is used
+        only through ``get(key)`` and ``put(key, report)``.  With
+        ``resume=True`` cells whose key is already stored are returned
+        from the store without solving.  Note that even a store *hit*
         pays the parent-side encode + tape-compile: the key must be
         derived from the **current** tapes, or a code change (functional,
         condition, expression builder, compiler) could serve stale results --
@@ -460,8 +478,9 @@ def run_campaign(
         :func:`~repro.obs.trace.current_tracer`, a no-op unless a trace
         sink was activated).  When enabled, the run emits a campaign
         span, a ``store_get`` span (``hit`` attr) per resume lookup, one
-        span per computed cell, per-cell dispatch spans and the workers'
-        pid-stamped chunk/compile/solve spans.  Tracing is purely
+        span per computed cell with its ``store_put`` child, per-cell
+        dispatch spans and the workers' pid-stamped chunk/compile/solve/
+        encode spans.  Tracing is purely
         observational: reports, store contents and keys are
         byte-identical with tracing on or off.
 
@@ -484,21 +503,18 @@ def run_campaign(
     owned_store = None
 
     def absorb(cell: _Cell, worker_out) -> None:
-        if len(worker_out) == 3:
-            compile_seconds, report, span_records = worker_out
-            # reattach the worker's pid-stamped spans; records name their
-            # own parents, so out-of-order completion needs no bookkeeping
-            tracer.emit_records(span_records)
-        else:
-            compile_seconds, report = worker_out
-        report.compile_seconds = compile_seconds
+        report, span_records = worker_out
+        # reattach the worker's pid-stamped spans; records name their
+        # own parents, so out-of-order completion needs no bookkeeping
+        tracer.emit_records(span_records)
         result.reports[cell.key] = report
         result.computed.append(cell.key)
         _CELLS_COUNTER.inc(result="computed")
         traced = cell.span is not None
         if store is not None and cell.content_key is not None:
             # the store write is a child span of the cell, so the
-            # parent-side tail of a cell is not an untraced gap
+            # parent-side tail of a cell is not an untraced gap; the
+            # worker encoded the line, so this is the append and fsync
             if traced:
                 span = tracer.begin("store_put", "store", cell.span)
             written = store.put(cell.content_key, report)
@@ -510,7 +526,7 @@ def run_campaign(
                 cell.span,
                 steps=report.total_solver_steps,
                 regions=len(report.records),
-                compile_seconds=compile_seconds,
+                compile_seconds=report.compile_seconds,
             )
         if on_cell is not None:
             on_cell(cell.key, report, False)
@@ -562,7 +578,7 @@ def run_campaign(
                 )
         _CHUNKS_COUNTER.inc(len(cells))
         drive_chunks(
-            [(cell, (cell.payload, config)) for cell in cells],
+            [(cell, (cell.payload, config, cell.content_key is not None)) for cell in cells],
             _campaign_worker,
             absorb,
             max_workers=max_workers,

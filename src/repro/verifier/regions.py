@@ -9,8 +9,11 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable, TypeVar
 
 from ..solver.box import Box
+
+_T = TypeVar("_T")
 
 
 _GC_LOCK = threading.Lock()
@@ -107,19 +110,33 @@ class RegionRecord:
 
 def _report_from_pickle(
     functional_name, condition_id, domain, records_blob, total_solver_steps,
-    elapsed_seconds, budget_exhausted, compile_seconds,
+    elapsed_seconds, budget_exhausted, compile_seconds, derived,
 ) -> "VerificationReport":
     with gc_paused():
         records = pickle.loads(records_blob)
-    return VerificationReport(
+    report = VerificationReport(
         functional_name, condition_id, domain, records, total_solver_steps,
         elapsed_seconds, budget_exhausted, compile_seconds,
     )
+    report._derived = derived
+    report._derived_len = len(records)
+    return report
 
 
 @dataclass
 class VerificationReport:
-    """Everything Algorithm 1 learned about one DFA-condition pair."""
+    """Everything Algorithm 1 learned about one DFA-condition pair.
+
+    A report is final once it leaves :meth:`Verifier.verify
+    <repro.verifier.verifier.Verifier.verify>` (plus the campaign worker
+    setting its ``compile_seconds``), a store decode or an unpickle: its
+    fields and records are not changed afterwards.  That is what lets a
+    report cache what it derives (:meth:`cached`): its area fractions, its
+    Table I symbol and its store encoding are computed once, by the
+    campaign worker that finished the cell, and travel with the report
+    across the pickle.  Appending a record drops every cached value; no
+    other change does.
+    """
 
     functional_name: str
     condition_id: str
@@ -133,21 +150,49 @@ class VerificationReport:
     #: cache was warm.  A timing, not an outcome: excluded from
     #: :meth:`identical_to` like ``elapsed_seconds``.
     compile_seconds: float = 0.0
+    #: :meth:`cached` values by name, valid while ``records`` keeps the
+    #: length ``_derived_len``
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _derived_len: int = field(default=0, init=False, repr=False, compare=False)
 
     def __reduce__(self):
         # the records travel as one inner pickle, unpickled with the
-        # collector paused in whichever thread receives the report
+        # collector paused in whichever thread receives the report; the
+        # cached values travel with them
         with gc_paused():
             blob = pickle.dumps(self.records, pickle.HIGHEST_PROTOCOL)
+        derived = self._derived if self._derived_len == len(self.records) else {}
         return _report_from_pickle, (
             self.functional_name, self.condition_id, self.domain, blob,
             self.total_solver_steps, self.elapsed_seconds,
-            self.budget_exhausted, self.compile_seconds,
+            self.budget_exhausted, self.compile_seconds, derived,
         )
+
+    def cached(self, name: str, compute: Callable[[], _T]) -> _T:
+        """``compute()``, computed once per report and kept under ``name``.
+
+        The cache is dropped when the number of records changes, so a
+        report still being built never serves a stale value.
+        """
+        if self._derived_len != len(self.records):
+            self._derived = {}
+            self._derived_len = len(self.records)
+        value = self._derived.get(name)
+        if value is None:
+            value = self._derived[name] = compute()
+        return value
 
     # -- aggregation -------------------------------------------------------------
     def area_fractions(self) -> dict[Outcome, float]:
         """Domain-volume fraction finally labelled with each outcome.
+
+        Summed over the records once per report (:meth:`cached`); each
+        call returns a fresh dict, so callers may mutate it.
+        """
+        return dict(self.cached("area_fractions", self._sum_area_fractions))
+
+    def _sum_area_fractions(self) -> dict[Outcome, float]:
+        """One pass over the records for :meth:`area_fractions`.
 
         A record owns its box's volume minus its children's, clamped at
         zero; each box's volume is computed once.
@@ -214,19 +259,15 @@ class VerificationReport:
 
         Precedence follows the paper: a single valid counterexample makes
         the pair CEX; otherwise fully verified -> OK; partially verified
-        -> OK*; nothing verified -> ?.
+        -> OK*; nothing verified -> ?.  Computed once per report
+        (:meth:`cached`).
         """
-        return self._symbol(None)
+        return self.cached("classification", self._classify)
 
-    def _symbol(self, fractions: dict[Outcome, float] | None) -> str:
-        """:meth:`classification`, reusing ``fractions`` when the caller
-        already holds :meth:`area_fractions` (None computes them, and
-        only when no counterexample decides the symbol first)."""
+    def _classify(self) -> str:
         if self.has_counterexample():
             return SYMBOL_COUNTEREXAMPLE
-        if fractions is None:
-            fractions = self.area_fractions()
-        verified = fractions[Outcome.VERIFIED]
+        verified = self.area_fractions()[Outcome.VERIFIED]
         if verified >= 1.0 - 1e-9:
             return SYMBOL_VERIFIED
         if verified > 1e-9:
@@ -263,6 +304,6 @@ class VerificationReport:
         )
         return (
             f"{self.functional_name}/{self.condition_id}: "
-            f"{self._symbol(fractions)} ({parts}; {len(self.records)} regions, "
+            f"{self.classification()} ({parts}; {len(self.records)} regions, "
             f"{self.total_solver_steps} solver steps)"
         )

@@ -42,6 +42,7 @@ __all__ = [
     "PairTiming",
     "aggregate_timings",
     "check_store_path",
+    "encode_report",
     "iter_reports",
     "open_store",
     "report_to_payload",
@@ -101,6 +102,23 @@ def report_to_payload(report: VerificationReport) -> dict:
     }
 
 
+def encode_report(report: VerificationReport) -> str:
+    """The store's payload text for ``report``: its line's ``"payload"``.
+
+    ``json.dumps(report_to_payload(report), sort_keys=True)``, computed
+    once per report and cached on it (:meth:`VerificationReport.cached`).
+    The campaign worker calls this for every cell that has a store key,
+    so the text crosses the pickle with the report and the parent's
+    :meth:`CampaignStore.put` only appends it.
+    """
+
+    def encode() -> str:
+        with gc_paused():
+            return json.dumps(report_to_payload(report), sort_keys=True)
+
+    return report.cached("store_text", encode)
+
+
 def report_from_payload(payload: dict) -> VerificationReport:
     """Rebuild a report from :func:`report_to_payload` output, exactly."""
     version = payload.get("v")
@@ -122,12 +140,13 @@ def report_from_payload(payload: dict) -> VerificationReport:
             outcome = _OUTCOMES[value]
         except (KeyError, TypeError):
             outcome = Outcome(value)  # raises the ValueError a bad value gets
+        model = r["model"]  # a copy: the payload dict may be the store's own
         records.append(RegionRecord(
             r["index"],
             r["depth"],
             Box._of(names, tuple(make(*box[name]) for name in names)),
             outcome,
-            r["model"],
+            None if model is None else dict(model),
             list(r["children"]),
             r["solver_steps"],
         ))
@@ -174,6 +193,10 @@ class CampaignStore:
     caller's dict, so a caller's later mutation never changes what a get
     returns, and a cell that is written and never read again (a
     campaign's fresh cells) costs its bytes, not a second tree of dicts.
+
+    A report's payload text is :func:`encode_report`'s, cached on the
+    report.  In a campaign the worker that computed the cell encodes it,
+    so :meth:`put` in the parent only appends and fsyncs the line.
     """
 
     def __init__(self, path: str):
@@ -213,8 +236,11 @@ class CampaignStore:
         self, key: str, payload: dict, *, functional: str = "", condition_id: str = ""
     ) -> int:
         """Persist ``payload`` under ``key``; returns the line bytes written."""
+        return self._append(key, json.dumps(payload, sort_keys=True), functional, condition_id)
+
+    def _append(self, key: str, text: str, functional: str, condition_id: str) -> int:
+        """Write one line whose payload is the JSON ``text``; returns its bytes."""
         created = time.time()
-        text = json.dumps(payload, sort_keys=True)
         head = json.dumps(
             {
                 "condition": condition_id,
@@ -245,13 +271,10 @@ class CampaignStore:
             return report_from_payload(payload)
 
     def put(self, key: str, report: VerificationReport) -> int:
-        with gc_paused():
-            return self.put_payload(
-                key,
-                report_to_payload(report),
-                functional=report.functional_name,
-                condition_id=report.condition_id,
-            )
+        """Persist ``report`` under ``key``; returns the line bytes written."""
+        return self._append(
+            key, encode_report(report), report.functional_name, report.condition_id
+        )
 
     def keys(self) -> list[str]:
         return list(self._entries)

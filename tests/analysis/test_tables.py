@@ -66,3 +66,50 @@ class TestRunTableOneSmall:
         )
         assert table.symbol(get_functional("VWN RPA"), EC1) == "OK"
         assert table.symbol(get_functional("LYP"), EC1) == "CEX"
+
+
+class TestAreaPasses:
+    """Rendering a table sums each report's area at most once."""
+
+    @staticmethod
+    def count_passes(monkeypatch) -> list:
+        """Patch the uncached area sum; the list gets the report of each pass."""
+        passes = []
+        walk = VerificationReport._sum_area_fractions
+        monkeypatch.setattr(
+            VerificationReport, "_sum_area_fractions",
+            lambda self: passes.append(self) or walk(self),
+        )
+        return passes
+
+    def test_render_then_as_dict_sums_each_report_once(self, monkeypatch):
+        functionals = (get_functional("PBE"), get_functional("LYP"), get_functional("SCAN"))
+        table = TableOne(functionals=functionals, conditions=(EC1,))
+        outcomes = (Outcome.VERIFIED, Outcome.TIMEOUT, Outcome.INCONCLUSIVE)
+        for functional, outcome in zip(functionals, outcomes):
+            key = (functional.name, "EC1")
+            table.reports[key] = fake_report(*key, outcome)
+        passes = self.count_passes(monkeypatch)
+        table.render()
+        symbols = table.as_dict()
+        assert symbols["EC1"] == {"PBE": "OK", "LYP": "?", "SCAN": "?"}
+        assert sorted(map(id, passes)) == sorted(map(id, table.reports.values()))
+
+    def test_pooled_campaign_reports_need_no_pass_in_the_parent(self, monkeypatch):
+        from repro.analysis.tables import table_one_from_reports
+        from repro.verifier.campaign import run_campaign
+
+        config = VerifierConfig(split_threshold=0.7, per_call_budget=250, global_step_budget=8000)
+        functionals = (get_functional("VWN RPA"), get_functional("Wigner"))
+        passes = self.count_passes(monkeypatch)
+        result = run_campaign(
+            [(f, EC1) for f in functionals], config, max_workers=2
+        )
+        table = table_one_from_reports(result.reports, functionals, (EC1,))
+        table.render()
+        table.as_dict()
+        for report in result.reports.values():
+            report.area_fractions()
+            report.summary()
+        assert len(result.computed) == 2
+        assert passes == []

@@ -109,6 +109,30 @@ class TestVerifierCampaignTrace:
         assert len(puts) == 3
         assert sum(s["attrs"]["bytes"] for s in puts) == store.stat().st_size
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_encode_span_under_each_chunk(self, tmp_path, workers):
+        # the worker encodes each cell's store line, so that time stays
+        # under a named span and the parent's store_put only appends
+        from repro.verifier.store import encode_report
+
+        result, (header, spans) = traced_campaign(
+            tmp_path, PAIRS, FAST, max_workers=workers, store=tmp_path / "store.jsonl"
+        )
+        assert lint_trace(header, spans) == []
+        ids = {s["span"]: s for s in spans}
+        encodes = [s for s in spans if s["name"] == "encode"]
+        assert len(encodes) == len(result.computed) == 3
+        for span in encodes:
+            chunk = ids[span["parent"]]
+            assert chunk["cat"] == "chunk" and span["pid"] == chunk["pid"]
+            key = (span["attrs"]["functional"], span["attrs"]["condition"])
+            assert span["attrs"]["bytes"] == len(encode_report(result.reports[key]))
+
+    def test_no_encode_span_without_a_store(self, tmp_path):
+        _, (header, spans) = traced_campaign(tmp_path, PAIRS, FAST, max_workers=2)
+        assert len(spans_by_cat(spans)["chunk"]) == 3
+        assert not [s for s in spans if s["name"] == "encode"]
+
     def test_store_hits_open_no_cell_spans(self, tmp_path):
         store = tmp_path / "store.jsonl"
         run_campaign(PAIRS, FAST, max_workers=1, store=store)

@@ -8,7 +8,9 @@ child links, models and step counts the plain in-process run produces.
 
 from __future__ import annotations
 
+import json
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -23,6 +25,7 @@ from repro.verifier.campaign import (
     run_campaign,
 )
 from repro.verifier.encoder import encode
+from repro.verifier.store import report_to_payload
 from repro.verifier.verifier import Verifier, VerifierConfig
 
 FAST = VerifierConfig(split_threshold=0.7, per_call_budget=250, global_step_budget=8000)
@@ -253,3 +256,83 @@ class TestWorkerCompileCache:
         del payload["compile_seconds"]
         assert report_from_payload(payload).compile_seconds == 0.0
 
+
+class TestWorkerFinishesCells:
+    """The worker sets compile time, sums, classifies and encodes each cell."""
+
+    PAIRS = [("LYP", "EC1"), ("VWN RPA", "EC1"), ("Wigner", "EC1")]
+
+    @staticmethod
+    def stored_texts(path) -> dict[str, str]:
+        """Each stored line's payload text, exactly as written, by key."""
+        texts = {}
+        for line in path.read_text().splitlines():
+            head, sep, text = line.partition(', "payload": ')
+            assert sep and text.endswith("}")
+            texts[json.loads(head + "}")["key"]] = text[:-1]
+        return texts
+
+    @staticmethod
+    def count_encodings(monkeypatch, log):
+        """Append the calling pid to ``log`` on every ``report_to_payload``.
+
+        Patched before the pool forks, so worker calls are logged too.
+        """
+        from repro.verifier import store
+
+        encode = store.report_to_payload
+
+        def logged(report):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return encode(report)
+
+        monkeypatch.setattr(store, "report_to_payload", logged)
+
+    @staticmethod
+    def pids(log) -> list[int]:
+        return [int(line) for line in log.read_text().split()] if log.exists() else []
+
+    def test_pooled_and_in_process_store_the_same_bytes(self, tmp_path):
+        timing = re.compile(r'"(compile|elapsed)_seconds": [0-9.e+-]+')
+        texts = []
+        for workers in (2, 1):
+            path = tmp_path / f"store-{workers}.jsonl"
+            run_campaign(self.PAIRS, FAST, max_workers=workers, store=path)
+            stored = self.stored_texts(path)
+            texts.append({key: timing.sub("", text) for key, text in stored.items()})
+        assert len(texts[0]) == 3
+        assert texts[0] == texts[1]
+
+    def test_stored_text_is_a_fresh_encoding_of_the_returned_report(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        result = run_campaign(self.PAIRS, FAST, max_workers=2, store=path)
+        stored = self.stored_texts(path)
+        assert sorted(stored) == sorted(result.cell_keys.values())
+        for pair, key in result.cell_keys.items():
+            fresh = json.dumps(report_to_payload(result.reports[pair]), sort_keys=True)
+            assert stored[key] == fresh
+
+    def test_parent_encodes_nothing_in_a_pooled_campaign(self, tmp_path, monkeypatch):
+        log = tmp_path / "encodings.log"
+        self.count_encodings(monkeypatch, log)
+        result = run_campaign(self.PAIRS, FAST, max_workers=2, store=tmp_path / "s.jsonl")
+        pids = self.pids(log)
+        assert len(result.computed) == 3
+        assert len(pids) == 3  # one encoding per cell, each in a worker
+        assert os.getpid() not in pids
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_campaign_without_a_store_encodes_nothing(self, tmp_path, monkeypatch, workers):
+        log = tmp_path / "encodings.log"
+        self.count_encodings(monkeypatch, log)
+        result = run_campaign(self.PAIRS, FAST, max_workers=workers)
+        assert len(result.computed) == 3
+        assert self.pids(log) == []
+
+    def test_worker_sets_compile_seconds(self):
+        from repro.verifier.campaign import _WORKER_CACHE
+
+        _WORKER_CACHE.clear()
+        result = run_campaign(self.PAIRS[:2], FAST, max_workers=2)
+        assert all(r.compile_seconds > 0.0 for r in result.reports.values())

@@ -1,6 +1,7 @@
 """Tests for region records and report aggregation."""
 
 import gc
+import json
 import math
 import multiprocessing
 import os
@@ -432,3 +433,83 @@ class TestReportPickle:
         assert back.identical_to(_pickle_sample_report())
         assert back.compile_seconds == 0.25
         assert gc.isenabled()
+
+
+# ---------------------------------------------------------------------------
+# what a finished report derives, cached on it
+# ---------------------------------------------------------------------------
+
+def _count_sums(monkeypatch) -> list:
+    """Patch the uncached area sum; the returned list grows by one per pass."""
+    calls = []
+    walk = VerificationReport._sum_area_fractions
+    monkeypatch.setattr(
+        VerificationReport, "_sum_area_fractions",
+        lambda self: calls.append(1) or walk(self),
+    )
+    return calls
+
+
+class TestDerivedCache:
+    def test_area_fractions_sums_once_and_returns_fresh_dicts(self, monkeypatch):
+        report = _pickle_sample_report()
+        calls = _count_sums(monkeypatch)
+        first = report.area_fractions()
+        first[Outcome.VERIFIED] = 99.0
+        second = report.area_fractions()
+        report.classification()
+        report.summary()
+        assert len(calls) == 1
+        assert second[Outcome.VERIFIED] == 0.5
+        assert second is not report.area_fractions()
+
+    def test_appending_a_record_drops_both_caches(self):
+        from repro.verifier.store import encode_report
+
+        report = make_report([rec(0, 0.0, 4.0, Outcome.TIMEOUT)])
+        assert report.area_fractions()[Outcome.TIMEOUT] == 1.0
+        assert report.classification() == SYMBOL_UNKNOWN
+        assert len(json.loads(encode_report(report))["records"]) == 1
+        report.records[0].children.append(1)
+        report.records.append(rec(1, 0.0, 4.0, Outcome.VERIFIED, depth=1))
+        assert report.area_fractions()[Outcome.VERIFIED] == 1.0
+        assert report.classification() == SYMBOL_VERIFIED
+        assert len(json.loads(encode_report(report))["records"]) == 2
+
+    def test_pickle_round_trip_keeps_both_caches(self, monkeypatch):
+        from repro.verifier import store
+        from repro.verifier.store import encode_report
+
+        report = _pickle_sample_report()
+        fractions = report.area_fractions()
+        text = encode_report(report)
+        back = pickle.loads(pickle.dumps(report))
+        assert back.identical_to(report)
+        calls = _count_sums(monkeypatch)
+        monkeypatch.setattr(store, "report_to_payload", lambda r: pytest.fail("re-encoded"))
+        assert back.area_fractions() == fractions
+        assert encode_report(back) == text
+        assert back.classification() == SYMBOL_COUNTEREXAMPLE
+        assert calls == []
+
+    def test_stale_caches_do_not_travel(self, monkeypatch):
+        report = make_report([rec(0, 0.0, 4.0, Outcome.TIMEOUT)])
+        report.area_fractions()
+        report.records[0].children.append(1)
+        report.records.append(rec(1, 0.0, 4.0, Outcome.VERIFIED, depth=1))
+        back = pickle.loads(pickle.dumps(report))
+        calls = _count_sums(monkeypatch)
+        assert back.area_fractions()[Outcome.VERIFIED] == 1.0
+        assert len(calls) == 1
+
+    def test_decoded_report_starts_with_empty_caches(self, monkeypatch):
+        from repro.verifier.store import encode_report, report_from_payload
+
+        report = _pickle_sample_report()
+        report.area_fractions()
+        text = encode_report(report)
+        decoded = report_from_payload(json.loads(text))
+        calls = _count_sums(monkeypatch)
+        assert decoded.area_fractions() == report.area_fractions()
+        assert len(calls) == 1
+        assert encode_report(decoded) == text

@@ -18,6 +18,7 @@ from repro.verifier.store import (
     CampaignStore,
     PairTiming,
     aggregate_timings,
+    encode_report,
     iter_reports,
     open_store,
     report_from_payload,
@@ -174,6 +175,44 @@ def test_jsonl_line_is_the_sorted_dump_of_the_entry(tmp_path):
     entry = json.loads(line)
     assert entry["payload"] == report_to_payload(_tricky_report())
     assert (entry["key"], entry["functional"], entry["condition"]) == ("cell", "Toy", "T1")
+
+
+def test_put_writes_the_reports_cached_encoding(tmp_path):
+    report = _tricky_report()
+    text = encode_report(report)
+    assert text == json.dumps(report_to_payload(report), sort_keys=True)
+    assert encode_report(report) is text  # encoded once per report
+    path = tmp_path / "store.jsonl"
+    with open_store(path) as store:
+        store.put("cell", report)
+    (line,) = path.read_text().splitlines()
+    assert line.endswith(f'"payload": {text}}}')
+
+
+@pytest.mark.parametrize("reopen", [False, True])
+def test_get_copies_counterexample_models(tmp_path, reopen):
+    # the report get returns must not share its models with the store's
+    # own payload: the LYP/EC1 cell holds counterexample records
+    from repro.verifier.campaign import run_campaign
+
+    path = tmp_path / "store.jsonl"
+    store = open_store(path)
+    result = run_campaign([("LYP", "EC1")], FAST, max_workers=1, store=store)
+    (key,) = result.cell_keys.values()
+    if reopen:
+        store.close()
+        store = open_store(path)
+    with store:
+        report = store.get(key)
+        modelled = [i for i, r in enumerate(report.records) if r.model is not None]
+        assert any(report.records[i].outcome is Outcome.COUNTEREXAMPLE for i in modelled)
+        before = [dict(report.records[i].model) for i in modelled]
+        for i in modelled:
+            report.records[i].model["rs"] = 12345.0
+        again = store.get(key)
+        assert [again.records[i].model for i in modelled] == before
+        payload = store.get_payload(key)
+        assert [payload["records"][i]["model"] for i in modelled] == before
 
 
 def test_in_repo_readers_leave_shared_payloads_untouched(tmp_path):
